@@ -18,6 +18,7 @@ import argparse
 import gzip
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -183,6 +184,8 @@ def _read_scores_tsv(path: str) -> dict[SPPair, float]:
                 value = float(fields[3])
             except (SelPrefError, ValueError) as err:
                 raise GoldFormatError(f"{path}:{lineno}: {err}") from None
+            if not math.isfinite(value):
+                raise GoldFormatError(f"{path}:{lineno}: non-finite value {fields[3]!r}")
             if pair in table:
                 raise GoldFormatError(f"{path}:{lineno}: duplicate pair {pair}")
             table[pair] = value

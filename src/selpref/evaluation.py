@@ -4,6 +4,7 @@ pseudo-disambiguation."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
@@ -185,6 +186,9 @@ def _average_ranks(values) -> np.ndarray:
     """Ranks 1..n with ties sharing the mean of their positions."""
     arr = np.asarray(values, dtype=np.float64)
     order = np.argsort(arr, kind="stable")
+    # argsort puts NaN last, so any NaN or infinity sits at an end of the order
+    if len(arr) and not (math.isfinite(arr[order[0]]) and math.isfinite(arr[order[-1]])):
+        raise CorrelationError("non-finite value in correlation input")
     ranks = np.empty(len(arr), dtype=np.float64)
     i = 0
     while i < len(arr):
@@ -197,7 +201,8 @@ def _average_ranks(values) -> np.ndarray:
 
 
 def spearman(x, y) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation with average ranks for ties; NaN and
+    infinities are rejected, since a rank cannot order them."""
     x = list(x)
     y = list(y)
     if len(x) != len(y):
@@ -364,23 +369,21 @@ def pseudo_disambiguation(
     """
     if not test_pairs:
         raise ValueError("test_pairs is empty")
-    positives = set(test_pairs)
+    positives = {(p.relation, p.head, p.dependent) for p in test_pairs}
+    pools = {r: sorted(vocab.dependents_for(r)) for r in {p.relation for p in test_pairs}}
     rng = random.Random(seed)
     total = 0.0
     for pair in test_pairs:
-        pool = sorted(vocab.dependents_for(pair.relation))
-        usable = [
-            d for d in pool
-            if SPPair(pair.relation, pair.head, d) not in positives
-        ]
+        rel, head = pair.relation, pair.head
+        usable = [d for d in pools[rel] if (rel, head, d) not in positives]
         if not usable:
             raise ConfounderPoolError(
-                f"no confounder available for {pair.relation.value} head "
-                f"{pair.head!r}: pool exhausted by attested pairs"
+                f"no confounder available for {rel.value} head "
+                f"{head!r}: pool exhausted by attested pairs"
             )
         confounder = rng.choice(usable)
         pos = model.score(pair)
-        neg = model.score(SPPair(pair.relation, pair.head, confounder))
+        neg = model.score(SPPair(rel, head, confounder))
         if pos is None or neg is None or pos == neg:
             total += 0.5
         elif pos > neg:

@@ -12,10 +12,20 @@ import json
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .conllu import Sentence
-from .core import Lexicon, SelPrefError, SPPair, SPRelation, parse_relation
+from .core import (
+    BadLemmaError,
+    Lexicon,
+    SelPrefError,
+    SPPair,
+    SPRelation,
+    UnknownRelationError,
+    _check_lemma,
+    parse_relation,
+)
 
 # Stanford-style and UD v2 labels are unified.
 OBJECT_DEPRELS = {"dobj", "obj"}
@@ -70,24 +80,25 @@ class CountTableError(SelPrefError, ValueError):
 
 
 class CountTable:
-    """Per-relation pair counts with derived head marginals.
+    """Pair counts in one store: relation -> head -> Counter(dependent -> count).
 
-    Marginals are maintained incrementally and always equal the sum of the
-    pair counts for that head; construction is the only mutation path, so a
-    finished table is safe to share between readers.
+    Marginals and totals are sums over that store, so nothing needs to be
+    kept in sync; a head's dependents are one dict lookup away.
+    Construction is the only mutation path, so a finished table is safe
+    to share between readers.
     """
 
     def __init__(self):
-        self._pairs: dict[SPRelation, Counter] = {r: Counter() for r in SPRelation}
-        self._marginals: dict[SPRelation, Counter] = {r: Counter() for r in SPRelation}
-        self._totals: Counter = Counter()
+        self._heads: dict[SPRelation, dict[str, Counter]] = {r: {} for r in SPRelation}
 
     def _add(self, pair: SPPair, count: int = 1) -> None:
         if count < 1:
             raise CountTableError(f"count must be >= 1, got {count}")
-        self._pairs[pair.relation][(pair.head, pair.dependent)] += count
-        self._marginals[pair.relation][pair.head] += count
-        self._totals[pair.relation] += count
+        heads = self._heads[pair.relation]
+        deps = heads.get(pair.head)
+        if deps is None:
+            deps = heads[pair.head] = Counter()
+        deps[pair.dependent] += count
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[SPPair]) -> "CountTable":
@@ -97,53 +108,53 @@ class CountTable:
         return table
 
     def count(self, relation: SPRelation, head: str, dependent: str) -> int:
-        return self._pairs[relation][(head, dependent)]
+        deps = self._heads[relation].get(head)
+        return 0 if deps is None else deps[dependent]
 
     def marginal(self, relation: SPRelation, head: str) -> int:
-        return self._marginals[relation][head]
+        deps = self._heads[relation].get(head)
+        return 0 if deps is None else deps.total()
 
     def total(self, relation: SPRelation) -> int:
-        return self._totals[relation]
+        return sum(deps.total() for deps in self._heads[relation].values())
 
     def unique_pairs(self, relation: SPRelation) -> int:
-        return len(self._pairs[relation])
+        return sum(len(deps) for deps in self._heads[relation].values())
 
-    def dependents_of(self, relation: SPRelation, head: str) -> dict[str, int]:
-        """Attested dependents of a head with their counts."""
-        return {
-            d: c for (h, d), c in self._pairs[relation].items() if h == head
-        }
+    def dependents_of(self, relation: SPRelation, head: str) -> Mapping[str, int]:
+        """Attested dependents of a head with their counts (a read-only view)."""
+        deps = self._heads[relation].get(head)
+        return _NO_DEPENDENTS if deps is None else MappingProxyType(deps)
 
     def heads(self, relation: SPRelation) -> list[str]:
-        return list(self._marginals[relation])
+        return list(self._heads[relation])
 
     def items(self, relation: SPRelation) -> Iterator[tuple[str, str, int]]:
-        for (head, dep), count in self._pairs[relation].items():
-            yield head, dep, count
+        """(head, dependent, count) grouped by head, each in insertion order."""
+        for head, deps in self._heads[relation].items():
+            for dep, count in deps.items():
+                yield head, dep, count
 
     def merge(self, other: "CountTable") -> "CountTable":
         """Combine two tables; counting is associative over corpus splits."""
         out = CountTable()
         for table in (self, other):
-            for rel in SPRelation:
-                out._pairs[rel].update(table._pairs[rel])
-                out._marginals[rel].update(table._marginals[rel])
-            out._totals.update(table._totals)
+            for rel, heads in table._heads.items():
+                store = out._heads[rel]
+                for head, deps in heads.items():
+                    store.setdefault(head, Counter()).update(deps)
         return out
 
     def validate(self) -> None:
-        for rel in SPRelation:
-            recomputed = Counter()
-            total = 0
-            for (head, _), count in self._pairs[rel].items():
-                if count < 1:
+        for rel, heads in self._heads.items():
+            for head, deps in heads.items():
+                if not deps:
+                    raise CountTableError(f"{rel}: empty entry for head {head!r}")
+                if min(deps.values()) < 1:
                     raise CountTableError(f"{rel}: stored count < 1")
-                recomputed[head] += count
-                total += count
-            if recomputed != +self._marginals[rel]:
-                raise CountTableError(f"{rel}: marginals inconsistent with pair counts")
-            if total != self._totals[rel]:
-                raise CountTableError(f"{rel}: total inconsistent with pair counts")
+
+
+_NO_DEPENDENTS: Mapping[str, int] = MappingProxyType({})
 
 
 def build_counts(corpus: Iterable[Sentence], include_passive: bool = False) -> CountTable:
@@ -169,11 +180,20 @@ def write_counts(table: CountTable, fh: TextIO, config: dict | None = None) -> N
             fh.write(f"{rel.value}\t{head}\t{dep}\t{count}\n")
 
 
+_RELATIONS = {r.value: r for r in SPRelation}
+
+
 def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
+    """Read the TSV counts format straight into a table's store.
+
+    Lemmas get the same checks and lowercasing as ``SPPair``, without
+    building one per row; every error names ``source:line``.
+    """
     table = CountTable()
+    store = table._heads
     for lineno, line in enumerate(fh, 1):
         line = line.rstrip("\n")
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) != 4:
@@ -185,7 +205,25 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
             raise CountTableError(f"{source}:{lineno}: bad count {count_text!r}") from None
         if count < 1:
             raise CountTableError(f"{source}:{lineno}: count must be >= 1, got {count}")
-        table._add(SPPair(parse_relation(rel_name), head, dep), count)
+        relation = _RELATIONS.get(rel_name)
+        if relation is None:
+            try:
+                relation = parse_relation(rel_name)
+            except UnknownRelationError as err:
+                raise CountTableError(f"{source}:{lineno}: {err}") from None
+        if (not head.strip() or not dep.strip()
+                or "\r" in head or "\r" in dep or "\n" in head or "\n" in dep):
+            try:
+                _check_lemma("head", head)
+                _check_lemma("dependent", dep)
+            except BadLemmaError as err:
+                raise CountTableError(f"{source}:{lineno}: {err}") from None
+        heads = store[relation]
+        head = head.lower()
+        deps = heads.get(head)
+        if deps is None:
+            deps = heads[head] = Counter()
+        deps[dep.lower()] += count
     return table
 
 

@@ -178,23 +178,29 @@ class NNModel:
 
     @classmethod
     def load(cls, path) -> "NNModel":
-        with np.load(path, allow_pickle=False) as z:
-            config = NNConfig.from_dict(json.loads(str(z["meta__config"])))
-            model = cls(config)
-            for name in json.loads(str(z["meta__relations"])):
-                rel = parse_relation(name)
-                p = rel.value
-                net = _RelationNet.__new__(_RelationNet)
-                net.head_index = {w: i for i, w in enumerate(z[f"{p}__heads"])}
-                net.dep_index = {w: i for i, w in enumerate(z[f"{p}__deps"])}
-                net.emb_head = z[f"{p}__emb_head"]
-                net.emb_dep = z[f"{p}__emb_dep"]
-                net.w1 = z[f"{p}__w1"]
-                net.b1 = z[f"{p}__b1"]
-                net.w2 = z[f"{p}__w2"]
-                net.b2 = float(z[f"{p}__b2"])
-                model.nets[rel] = net
-                model.epoch_losses[rel] = list(z[f"{p}__losses"])
+        """Read a model written by ``save``; any unreadable or incomplete
+        file ends in an ``NNError`` naming the path."""
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                config = NNConfig.from_dict(json.loads(str(z["meta__config"])))
+                model = cls(config)
+                for name in json.loads(str(z["meta__relations"])):
+                    rel = parse_relation(name)
+                    p = rel.value
+                    net = _RelationNet.__new__(_RelationNet)
+                    net.head_index = {w: i for i, w in enumerate(z[f"{p}__heads"])}
+                    net.dep_index = {w: i for i, w in enumerate(z[f"{p}__deps"])}
+                    net.emb_head = z[f"{p}__emb_head"]
+                    net.emb_dep = z[f"{p}__emb_dep"]
+                    net.w1 = z[f"{p}__w1"]
+                    net.b1 = z[f"{p}__b1"]
+                    net.w2 = z[f"{p}__w2"]
+                    net.b2 = float(z[f"{p}__b2"])
+                    model.nets[rel] = net
+                    model.epoch_losses[rel] = list(z[f"{p}__losses"])
+        except (OSError, EOFError, ValueError, KeyError, TypeError,
+                zipfile.BadZipFile) as err:
+            raise NNError(f"{path}: not a readable model file: {err}") from None
         return model
 
 

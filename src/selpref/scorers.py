@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
+import numpy as np
+
 from .core import SPPair, SPRelation
-from .embeddings import EmbeddingTable, cosine
+from .embeddings import EmbeddingTable, ZeroVectorError
 from .extract import CountTable
 
 
@@ -38,25 +40,30 @@ def ds_score(
     Attested dependents without an embedding drop out of both the sum and
     the normalizer, so the weights still form a convex combination. None
     when the head is unseen, the candidate has no vector, or nothing
-    attested has one.
+    attested has one. The cosines are one mat-vec over the attested rows
+    (Erk 2007), each clamped to [-1, 1] as ``cosine`` does.
     """
-    target = emb.get(pair.dependent)
+    target = emb.index.get(pair.dependent)
     if target is None:
         return None
-    attested = counts.dependents_of(pair.relation, pair.head)
-    if not attested:
+    index = emb.index
+    rows = []
+    weights = []
+    for dep, weight in counts.dependents_of(pair.relation, pair.head).items():
+        row = index.get(dep)
+        if row is not None:
+            rows.append(row)
+            weights.append(weight)
+    if not rows:
         return None
-    num = 0.0
-    z = 0.0
-    for dep, weight in attested.items():
-        vec = emb.get(dep)
-        if vec is None:
-            continue
-        num += weight * cosine(target, vec)
-        z += weight
-    if z == 0.0:
-        return None
-    return num / z
+    norms = emb.norms[rows]
+    target_norm = emb.norms[target]
+    if target_norm == 0.0 or not norms.all():
+        raise ZeroVectorError("cosine of a zero-norm vector is undefined")
+    dots = emb.matrix[rows] @ emb.matrix[target]
+    sims = np.clip(dots / (norms * target_norm), -1.0, 1.0)
+    w = np.array(weights, dtype=np.float64)
+    return float(w @ sims / w.sum())
 
 
 class PPModel:

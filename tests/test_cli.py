@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import selpref
 from selpref.cli import main
+
+# the child interpreter finds the package the same way this one did
+SRC = str(Path(selpref.__file__).resolve().parent.parent)
 
 FISH_WORM = """\
 1\tThe\tthe\tDET\tDT\t_\t3\tdet\t_\t_
@@ -432,7 +437,63 @@ def test_log_level_env_override(tmp_path):
         [sys.executable, "-m", "selpref.cli", "extract",
          "--in", str(corpus)],
         capture_output=True, text=True, env={"PATH": "/usr/bin:/bin",
+                                             "PYTHONPATH": SRC,
                                              "SELPREF_LOG_LEVEL": "info"},
     )
     assert proc.returncode == 0
     assert "extract:" in proc.stderr
+
+@pytest.mark.parametrize("row, message", [
+    ("bogus\teat\tworm\t2", "unknown selectional relation: 'bogus'"),
+    ("dobj\t\tworm\t2", "head lemma is empty"),
+    ("dobj\teat\t   \t2", "dependent lemma is empty"),
+])
+def test_bad_counts_row_exit_1_with_coordinates(tmp_path, capsys, row, message):
+    counts = write(tmp_path / "counts.tsv",
+                   f"#sp-counts v1\ndobj\teat\tfish\t3\n{row}\n")
+    pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tfish\n")
+    rc = main(["score", "--backend", "pp", "--counts", counts,
+               "--pairs", pairs])
+    assert rc == 1
+    assert f"error: {counts}:3: {message}" in capsys.readouterr().err
+
+
+def test_carriage_return_in_counts_lemma_exit_1_with_coordinates(tmp_path, capsys):
+    # a text-mode read treats the lone \r as a line break, so the row
+    # splits in two and the first half is reported where it starts
+    path = tmp_path / "counts.tsv"
+    path.write_bytes(b"#sp-counts v1\ndobj\tea\rt\tfish\t3\n")
+    pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tfish\n")
+    rc = main(["score", "--backend", "pp", "--counts", str(path),
+               "--pairs", pairs])
+    assert rc == 1
+    assert f"error: {path}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_lookup_score_exit_1_with_coordinates(tmp_path, capsys, value):
+    gold = write(tmp_path / "gold.tsv", (
+        "#sp10k v1\n"
+        "dobj\teat\tworm\t9.00\n"
+        "dobj\teat\tstone\t1.00\n"
+        "dobj\teat\tbread\t7.50\n"
+    ))
+    scores = write(tmp_path / "scores.tsv", (
+        "#sp-scores v1\n"
+        "dobj\teat\tworm\t1\n"
+        f"dobj\teat\tstone\t{value}\n"
+        "dobj\teat\tbread\t0.5\n"
+    ))
+    rc = main(["eval", "--gold", gold, "--backend", "lookup",
+               "--scores", scores])
+    assert rc == 1
+    assert f"error: {scores}:3: non-finite value" in capsys.readouterr().err
+
+
+def test_nn_model_that_is_not_npz_exit_1(tmp_path, capsys):
+    lexicon = make_lexicon(tmp_path)
+    pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tworm\n")
+    rc = main(["score", "--backend", "nn", "--model", lexicon,
+               "--pairs", pairs])
+    assert rc == 1
+    assert f"error: {lexicon}: not a readable model file" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from selpref.core import Lexicon, SPPair, SPRelation
 from selpref.evaluation import (
     ConfounderPoolError,
     ConstantInputError,
+    CorrelationError,
     DuplicatePairError,
     EvalReport,
     GoldFormatError,
@@ -111,6 +112,14 @@ class TestSpearman:
             spearman([1, 1, 1], [1, 2, 3])
         with pytest.raises(ConstantInputError):
             spearman([1, 2, 3], [5, 5, 5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # NaN used to sort last and so take the best rank
+        with pytest.raises(CorrelationError):
+            spearman([bad, 2.0, 1.0], [3.0, 2.0, 1.0])
+        with pytest.raises(CorrelationError):
+            spearman([3.0, 2.0, 1.0], [1.0, bad, 0.0])
 
     def test_too_short(self):
         with pytest.raises(Exception):

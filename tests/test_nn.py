@@ -168,3 +168,12 @@ def test_multiple_negatives_per_positive():
     model = nn_train(planted_corpus(), cfg, VOCAB)
     wins = comparisons(model)
     assert sum(wins) >= 0.9 * len(wins)
+
+
+def test_load_names_path_of_npz_missing_a_key(tmp_path):
+    path = tmp_path / "partial.npz"
+    np.savez(path, meta__config=np.array("{}"))
+    with pytest.raises(NNError) as exc:
+        NNModel.load(path)
+    assert str(path) in str(exc.value)
+    assert "meta__relations" in str(exc.value)
