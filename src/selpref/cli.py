@@ -42,7 +42,6 @@ from .commonsense import (
     relation_matrix,
 )
 from .core import Lexicon, SelPrefError, SPPair, SPRelation, parse_relation
-from .conllu import read_conllu
 from .embeddings import load_embeddings
 from .evaluation import (
     GOLD_HEADER,
@@ -54,7 +53,7 @@ from .evaluation import (
 from .extract import (
     CANDIDATES_HEADER,
     COUNTS_HEADER,
-    build_counts,
+    count_conllu,
     generate_candidates,
     read_counts,
     read_pairs,
@@ -259,14 +258,11 @@ def cmd_extract(args, parser) -> int:
     config = {"subcommand": "extract", "in": args.infile, "out": args.out,
               "seed": None, **resolved}
     with _open_in(args.infile) as fh:
-        corpus = read_conllu(fh, source=args.infile,
-                             skip_malformed=resolved["skip_malformed"])
-        table = build_counts(corpus, include_passive=resolved["include_passive"])
+        table = count_conllu(fh, source=args.infile,
+                             skip_malformed=resolved["skip_malformed"],
+                             include_passive=resolved["include_passive"])
     with _open_out(args.out) as out:
         write_counts(table, out, config=config)
-    log.info("extract: %d pair types, %d instances",
-             sum(table.unique_pairs(r) for r in SPRelation),
-             sum(table.total(r) for r in SPRelation))
     return 0
 
 

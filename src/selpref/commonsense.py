@@ -120,16 +120,6 @@ class PlausibilityGroup(enum.Enum):
     IMPOSSIBLE = "impossible"
 
 
-# lower-inclusive, upper-exclusive, except Perfect owns 10
-GROUP_BOUNDS = {
-    PlausibilityGroup.PERFECT: (8.0, 10.0),
-    PlausibilityGroup.GOOD: (6.0, 8.0),
-    PlausibilityGroup.NORMAL: (4.0, 6.0),
-    PlausibilityGroup.UNUSUAL: (2.0, 4.0),
-    PlausibilityGroup.IMPOSSIBLE: (0.0, 2.0),
-}
-
-
 def classify_plausibility(value: float) -> PlausibilityGroup:
     check_plausibility(value)
     if value >= 8.0:

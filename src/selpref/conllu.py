@@ -25,6 +25,7 @@ class CorpusFormatError(SelPrefError, ValueError):
         super().__init__(f"{source}:{lineno}: {message}")
         self.source = source
         self.lineno = lineno
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,9 @@ class Token:
     deprel: str
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"token index must be >= 1, got {self.index}")
-        if self.head_index < 0:
-            raise ValueError(f"head index must be >= 0, got {self.head_index}")
-        if self.head_index == self.index:
-            raise ValueError(f"token {self.index} is its own head")
+        message = _token_error(self.index, self.head_index)
+        if message is not None:
+            raise ValueError(message)
 
 
 class Sentence:
@@ -49,13 +47,10 @@ class Sentence:
 
     def __init__(self, tokens: Iterable[Token]):
         self.tokens = list(tokens)
-        for pos, tok in enumerate(self.tokens, 1):
-            if tok.index != pos:
-                raise ValueError(f"token indices not contiguous at position {pos}")
-            if tok.head_index > len(self.tokens):
-                raise ValueError(
-                    f"token {tok.index} points at head {tok.head_index} beyond sentence end"
-                )
+        message = _sentence_error([t.index for t in self.tokens],
+                                  [t.head_index for t in self.tokens])
+        if message is not None:
+            raise ValueError(message)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -67,27 +62,98 @@ class Sentence:
         return self.tokens[index - 1]
 
 
-def _parse_token_line(line: str, source: str, lineno: int) -> Token | None:
-    fields = line.split("\t")
-    if len(fields) != N_COLUMNS:
-        raise CorpusFormatError(
-            source, lineno, f"expected {N_COLUMNS} tab-separated columns, got {len(fields)}"
-        )
-    tok_id = fields[0]
-    if "-" in tok_id or "." in tok_id:
-        return None  # multiword-token range or empty node
-    try:
-        index = int(tok_id)
-    except ValueError:
-        raise CorpusFormatError(source, lineno, f"bad token id {tok_id!r}") from None
-    try:
-        head = int(fields[6])
-    except ValueError:
-        raise CorpusFormatError(source, lineno, f"bad head index {fields[6]!r}") from None
-    try:
-        return Token(index=index, lemma=fields[2], upos=fields[3], head_index=head, deprel=fields[7])
-    except ValueError as exc:
-        raise CorpusFormatError(source, lineno, str(exc)) from None
+def _token_error(index: int, head: int) -> str | None:
+    """What is wrong with one token's index and head, or None."""
+    if index < 1:
+        return f"token index must be >= 1, got {index}"
+    if head < 0:
+        return f"head index must be >= 0, got {head}"
+    if head == index:
+        return f"token {index} is its own head"
+    return None
+
+
+def _sentence_error(indices: list[int], heads: list[int]) -> str | None:
+    """The first position whose index is not its position, or whose head
+    lies beyond the sentence end; None when there is none."""
+    n = len(indices)
+    if indices == list(range(1, n + 1)) and (not heads or max(heads) <= n):
+        return None
+    for pos, (index, head) in enumerate(zip(indices, heads), 1):
+        if index != pos:
+            return f"token indices not contiguous at position {pos}"
+        if head > n:
+            return f"token {index} points at head {head} beyond sentence end"
+    return None
+
+
+def sentence_rows(
+    fh: TextIO,
+    source: str = "<stream>",
+    skip_malformed: bool = False,
+) -> Iterator[list[tuple] | None]:
+    """Stream each sentence as a list of token rows, or None for a sentence
+    skipped as malformed: the parsing under ``read_conllu``, without a
+    ``Token`` or ``Sentence`` per item.
+
+    A row is ``(index, lemma, upos, head, deprel, line number)``.  Each
+    token line is checked as it is read (column count, integer id and head,
+    index >= 1, head >= 0, not its own head); contiguity and head range are
+    checked once per sentence.  A fault raises ``CorpusFormatError`` or,
+    with ``skip_malformed``, is logged and drops the sentence.
+    """
+    rows: list[tuple] = []
+    bad = False
+    start_line = 1
+    for lineno, line in enumerate(fh, 1):
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) == N_COLUMNS:
+            tok_id = fields[0]
+            if "-" in tok_id or "." in tok_id:
+                continue  # multiword-token range or empty node
+            try:
+                index = int(tok_id)
+            except ValueError:
+                message = f"bad token id {tok_id!r}"
+            else:
+                try:
+                    head = int(fields[6])
+                except ValueError:
+                    message = f"bad head index {fields[6]!r}"
+                else:
+                    if index >= 1 and head >= 0 and head != index:
+                        rows.append((index, fields[2], fields[3], head, fields[7], lineno))
+                        continue
+                    message = _token_error(index, head)
+        elif line.rstrip("\n").rstrip("\r"):
+            message = f"expected {N_COLUMNS} tab-separated columns, got {len(fields)}"
+        else:  # a blank line ends the sentence
+            if bad or rows:
+                yield None if bad else _checked_sentence(rows, source, start_line, skip_malformed)
+            rows = []
+            bad = False
+            start_line = lineno + 1
+            continue
+        err = CorpusFormatError(source, lineno, message)
+        if not skip_malformed:
+            raise err
+        log.warning("skipping sentence with malformed line: %s", err)
+        bad = True
+    if bad or rows:
+        yield None if bad else _checked_sentence(rows, source, start_line, skip_malformed)
+
+
+def _checked_sentence(rows: list[tuple], source: str, start_line: int,
+                      skip_malformed: bool) -> list[tuple] | None:
+    message = _sentence_error([row[0] for row in rows], [row[3] for row in rows])
+    if message is None:
+        return rows
+    if not skip_malformed:
+        raise CorpusFormatError(source, start_line, message)
+    log.warning("%s:%d: skipping sentence: %s", source, start_line, message)
+    return None
 
 
 def read_conllu(
@@ -101,48 +167,9 @@ def read_conllu(
     instead of raising (the CLI default); library callers get fail-fast
     behaviour.
     """
-    tokens: list[Token] = []
-    start_line = 1
-    bad = False
-
-    def flush() -> Sentence | None:
-        nonlocal tokens, bad
-        out = None
-        if tokens and not bad:
-            try:
-                out = Sentence(tokens)
-            except ValueError as exc:
-                if not skip_malformed:
-                    raise CorpusFormatError(source, start_line, str(exc)) from None
-                log.warning("%s:%d: skipping sentence: %s", source, start_line, exc)
-        tokens = []
-        bad = False
-        return out
-
-    lineno = 0
-    for lineno, line in enumerate(fh, 1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            sent = flush()
-            start_line = lineno + 1
-            if sent is not None:
-                yield sent
-            continue
-        if line.startswith("#"):
-            continue
-        try:
-            tok = _parse_token_line(line, source, lineno)
-        except CorpusFormatError as exc:
-            if not skip_malformed:
-                raise
-            log.warning("skipping sentence with malformed line: %s", exc)
-            bad = True
-            continue
-        if tok is not None:
-            tokens.append(tok)
-    sent = flush()
-    if sent is not None:
-        yield sent
+    for rows in sentence_rows(fh, source, skip_malformed):
+        if rows is not None:
+            yield Sentence(Token(*row[:5]) for row in rows)
 
 
 def read_conllu_file(path, skip_malformed: bool = False) -> Iterator[Sentence]:

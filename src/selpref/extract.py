@@ -9,13 +9,14 @@ verb to the adjective modifying its object (dobj_amod) or subject
 from __future__ import annotations
 
 import json
+import logging
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, TextIO
 
-from .conllu import Sentence
+from .conllu import CorpusFormatError, Sentence, sentence_rows
 from .core import (
     BadLemmaError,
     Lexicon,
@@ -27,11 +28,63 @@ from .core import (
     parse_relation,
 )
 
+log = logging.getLogger(__name__)
+
 # Stanford-style and UD v2 labels are unified.
 OBJECT_DEPRELS = {"dobj", "obj"}
 SUBJECT_DEPRELS = {"nsubj"}
 PASSIVE_SUBJECT_DEPRELS = {"nsubjpass", "nsubj:pass"}
 NOUN_UPOS = {"NOUN", "PROPN"}
+
+# The rules name a relation by its position here, so a caller can index its
+# own per-relation objects without hashing an enum member.
+_RELATION_ORDER = (SPRelation.DOBJ, SPRelation.NSUBJ, SPRelation.AMOD,
+                   SPRelation.DOBJ_AMOD, SPRelation.NSUBJ_AMOD)
+_DOBJ, _NSUBJ, _AMOD, _DOBJ_AMOD, _NSUBJ_AMOD = range(len(_RELATION_ORDER))
+
+
+def _argument_relations(include_passive: bool) -> dict[str, tuple[int, int]]:
+    """deprel of a verb's noun argument -> (one-hop, two-hop) relation."""
+    subjects = SUBJECT_DEPRELS | (PASSIVE_SUBJECT_DEPRELS if include_passive else set())
+    return {**{d: (_DOBJ, _DOBJ_AMOD) for d in OBJECT_DEPRELS},
+            **{d: (_NSUBJ, _NSUBJ_AMOD) for d in subjects}}
+
+
+_ARGUMENT_RELATIONS = {flag: _argument_relations(flag) for flag in (False, True)}
+
+
+def _rule_pairs(rows: list[tuple], include_passive: bool) -> list[tuple[int, tuple, tuple]]:
+    """Apply the five extraction rules to one sentence's token rows.
+
+    A row is ``(index, lemma, upos, head, deprel, ...)`` with contiguous
+    indices from 1.  Returns ``(relation position, head row, dependent
+    row)`` per pair: each verb argument in token order, followed by its
+    two-hop adjectives, then the amod pairs by noun index.
+    """
+    arguments = _ARGUMENT_RELATIONS[include_passive]
+    amods: dict[int, list[tuple]] = {}  # noun index -> its ADJ rows, in token order
+    args = []
+    for row in rows:
+        deprel = row[4]
+        if deprel == "amod":
+            head = row[3]
+            if head and row[2] == "ADJ" and rows[head - 1][2] in NOUN_UPOS:
+                amods.setdefault(head, []).append(row)
+        elif deprel in arguments and row[3] and row[2] in NOUN_UPOS:
+            args.append(row)
+    pairs = []
+    for dep in args:
+        verb = rows[dep[3] - 1]
+        if verb[2] == "VERB":
+            one_hop, two_hop = arguments[dep[4]]
+            pairs.append((one_hop, verb, dep))
+            for adj in amods.get(dep[0], ()):
+                pairs.append((two_hop, verb, adj))
+    for noun_index in sorted(amods):
+        noun = rows[noun_index - 1]
+        for adj in amods[noun_index]:
+            pairs.append((_AMOD, noun, adj))
+    return pairs
 
 
 def extract_pairs(sentence: Sentence, include_passive: bool = False) -> list[SPPair]:
@@ -42,37 +95,9 @@ def extract_pairs(sentence: Sentence, include_passive: bool = False) -> list[SPP
     restricted to NOUN/PROPN (pronouns excluded) for the verb relations
     and to ADJ for the modifier relations.
     """
-    pairs: list[SPPair] = []
-    # amod children per noun index, in token order
-    amods: dict[int, list[str]] = defaultdict(list)
-    for tok in sentence:
-        if tok.deprel == "amod" and tok.upos == "ADJ" and tok.head_index > 0:
-            noun = sentence.token_at(tok.head_index)
-            if noun.upos in NOUN_UPOS:
-                amods[noun.index].append(tok.lemma)
-
-    subject_deprels = SUBJECT_DEPRELS | (PASSIVE_SUBJECT_DEPRELS if include_passive else set())
-    for tok in sentence:
-        if tok.head_index == 0 or tok.upos not in NOUN_UPOS:
-            continue
-        head = sentence.token_at(tok.head_index)
-        if head.upos != "VERB":
-            continue
-        if tok.deprel in OBJECT_DEPRELS:
-            one_hop, two_hop = SPRelation.DOBJ, SPRelation.DOBJ_AMOD
-        elif tok.deprel in subject_deprels:
-            one_hop, two_hop = SPRelation.NSUBJ, SPRelation.NSUBJ_AMOD
-        else:
-            continue
-        pairs.append(SPPair(one_hop, head.lemma, tok.lemma))
-        for adj in amods[tok.index]:
-            pairs.append(SPPair(two_hop, head.lemma, adj))
-
-    for noun_index, adjs in sorted(amods.items()):
-        noun = sentence.token_at(noun_index)
-        for adj in adjs:
-            pairs.append(SPPair(SPRelation.AMOD, noun.lemma, adj))
-    return pairs
+    rows = [(t.index, t.lemma, t.upos, t.head_index, t.deprel) for t in sentence]
+    return [SPPair(_RELATION_ORDER[rel], head[1], dep[1])
+            for rel, head, dep in _rule_pairs(rows, include_passive)]
 
 
 class CountTableError(SelPrefError, ValueError):
@@ -164,6 +189,68 @@ def build_counts(corpus: Iterable[Sentence], include_passive: bool = False) -> C
         for pair in extract_pairs(sentence, include_passive=include_passive):
             table._add(pair)
     return table
+
+
+def count_conllu(fh: TextIO, source: str = "<stream>", skip_malformed: bool = False,
+                 include_passive: bool = False) -> CountTable:
+    """Count the pairs of a CoNLL-U stream in one pass.
+
+    The table, the errors and the warnings are those of
+    ``build_counts(read_conllu(fh, source, skip_malformed), include_passive)``,
+    but no ``Token``, ``Sentence`` or ``SPPair`` is built.  A lemma that
+    would enter a pair gets ``SPPair``'s check, and a failing one names its
+    token's line: it raises ``CorpusFormatError`` or, with
+    ``skip_malformed``, drops its sentence like any other malformed one.
+    Logs one summary line at info level.
+    """
+    table = CountTable()
+    stores = [table._heads[rel] for rel in _RELATION_ORDER]
+    lowered: dict[str, str] = {}  # lemmas that passed the check -> lowercased
+    read = skipped = tokens = 0
+    for rows in sentence_rows(fh, source, skip_malformed):
+        read += 1
+        if rows is None:
+            skipped += 1
+            continue
+        try:
+            keys = _pair_keys(_rule_pairs(rows, include_passive), lowered, source)
+        except CorpusFormatError as err:
+            if not skip_malformed:
+                raise
+            log.warning("%s:%d: skipping sentence: %s", source, err.lineno, err.message)
+            skipped += 1
+            continue
+        tokens += len(rows)
+        for rel, head, dep in keys:
+            heads = stores[rel]
+            deps = heads.get(head)
+            if deps is None:
+                deps = heads[head] = Counter()
+            deps[dep] += 1
+    log.info("%d sentences read, %d skipped, %d tokens counted; pairs %s",
+             read, skipped, tokens,
+             " ".join(f"{rel.value}={table.total(rel)}" for rel in _RELATION_ORDER))
+    return table
+
+
+def _pair_keys(pairs: list[tuple[int, tuple, tuple]], lowered: dict[str, str],
+               source: str) -> list[tuple[int, str, str]]:
+    """(relation position, head, dependent) per pair, with the lemmas
+    checked and lowercased as ``SPPair`` does; ``lowered`` caches the
+    lemmas that passed.  The first lemma that fails raises
+    ``CorpusFormatError`` at its token's line."""
+    try:
+        return [(rel, lowered[head[1]], lowered[dep[1]]) for rel, head, dep in pairs]
+    except KeyError:
+        pass
+    for _, head, dep in pairs:
+        for role, row in (("head", head), ("dependent", dep)):
+            if row[1] not in lowered:
+                try:
+                    lowered[row[1]] = _check_lemma(role, row[1])
+                except BadLemmaError as err:
+                    raise CorpusFormatError(source, row[5], str(err)) from None
+    return _pair_keys(pairs, lowered, source)
 
 
 COUNTS_HEADER = "#sp-counts v1"

@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,12 @@ import pytest
 
 import selpref
 from selpref.cli import main
+from selpref.conllu import read_conllu
+from selpref.extract import build_counts, count_conllu, read_counts, write_counts
 
 # the child interpreter finds the package the same way this one did
 SRC = str(Path(selpref.__file__).resolve().parent.parent)
+FIXTURE = Path(__file__).parent / "data" / "fixture.conllu"
 
 FISH_WORM = """\
 1\tThe\tthe\tDET\tDT\t_\t3\tdet\t_\t_
@@ -116,6 +121,83 @@ def test_missing_input_file_exit_1(tmp_path, capsys):
     rc = main(["extract", "--in", str(tmp_path / "absent.conllu")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# the verb heading the subject pair on line 3 has a one-space lemma
+BLANK_HEAD = FISH_WORM.replace("4\tate\teat\t", "4\tate\t \t") + """
+1\tBirds\tbird\tNOUN\t_\t_\t2\tnsubj\t_\t_
+2\tsing\tsing\tVERB\t_\t_\t0\troot\t_\t_
+"""
+
+
+def test_blank_lemma_in_a_pair_exit_1_with_coordinates(tmp_path, capsys):
+    bad = write(tmp_path / "blank.conllu", BLANK_HEAD)
+    assert main(["extract", "--in", bad]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:4: head lemma is empty\n"
+
+
+def test_blank_lemma_in_a_pair_skipped_with_skip_malformed(tmp_path, caplog):
+    # then a sentence of two bad lines (two warnings, one skipped sentence)
+    # and one of a single bad line that the end of the file closes
+    bad = write(tmp_path / "blank.conllu", BLANK_HEAD + """
+1\tfish\tfish\tNOUN\t_\t_\tx\tnsubj\t_\t_
+2\tswim\tswim\tVERB\t_\t_\t0\troot
+
+1\tx
+""")
+    out = tmp_path / "counts.tsv"
+    with caplog.at_level(logging.INFO):
+        assert main(["extract", "--in", bad, "--skip-malformed", "--out", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name.startswith("selpref.")] == [
+        f"{bad}:4: skipping sentence: head lemma is empty",
+        f"skipping sentence with malformed line: {bad}:12: bad head index 'x'",
+        f"skipping sentence with malformed line: {bad}:13: "
+        "expected 10 tab-separated columns, got 8",
+        f"skipping sentence with malformed line: {bad}:15: "
+        "expected 10 tab-separated columns, got 2",
+        "4 sentences read, 3 skipped, 2 tokens counted; "
+        "pairs dobj=0 nsubj=1 amod=0 dobj_amod=0 nsubj_amod=0"]
+    assert data_lines(out) == ["nsubj\tsing\tbird\t1"]
+
+
+def test_blank_lemma_outside_every_pair_is_accepted(tmp_path):
+    corpus = write(tmp_path / "c.conllu",
+                   FISH_WORM.replace("1\tThe\tthe\t", "1\tThe\t \t"))
+    assert data_lines(make_counts(tmp_path, corpus)) == data_lines(
+        make_counts(tmp_path, write(tmp_path / "fw.conllu", FISH_WORM)))
+
+
+def test_extract_info_summary_line(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "selpref.cli", "extract", "--in", str(FIXTURE),
+         "--out", str(tmp_path / "counts.tsv"), "--log-level", "info"],
+        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "INFO selpref.extract: 107 sentences read, 0 skipped, 733 tokens counted; "
+        "pairs dobj=78 nsubj=86 amod=130 dobj_amod=63 nsubj_amod=67\n")
+
+
+def test_library_entry_points_agree_with_cli(tmp_path):
+    """build_counts over read_conllu, count_conllu and the CLI give one table."""
+    def written(table):
+        buf = io.StringIO()
+        write_counts(table, buf)
+        return buf.getvalue()
+
+    for passive in (False, True):
+        with open(FIXTURE, encoding="utf-8") as fh:
+            layered = written(build_counts(read_conllu(fh, str(FIXTURE)), passive))
+        with open(FIXTURE, encoding="utf-8") as fh:
+            one_pass = written(count_conllu(fh, str(FIXTURE), include_passive=passive))
+        out = tmp_path / "counts.tsv"
+        flag = "--include-passive" if passive else "--no-include-passive"
+        assert main(["extract", "--in", str(FIXTURE), flag, "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            cli = written(read_counts(fh))
+        assert layered == one_pass == cli
+        assert layered.count("\n") > 100
 
 
 def test_version_names_formats():

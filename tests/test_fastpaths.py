@@ -3,22 +3,34 @@
 The references below are the earlier implementations, kept verbatim as
 test-only code: a count table with one flat ``(head, dependent)`` counter
 per relation plus parallel marginal and total counters, the counts reader
-that built an ``SPPair`` per row, the scalar ``ds`` loop, and the
-pseudo-disambiguation loop that re-sorted the pool for every test pair.
+that built an ``SPPair`` per row, the scalar ``ds`` loop, the
+pseudo-disambiguation loop that re-sorted the pool for every test pair,
+and the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence``
+per sentence and an ``SPPair`` per extracted pair.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
-another order), with the same None / ZeroVectorError outcomes.
+another order), with the same None / ZeroVectorError outcomes; CoNLL-U
+counting with the same error text and the same warnings in order.
 """
 
 import io
+import logging
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from selpref.conllu import read_conllu_file
-from selpref.core import Lexicon, SelPrefError, SPPair, SPRelation, parse_relation
+from selpref.conllu import CorpusFormatError, read_conllu, read_conllu_file
+from selpref.core import (
+    BadLemmaError,
+    Lexicon,
+    SelPrefError,
+    SPPair,
+    SPRelation,
+    parse_relation,
+)
 from selpref.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -28,9 +40,15 @@ from selpref.embeddings import (
 )
 from selpref.evaluation import pseudo_disambiguation
 from selpref.extract import (
+    NOUN_UPOS,
+    OBJECT_DEPRELS,
+    PASSIVE_SUBJECT_DEPRELS,
+    SUBJECT_DEPRELS,
     CountTable,
     CountTableError,
     build_counts,
+    count_conllu,
+    extract_pairs,
     read_counts,
     write_counts,
 )
@@ -409,3 +427,378 @@ class TestPseudoDisambiguation:
                 for seed in range(4):
                     assert pseudo_disambiguation(model, tests, vocab, seed=seed) == \
                         scalar_pseudo_disambiguation(model, tests, vocab, seed=seed)
+
+
+# The CoNLL-U pipeline that count_conllu replaced, verbatim but for names.
+
+old_log = logging.getLogger("reference.conllu")
+
+N_COLUMNS = 10
+
+
+@dataclass(frozen=True)
+class OldToken:
+    index: int          # 1-based position within the sentence
+    lemma: str
+    upos: str
+    head_index: int     # 0 = root
+    deprel: str
+
+    def __post_init__(self):
+        if self.index < 1:
+            raise ValueError(f"token index must be >= 1, got {self.index}")
+        if self.head_index < 0:
+            raise ValueError(f"head index must be >= 0, got {self.head_index}")
+        if self.head_index == self.index:
+            raise ValueError(f"token {self.index} is its own head")
+
+
+class OldSentence:
+    """An ordered, contiguously indexed token list."""
+
+    def __init__(self, tokens):
+        self.tokens = list(tokens)
+        for pos, tok in enumerate(self.tokens, 1):
+            if tok.index != pos:
+                raise ValueError(f"token indices not contiguous at position {pos}")
+            if tok.head_index > len(self.tokens):
+                raise ValueError(
+                    f"token {tok.index} points at head {tok.head_index} beyond sentence end"
+                )
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def __iter__(self):
+        return iter(self.tokens)
+
+    def token_at(self, index):
+        return self.tokens[index - 1]
+
+
+def old_parse_token_line(line, source, lineno):
+    fields = line.split("\t")
+    if len(fields) != N_COLUMNS:
+        raise CorpusFormatError(
+            source, lineno, f"expected {N_COLUMNS} tab-separated columns, got {len(fields)}"
+        )
+    tok_id = fields[0]
+    if "-" in tok_id or "." in tok_id:
+        return None  # multiword-token range or empty node
+    try:
+        index = int(tok_id)
+    except ValueError:
+        raise CorpusFormatError(source, lineno, f"bad token id {tok_id!r}") from None
+    try:
+        head = int(fields[6])
+    except ValueError:
+        raise CorpusFormatError(source, lineno, f"bad head index {fields[6]!r}") from None
+    try:
+        return OldToken(index=index, lemma=fields[2], upos=fields[3], head_index=head,
+                        deprel=fields[7])
+    except ValueError as exc:
+        raise CorpusFormatError(source, lineno, str(exc)) from None
+
+
+def old_read_conllu(fh, source="<stream>", skip_malformed=False):
+    tokens = []
+    start_line = 1
+    bad = False
+
+    def flush():
+        nonlocal tokens, bad
+        out = None
+        if tokens and not bad:
+            try:
+                out = OldSentence(tokens)
+            except ValueError as exc:
+                if not skip_malformed:
+                    raise CorpusFormatError(source, start_line, str(exc)) from None
+                old_log.warning("%s:%d: skipping sentence: %s", source, start_line, exc)
+        tokens = []
+        bad = False
+        return out
+
+    lineno = 0
+    for lineno, line in enumerate(fh, 1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            sent = flush()
+            start_line = lineno + 1
+            if sent is not None:
+                yield sent
+            continue
+        if line.startswith("#"):
+            continue
+        try:
+            tok = old_parse_token_line(line, source, lineno)
+        except CorpusFormatError as exc:
+            if not skip_malformed:
+                raise
+            old_log.warning("skipping sentence with malformed line: %s", exc)
+            bad = True
+            continue
+        if tok is not None:
+            tokens.append(tok)
+    sent = flush()
+    if sent is not None:
+        yield sent
+
+
+def old_extract_pairs(sentence, include_passive=False):
+    pairs = []
+    # amod children per noun index, in token order
+    amods = defaultdict(list)
+    for tok in sentence:
+        if tok.deprel == "amod" and tok.upos == "ADJ" and tok.head_index > 0:
+            noun = sentence.token_at(tok.head_index)
+            if noun.upos in NOUN_UPOS:
+                amods[noun.index].append(tok.lemma)
+
+    subject_deprels = SUBJECT_DEPRELS | (PASSIVE_SUBJECT_DEPRELS if include_passive else set())
+    for tok in sentence:
+        if tok.head_index == 0 or tok.upos not in NOUN_UPOS:
+            continue
+        head = sentence.token_at(tok.head_index)
+        if head.upos != "VERB":
+            continue
+        if tok.deprel in OBJECT_DEPRELS:
+            one_hop, two_hop = SPRelation.DOBJ, SPRelation.DOBJ_AMOD
+        elif tok.deprel in subject_deprels:
+            one_hop, two_hop = SPRelation.NSUBJ, SPRelation.NSUBJ_AMOD
+        else:
+            continue
+        pairs.append(SPPair(one_hop, head.lemma, tok.lemma))
+        for adj in amods[tok.index]:
+            pairs.append(SPPair(two_hop, head.lemma, adj))
+
+    for noun_index, adjs in sorted(amods.items()):
+        noun = sentence.token_at(noun_index)
+        for adj in adjs:
+            pairs.append(SPPair(SPRelation.AMOD, noun.lemma, adj))
+    return pairs
+
+
+def old_build_counts(corpus, include_passive=False):
+    table = CountTable()
+    for sentence in corpus:
+        for pair in old_extract_pairs(sentence, include_passive=include_passive):
+            table._add(pair)
+    return table
+
+
+# Random corpora.  Token 1 of every sentence carries the sentence's marker
+# lemma, so a sentence the old reader yields can be matched to the lines
+# its tokens were written on.
+
+LEMMAS = {
+    "NOUN": ["fish", "Worm", "door", "TABLE"], "PROPN": ["Paris", "anna"],
+    "PRON": ["she", "it"], "VERB": ["eat", "Open", "break", "SELL"],
+    "ADJ": ["small", "Red", "sad"], "DET": ["the", "a"], "ADV": ["fast"],
+}
+ARGUMENT_DEPRELS = ["obj", "dobj", "nsubj", "nsubjpass", "nsubj:pass", "obl", "ccomp"]
+LINE_FAULTS = ["columns", "id", "head", "index0", "negative_head", "self_head"]
+SENTENCE_FAULTS = ["gap", "beyond"]
+LEMMA_FAULTS = ["", " ", "  ", "fi\rsh"]
+
+
+def _bad_lemma(lemma):
+    return not lemma.strip() or "\r" in lemma
+
+
+def random_sentence(rng, marker):
+    """Token columns [id, form, lemma, upos, head, deprel] of one sentence."""
+    n = rng.randint(1, 9)
+    upos = ["X"] + [rng.choice(list(LEMMAS)) for _ in range(n - 1)]
+    verbs = [i for i, u in enumerate(upos, 1) if u == "VERB"]
+    nouns = [i for i, u in enumerate(upos, 1) if u in ("NOUN", "PROPN")]
+    toks = []
+    for i, u in enumerate(upos, 1):
+        others = [j for j in range(0, n + 1) if j != i]
+        if u in ("NOUN", "PROPN", "PRON") and verbs and rng.random() < 0.85:
+            head, deprel = rng.choice([v for v in verbs if v != i] or [0]), rng.choice(
+                ARGUMENT_DEPRELS)
+        elif u == "ADJ" and nouns and rng.random() < 0.85:
+            head, deprel = rng.choice(nouns), rng.choice(["amod"] * 4 + ["conj"])
+        else:
+            head, deprel = rng.choice(others), rng.choice(["root", "det", "amod", "obj"])
+        lemma = marker if i == 1 else rng.choice(LEMMAS[u])
+        toks.append([str(i), lemma.upper(), lemma, u, str(head), deprel])
+    return toks
+
+
+def plant(rng, toks, fault):
+    """Make one kind of fault in a sentence's token columns."""
+    n = len(toks)
+    tok = rng.choice(toks)
+    if fault == "id":
+        tok[0] = "x" + tok[0]
+    elif fault == "head":
+        tok[4] = "_"
+    elif fault == "index0":
+        tok[0] = "0"
+    elif fault == "negative_head":
+        tok[4] = "-1"
+    elif fault == "self_head":
+        tok[4] = tok[0]
+    elif fault == "gap":
+        for later in toks[rng.randrange(n):]:
+            later[0] = str(int(later[0]) + 1)
+    elif fault == "beyond":
+        tok[4] = str(n + rng.randint(1, 3))
+    elif fault == "columns":
+        tok.append("extra")
+    else:  # a bad lemma, never on the marker
+        if n > 1:
+            rng.choice(toks[1:])[2] = fault
+
+
+def random_corpus(rng, n_sentences):
+    """CoNLL-U text and {marker: {token id: line}} for its sentences."""
+    crlf = rng.random() < 0.3
+    out, lines_of = [], {}
+
+    def emit(line):
+        out.append(line + ("\r\n" if crlf and rng.random() < 0.7 else "\n"))
+        return len(out)
+
+    for k in range(n_sentences):
+        marker = f"s{k}"
+        toks = random_sentence(rng, marker)
+        roll = rng.random()
+        if roll < 0.12:
+            plant(rng, toks, rng.choice(LINE_FAULTS))
+        elif roll < 0.16:
+            for fault in rng.sample(LINE_FAULTS, 2):  # two bad lines
+                plant(rng, toks, fault)
+        elif roll < 0.24:
+            plant(rng, toks, rng.choice(SENTENCE_FAULTS))
+        elif roll < 0.40:
+            plant(rng, toks, rng.choice(LEMMA_FAULTS))
+        if rng.random() < 0.5:
+            emit(f"# sent_id = {k}")
+        lines_of[marker] = lines = {}
+        for pos, cols in enumerate(toks):
+            if pos == 1 and rng.random() < 0.2:
+                emit(f"{pos}-{pos + 1}\tdon't\t_\t_\t_\t_\t_\t_\t_\t_")
+            if rng.random() < 0.05:
+                emit("# a comment inside the sentence")
+            form, lemma, upos, head, deprel = cols[1:6]
+            extra = cols[6:]
+            line = emit("\t".join([cols[0], form, lemma, upos, "_", "_", head, deprel,
+                                   "_", "_", *extra]))
+            if pos == 2 and rng.random() < 0.2:
+                emit(f"{pos}.1\tgone\tgo\tVERB\t_\t_\t_\t_\t{pos}:conj\t_")
+            lines[cols[0]] = line
+        if k < n_sentences - 1 or rng.random() < 0.7:  # maybe no final blank line
+            emit("")
+            if rng.random() < 0.1:
+                emit("")
+    return "".join(out), lines_of
+
+
+def old_count(text, source, skip_malformed, include_passive, lines_of):
+    """The old pipeline, where a bad lemma in a pair ends its sentence like
+    any other malformed one, at the line of its token."""
+    def lemma_checked(sentences):
+        for sentence in sentences:
+            try:
+                old_extract_pairs(sentence, include_passive)
+            except BadLemmaError as err:
+                (bad,) = [t.index for t in sentence if _bad_lemma(t.lemma)]
+                line = lines_of[sentence.token_at(1).lemma][str(bad)]
+                if not skip_malformed:
+                    raise CorpusFormatError(source, line, str(err)) from None
+                old_log.warning("%s:%d: skipping sentence: %s", source, line, err)
+                continue
+            yield sentence
+
+    sentences = old_read_conllu(io.StringIO(text), source, skip_malformed)
+    return old_build_counts(lemma_checked(sentences), include_passive)
+
+
+def written(table):
+    buf = io.StringIO()
+    write_counts(table, buf, config={"seed": None})
+    return buf.getvalue()
+
+
+def run_logged(caplog, fn):
+    """(what fn returns or its error text, warning messages in order)."""
+    caplog.clear()
+    try:
+        with caplog.at_level(logging.WARNING):
+            result = fn()
+    except CorpusFormatError as err:
+        result = ("error", str(err))
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    return result, warnings
+
+
+class TestCountConllu:
+    @pytest.mark.parametrize("include_passive", [False, True])
+    def test_fixture_matches_reference(self, include_passive):
+        text = FIXTURE.read_text(encoding="utf-8")
+        want = written(old_build_counts(old_read_conllu(io.StringIO(text)), include_passive))
+        got = count_conllu(io.StringIO(text), include_passive=include_passive)
+        assert written(got) == want
+
+    def test_random_corpora_match_reference(self, caplog):
+        rng = random.Random(707)
+        seen = Counter()
+        for trial in range(150):
+            text, lines_of = random_corpus(rng, rng.randint(1, 12))
+            for skip in (False, True):
+                for passive in (False, True):
+                    want = run_logged(caplog, lambda: written(old_count(
+                        text, "c.conllu", skip, passive, lines_of)))
+                    got = run_logged(caplog, lambda: written(count_conllu(
+                        io.StringIO(text), "c.conllu", skip, passive)))
+                    assert got == want, (trial, skip, passive, text)
+                    result, warnings = want
+                    seen["error" if isinstance(result, tuple) else "table"] += 1
+                    seen["lemma"] += sum("lemma" in w for w in warnings)
+                    seen["line"] += sum("malformed line" in w for w in warnings)
+                    seen["sentence"] += sum(
+                        "contiguous" in w or "beyond" in w for w in warnings)
+                    seen["pairs"] += result.count("\n") if isinstance(result, str) else 0
+        assert min(seen.values()) > 20, seen
+
+    def test_readers_and_rules_match_reference(self, caplog):
+        rng = random.Random(808)
+        for trial in range(100):
+            text, _ = random_corpus(rng, rng.randint(1, 12))
+            for skip in (False, True):
+                def sentences(reader):
+                    return lambda: [
+                        [(t.index, t.lemma, t.upos, t.head_index, t.deprel) for t in s]
+                        for s in reader(io.StringIO(text), "c.conllu", skip)]
+                want = run_logged(caplog, sentences(old_read_conllu))
+                got = run_logged(caplog, sentences(read_conllu))
+                assert got == want, (trial, skip, text)
+                if isinstance(want[0], tuple):
+                    continue
+                for old, new in zip(old_read_conllu(io.StringIO(text), "c", skip),
+                                    read_conllu(io.StringIO(text), "c", skip)):
+                    for passive in (False, True):
+                        try:
+                            want_pairs = old_extract_pairs(old, passive)
+                        except BadLemmaError as err:
+                            with pytest.raises(BadLemmaError) as new_err:
+                                extract_pairs(new, passive)
+                            assert str(new_err.value) == str(err)
+                        else:
+                            assert extract_pairs(new, passive) == want_pairs
+
+    def test_build_counts_over_read_conllu_matches_reference(self):
+        rng = random.Random(909)
+        for trial in range(60):
+            text, _ = random_corpus(rng, rng.randint(1, 12))
+            outcomes = []
+            for reader, build in ((old_read_conllu, old_build_counts),
+                                  (read_conllu, build_counts)):
+                try:
+                    outcomes.append(written(build(reader(io.StringIO(text), "c", True))))
+                except BadLemmaError as err:
+                    outcomes.append(("lemma", str(err)))
+            assert outcomes[0] == outcomes[1], (trial, text)
