@@ -15,7 +15,6 @@ without an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import logging
 import math
@@ -23,7 +22,7 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Optional, TextIO
+from typing import Optional
 
 from . import __version__
 from .annotate import (
@@ -41,7 +40,14 @@ from .commonsense import (
     read_omcs,
     relation_matrix,
 )
-from .core import Lexicon, SelPrefError, SPPair, SPRelation, parse_relation
+from .core import (
+    Lexicon,
+    SelPrefError,
+    SPPair,
+    SPRelation,
+    open_input,
+    parse_relation,
+)
 from .embeddings import load_embeddings
 from .evaluation import (
     GOLD_HEADER,
@@ -107,7 +113,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}: invalid JSON: {err.msg}") from None
@@ -158,17 +164,11 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
-def _open_in(path: str) -> TextIO:
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
-
-
 def _read_scores_tsv(path: str) -> dict[SPPair, float]:
     """4-column relation/head/dependent/value table; values may be any
     finite float, so model outputs and gold ratings both qualify."""
     table: dict[SPPair, float] = {}
-    with _open_in(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -194,7 +194,7 @@ def _read_scores_tsv(path: str) -> dict[SPPair, float]:
 def _read_checkpoints(path: str) -> list[tuple[SPPair, frozenset]]:
     """relation/head/dependent/expected rows; expected is |-joined ratings."""
     out = []
-    with _open_in(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -219,12 +219,12 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser,
     if backend == "pp":
         if not args.counts:
             parser.error("backend pp requires --counts")
-        with _open_in(args.counts) as fh:
+        with open_input(args.counts) as fh:
             return PPModel(read_counts(fh, source=args.counts))
     if backend == "ds":
         if not (args.counts and args.embeddings):
             parser.error("backend ds requires --counts and --embeddings")
-        with _open_in(args.counts) as fh:
+        with open_input(args.counts) as fh:
             counts = read_counts(fh, source=args.counts)
         return DSModel(counts, load_embeddings(args.embeddings))
     if backend == "nn":
@@ -243,10 +243,10 @@ def _load_omcs_index(args: argparse.Namespace,
     if bool(args.omcs) == bool(args.conceptnet):
         parser.error("exactly one of --omcs / --conceptnet is required")
     if args.omcs:
-        with _open_in(args.omcs) as fh:
+        with open_input(args.omcs) as fh:
             triplets = read_omcs(fh, source=args.omcs)
     else:
-        with _open_in(args.conceptnet) as fh:
+        with open_input(args.conceptnet) as fh:
             triplets = import_conceptnet_csv(fh)
     return OMCSIndex(triplets)
 
@@ -257,7 +257,7 @@ def cmd_extract(args, parser) -> int:
     resolved = _resolve(args, ["include_passive", "skip_malformed"])
     config = {"subcommand": "extract", "in": args.infile, "out": args.out,
               "seed": None, **resolved}
-    with _open_in(args.infile) as fh:
+    with open_input(args.infile) as fh:
         table = count_conllu(fh, source=args.infile,
                              skip_malformed=resolved["skip_malformed"],
                              include_passive=resolved["include_passive"])
@@ -273,7 +273,7 @@ def cmd_candidates(args, parser) -> int:
     config = {"subcommand": "candidates", "counts": args.counts,
               "lexicon": args.lexicon, "relation": relation.value,
               "out": args.out, "seed": args.seed, **resolved}
-    with _open_in(args.counts) as fh:
+    with open_input(args.counts) as fh:
         counts = read_counts(fh, source=args.counts)
     lexicon = Lexicon.from_tsv(args.lexicon)
     cands = generate_candidates(
@@ -295,7 +295,7 @@ def cmd_score(args, parser) -> int:
               "embeddings": args.embeddings, "model": args.model,
               "scores": args.scores, **resolved}
     model = _build_model(args, parser, resolved)
-    with _open_in(args.pairs) as fh:
+    with open_input(args.pairs) as fh:
         pairs = read_pairs(fh, source=args.pairs)
     with _open_out(args.out) as out:
         out.write(SCORES_HEADER + "\n")
@@ -320,7 +320,7 @@ def cmd_train_nn(args, parser) -> int:
         learning_rate=resolved["learning_rate"],
         seed=args.seed,
     )
-    with _open_in(args.counts) as fh:
+    with open_input(args.counts) as fh:
         counts = read_counts(fh, source=args.counts)
     vocab = Lexicon.from_tsv(args.lexicon)
 
@@ -363,7 +363,7 @@ def cmd_pseudo(args, parser) -> int:
               "counts": args.counts, "embeddings": args.embeddings,
               "model": args.model, "scores": args.scores, **resolved}
     model = _build_model(args, parser, resolved)
-    with _open_in(args.pairs) as fh:
+    with open_input(args.pairs) as fh:
         pairs = read_pairs(fh, source=args.pairs)
     vocab = Lexicon.from_tsv(args.lexicon)
     accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
@@ -378,7 +378,7 @@ def cmd_aggregate(args, parser) -> int:
     config = {"subcommand": "aggregate", "ratings": args.ratings,
               "out": args.out, "report": args.report, "seed": None,
               **resolved}
-    with _open_in(args.ratings) as fh:
+    with open_input(args.ratings) as fh:
         ratings = read_ratings(fh, source=args.ratings)
     kept, rejections = filter_annotations(ratings)
     scores, underrated = aggregate(kept, min_ratings=resolved["min_ratings"])
@@ -414,7 +414,7 @@ def cmd_aggregate(args, parser) -> int:
 def cmd_iaa(args, parser) -> int:
     config = {"subcommand": "iaa", "ratings": args.ratings, "out": args.out,
               "seed": None}
-    with _open_in(args.ratings) as fh:
+    with open_input(args.ratings) as fh:
         ratings = read_ratings(fh, source=args.ratings)
     kept, rejections = filter_annotations(ratings)
     per_relation, overall = iaa(kept)
@@ -435,7 +435,7 @@ def cmd_survey(args, parser) -> int:
     config = {"subcommand": "survey", "pairs": args.pairs,
               "checkpoints": args.checkpoints, "out": args.out,
               "seed": args.seed}
-    with _open_in(args.pairs) as fh:
+    with open_input(args.pairs) as fh:
         pairs = read_pairs(fh, source=args.pairs)
     checkpoints = _read_checkpoints(args.checkpoints)
     survey = generate_survey(pairs, checkpoints, seed=args.seed)

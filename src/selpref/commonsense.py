@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import defaultdict
+import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
 
@@ -19,12 +19,14 @@ from .core import SelPrefError, SPPair, SPRelation, check_plausibility
 from .evaluation import GoldSet
 from .lemmatize import lemmatize
 
+log = logging.getLogger(__name__)
+
 
 class OMCSFormatError(SelPrefError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OMCSTriplet:
     start: tuple[str, ...]
     relation: str
@@ -59,6 +61,9 @@ class OMCSIndex:
 
     The lemmatizer is applied to triplet tokens at build time and to
     query words at match time, so both sides are normalized identically.
+    It must be a pure function: its result for each distinct word is
+    cached for the life of the index, so it runs once per word.
+    ``distinct_tokens`` is the number of distinct triplet tokens.
     """
 
     def __init__(
@@ -66,35 +71,58 @@ class OMCSIndex:
         triplets: Iterable[OMCSTriplet],
         lemmatizer: Callable[[str], str] = lemmatize,
     ):
-        self._lemmatize = lemmatizer
-        self.triplets: list[OMCSTriplet] = []
-        self._exact: dict[tuple[str, str], list[int]] = defaultdict(list)
-        self._start_tokens: dict[str, set[int]] = defaultdict(set)
-        self._end_tokens: dict[str, set[int]] = defaultdict(set)
-        for t in triplets:
-            i = len(self.triplets)
-            self.triplets.append(t)
-            start = [lemmatizer(tok.lower()) for tok in t.start]
-            end = [lemmatizer(tok.lower()) for tok in t.end]
-            if len(start) == 1 and len(end) == 1:
-                self._exact[(start[0], end[0])].append(i)
-            for tok in start:
-                self._start_tokens[tok].add(i)
-            for tok in end:
-                self._end_tokens[tok].add(i)
+        self._lemmatizer = lemmatizer
+        self._lemmas: dict[str, str] = {}
+        self.triplets: list[OMCSTriplet] = list(triplets)
+        exact: dict[tuple[str, str], list[int]] = {}
+        starts: dict[str, set[int]] = {}
+        ends: dict[str, set[int]] = {}
+        lemma = self._lemma
+        for i, t in enumerate(self.triplets):
+            for tok in t.start:
+                start = lemma(tok)
+                ids = starts.get(start)
+                if ids is None:
+                    starts[start] = {i}
+                else:
+                    ids.add(i)
+            for tok in t.end:
+                end = lemma(tok)
+                ids = ends.get(end)
+                if ids is None:
+                    ends[end] = {i}
+                else:
+                    ids.add(i)
+            # a one-token phrase leaves its only lemma in start / end
+            if len(t.start) == 1 and len(t.end) == 1:
+                ids = exact.get((start, end))
+                if ids is None:
+                    exact[(start, end)] = [i]
+                else:
+                    ids.append(i)
+        self._exact = exact
+        self._start_tokens = starts
+        self._end_tokens = ends
+        self.distinct_tokens = len(self._lemmas)
+
+    def _lemma(self, word: str) -> str:
+        lemma = self._lemmas.get(word)
+        if lemma is None:
+            lemma = self._lemmas[word] = self._lemmatizer(word.lower())
+        return lemma
 
     def __len__(self) -> int:
         return len(self.triplets)
 
     def exact_witnesses(self, pair: SPPair) -> list[OMCSTriplet]:
-        h = self._lemmatize(pair.head)
-        d = self._lemmatize(pair.dependent)
+        h = self._lemma(pair.head)
+        d = self._lemma(pair.dependent)
         ids = sorted(set(self._exact.get((h, d), [])) | set(self._exact.get((d, h), [])))
         return [self.triplets[i] for i in ids]
 
     def partial_witnesses(self, pair: SPPair) -> list[OMCSTriplet]:
-        h = self._lemmatize(pair.head)
-        d = self._lemmatize(pair.dependent)
+        h = self._lemma(pair.head)
+        d = self._lemma(pair.dependent)
         ids = (self._start_tokens.get(h, set()) & self._end_tokens.get(d, set())) | (
             self._start_tokens.get(d, set()) & self._end_tokens.get(h, set())
         )
@@ -160,7 +188,16 @@ def coverage_by_group(gold: GoldSet, index: OMCSIndex) -> dict[PlausibilityGroup
             s.n_exact += 1
         elif kind is MatchKind.PARTIAL:
             s.n_partial += 1
+    exact = sum(s.n_exact for s in stats.values())
+    partial = sum(s.n_partial for s in stats.values())
+    _log_summary(index, exact, partial, len(gold) - exact - partial)
     return stats
+
+
+def _log_summary(index: OMCSIndex, exact: int, partial: int, none: int) -> None:
+    log.info("%d triplets read, %d distinct tokens lemmatized; "
+             "pairs exact=%d partial=%d none=%d",
+             len(index), index.distinct_tokens, exact, partial, none)
 
 
 def coverage_table(stats: dict[PlausibilityGroup, GroupStats]) -> str:
@@ -231,24 +268,30 @@ class RelationMatrix:
 def relation_matrix(gold: GoldSet, index: OMCSIndex) -> RelationMatrix:
     exact: dict[SPRelation, dict[str, int]] = {}
     partial: dict[SPRelation, dict[str, int]] = {}
+    n_exact = n_partial = 0
     for pair, _ in gold.items():
         witnesses = index.exact_witnesses(pair)
-        table = exact
-        if not witnesses:
+        if witnesses:
+            table = exact
+            n_exact += 1
+        else:
             witnesses = index.partial_witnesses(pair)
             table = partial
+            n_partial += bool(witnesses)
         for t in witnesses:
             row = table.setdefault(pair.relation, {})
             row[t.relation] = row.get(t.relation, 0) + 1
+    _log_summary(index, n_exact, n_partial, len(gold) - n_exact - n_partial)
     return RelationMatrix(exact=exact, partial=partial)
 
 
 def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:
     """TSV: start phrase, relation label, end phrase."""
     out = []
+    append = out.append
     for lineno, line in enumerate(fh, 1):
         line = line.rstrip("\n")
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) != 3:
@@ -257,7 +300,7 @@ def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:
             )
         start, rel, end = fields
         try:
-            out.append(OMCSTriplet(tuple(start.split()), rel, tuple(end.split())))
+            append(OMCSTriplet(tuple(start.split()), rel, tuple(end.split())))
         except OMCSFormatError as err:
             raise OMCSFormatError(f"{source}:{lineno}: {err}") from None
     return out

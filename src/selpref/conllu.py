@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .core import SelPrefError
+from .core import SelPrefError, open_input
 
 log = logging.getLogger(__name__)
 
@@ -173,5 +173,5 @@ def read_conllu(
 
 
 def read_conllu_file(path, skip_malformed: bool = False) -> Iterator[Sentence]:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         yield from read_conllu(fh, source=str(path), skip_malformed=skip_malformed)

@@ -1,9 +1,14 @@
-"""Shared domain types: relations, pairs, plausibility range, vocabulary."""
+"""Shared domain types: relations, pairs, plausibility range, vocabulary,
+and the opener every input file goes through."""
 
 from __future__ import annotations
 
 import enum
+import gzip
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 
 class SelPrefError(Exception):
@@ -101,6 +106,53 @@ def check_plausibility(value: float) -> float:
     return float(value)
 
 
+class InputDecodeError(SelPrefError, ValueError):
+    pass
+
+
+# what a text read raises on bytes that are not UTF-8 or on a broken .gz
+_DECODE_ERRORS = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile)
+
+
+@contextmanager
+def open_input(path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading, gunzipping a `.gz` path.
+
+    Bytes that are not UTF-8, and a truncated or corrupt `.gz` stream,
+    end in an InputDecodeError naming the first bad line. Only that error
+    path rescans the file, so readers pay nothing per line for it.
+    """
+    gz = str(path).endswith(".gz")
+    with (gzip.open(path, "rt", encoding="utf-8") if gz
+          else open(path, encoding="utf-8")) as fh:
+        try:
+            yield fh
+        except _DECODE_ERRORS as err:
+            raise InputDecodeError(_first_bad_line(path, gz, err)) from None
+
+
+def _line_ends(raw: bytes) -> int:
+    # text mode ends a line at \n, \r\n and a lone \r
+    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+
+
+def _first_bad_line(path, gz: bool, err: Exception) -> str:
+    lineno = 1
+    try:
+        with gzip.open(path, "rb") if gz else open(path, "rb") as fh:
+            for raw in fh:
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    lineno += _line_ends(raw[:bad.start])
+                    return (f"{path}:{lineno}: not UTF-8: {bad.reason} "
+                            f"(byte 0x{raw[bad.start]:02x})")
+                lineno += _line_ends(raw)
+    except (OSError, *_DECODE_ERRORS) as bad:
+        return f"{path}:{lineno}: {bad}"
+    return f"{path}: {err}"
+
+
 class LexiconError(SelPrefError, ValueError):
     pass
 
@@ -143,7 +195,7 @@ class Lexicon:
     def from_tsv(cls, path) -> "Lexicon":
         """Load a `lemma<TAB>pos` file with pos in {verb, noun, adj}."""
         sets: dict[str, set[str]] = {"verb": set(), "noun": set(), "adj": set()}
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):

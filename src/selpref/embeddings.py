@@ -7,7 +7,7 @@ from array import array
 
 import numpy as np
 
-from .core import SelPrefError
+from .core import SelPrefError, open_input
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +81,7 @@ def load_embeddings(path) -> EmbeddingTable:
     buf = array("d")
     dim = None
     dupes = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:

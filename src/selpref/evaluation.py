@@ -18,6 +18,7 @@ from .core import (
     SPPair,
     SPRelation,
     check_plausibility,
+    open_input,
     parse_relation,
 )
 from .scorers import ScoreModel
@@ -122,7 +123,7 @@ def load_gold(fh: TextIO, source: str = "<stream>") -> GoldSet:
 
 
 def load_gold_file(path) -> GoldSet:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         return load_gold(fh, source=str(path))
 
 
@@ -162,7 +163,7 @@ def import_sp10k_directory(root) -> GoldSet:
                 break
         if path is None:
             raise GoldFormatError(f"{root}: no annotation file found for {rel.value}")
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):

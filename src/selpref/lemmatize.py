@@ -6,7 +6,7 @@ are deliberately conservative: strip clear inflectional suffixes, leave
 anything ambiguous alone, and back off to an irregular-form table for
 frequent exceptions. Callers with stronger requirements can pass any
 `word -> lemma` callable instead; everything downstream treats the
-function as opaque.
+function as an opaque pure function.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation
+from .core import SelPrefError, SPPair, SPRelation, open_input
 from .scorers import ScoreModel
 
 
@@ -196,7 +196,7 @@ def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestio
 
 
 def load_questions_file(path) -> list[WinogradQuestion]:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         return load_questions(fh, source=str(path))
 
 

@@ -1,11 +1,16 @@
+import contextlib
+import gzip
 import io
 import json
 import logging
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selpref
 from selpref.cli import main
@@ -579,3 +584,133 @@ def test_nn_model_that_is_not_npz_exit_1(tmp_path, capsys):
                "--pairs", pairs])
     assert rc == 1
     assert f"error: {lexicon}: not a readable model file" in capsys.readouterr().err
+
+
+GOLD = "#sp10k v1\ndobj\teat\tworm\t9.00\nnsubj\teat\tfish\t8.00\n"
+UNDECODABLE = b"#first line\n\xffsecond line\n"
+
+# one command per reader family; BAD is the file with the undecodable byte
+READER_FAMILIES = {
+    "omcs": ["omcs-match", "--gold", "GOLD", "--omcs", "BAD"],
+    "conceptnet": ["omcs-match", "--gold", "GOLD", "--conceptnet", "BAD"],
+    "gold": ["eval", "--gold", "BAD", "--backend", "lookup", "--scores", "GOLD"],
+    "scores": ["eval", "--gold", "GOLD", "--backend", "lookup", "--scores", "BAD"],
+    "counts": ["score", "--counts", "BAD", "--pairs", "PAIRS"],
+    "pairs": ["score", "--counts", "COUNTS", "--pairs", "BAD"],
+    "conllu": ["extract", "--in", "BAD"],
+    "lexicon": ["candidates", "--counts", "COUNTS", "--lexicon", "BAD",
+                "--relation", "dobj", "--seed", "1"],
+    "embeddings": ["score", "--backend", "ds", "--counts", "COUNTS",
+                   "--embeddings", "BAD", "--pairs", "PAIRS"],
+    "questions": ["winograd", "--gold", "GOLD", "--questions", "BAD"],
+    "ratings": ["iaa", "--ratings", "BAD"],
+    "checkpoints": ["survey", "--pairs", "PAIRS", "--checkpoints", "BAD",
+                    "--seed", "1"],
+    "config": ["iaa", "--ratings", "BAD", "--config", "BAD"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(READER_FAMILIES))
+def test_undecodable_input_exit_1_with_coordinates(tmp_path, capsys, corpus, family):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(UNDECODABLE)
+    files = {"BAD": str(bad), "GOLD": write(tmp_path / "gold.tsv", GOLD),
+             "PAIRS": write(tmp_path / "pairs.tsv", "dobj\teat\tworm\n"),
+             "COUNTS": str(make_counts(tmp_path, corpus))}
+    argv = [files.get(arg, arg) for arg in READER_FAMILIES[family]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:2: not UTF-8: invalid start byte (byte 0xff)\n")
+
+
+@pytest.mark.parametrize("data, line, reason", [
+    # text mode also ends a line at a lone \r, so the bad byte is on line 4
+    (b"#a\r#b\r\n#c\n#\xff\n", 4, "invalid start byte (byte 0xff)"),
+    (b"#a\n#b\n\n#\xc3", 4, "unexpected end of data (byte 0xc3)"),
+])
+def test_undecodable_line_counts_every_line_ending(tmp_path, capsys, data, line, reason):
+    gold = write(tmp_path / "gold.tsv", GOLD)
+    bad = tmp_path / "omcs.tsv"
+    bad.write_bytes(data)
+    assert main(["omcs-match", "--gold", gold, "--omcs", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{line}: not UTF-8: {reason}\n"
+
+
+def test_truncated_gzip_input_exit_1_with_coordinates(tmp_path, capsys):
+    packed = gzip.compress((FISH_WORM + "\n").encode() * 400)
+    cut = packed[:len(packed) // 2]
+    path = tmp_path / "corpus.conllu.gz"
+    path.write_bytes(cut)
+    # the line that the readable part of the stream ends in
+    line = zlib.decompressobj(wbits=31).decompress(cut).count(b"\n") + 1
+    assert line > 100
+    assert main(["extract", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}: Compressed file ended before the "
+        "end-of-stream marker was reached\n")
+
+
+def test_gz_input_that_is_not_gzip_exit_1_with_coordinates(tmp_path, capsys):
+    path = write(tmp_path / "corpus.conllu.gz", FISH_WORM)
+    assert main(["extract", "--in", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: Not a gzipped file")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("omcs-fuzz")
+    (root / "gold.tsv").write_text(GOLD, encoding="utf-8")
+    return root
+
+
+OMCS_PIECES = [b"\t", b"\n", b"\r", b" ", b"#", b"eat", b"worms", b"Fish", b"UsedFor",
+               b"\xc3\xa9", b"\xe2\x80\xa8", b"\x00", b"\x0c", b"\xff", b"\xc3"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(st.sampled_from(OMCS_PIECES), max_size=40).map(b"".join)))
+def test_any_omcs_bytes_exit_0_or_error_line(fuzz_dir, data):
+    omcs = fuzz_dir / "omcs.tsv"
+    omcs.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["omcs-match", "--gold", str(fuzz_dir / "gold.tsv"),
+                   "--omcs", str(omcs)])
+    if rc == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("group")
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith(f"error: {omcs}:")
+        assert err.getvalue().count("\n") == 1
+
+
+def test_omcs_info_summary_line(tmp_path):
+    gold = write(tmp_path / "gold.tsv", (
+        "#sp10k v1\n"
+        "dobj\teat\tapple\t9.00\n"
+        "dobj\teat\tstone\t1.00\n"
+        "nsubj\tbark\tdog\t9.50\n"
+    ))
+    omcs = write(tmp_path / "omcs.tsv", (
+        "eat\tUsedFor\tapples\n"
+        "dog\tCapableOf\tbark loudly\n"
+        "Dogs\tIsA\tanimal\n"
+    ))
+    line = ("INFO selpref.commonsense: 3 triplets read, 7 distinct tokens "
+            "lemmatized; pairs exact=1 partial=1 none=1\n")
+    artifacts = {"omcs-match": ["--out", "match.json"],
+                 "omcs-matrix": ["--out", "matrix.csv", "--json", "matrix.json"]}
+    for sub, outputs in artifacts.items():
+        for level in ([], ["--log-level", "info"]):     # default: warning
+            proc = subprocess.run(
+                [sys.executable, "-m", "selpref.cli", sub, "--gold", gold,
+                 "--omcs", omcs, *outputs, *level],
+                capture_output=True, text=True, cwd=tmp_path,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
+            )
+            assert proc.returncode == 0
+            assert proc.stderr == (line if level else "")
+            assert "lemmatized" not in proc.stdout
+    for name in ("match.json", "matrix.csv", "matrix.json"):
+        assert "lemmatized" not in (tmp_path / name).read_text(encoding="utf-8")

@@ -5,11 +5,14 @@ test-only code: a count table with one flat ``(head, dependent)`` counter
 per relation plus parallel marginal and total counters, the counts reader
 that built an ``SPPair`` per row, the scalar ``ds`` loop, the
 pseudo-disambiguation loop that re-sorted the pool for every test pair,
-and the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence``
-per sentence and an ``SPPair`` per extracted pair.
+the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence``
+per sentence and an ``SPPair`` per extracted pair, and the OMCS index that
+lemmatized every token occurrence, with its reader.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
-counting with the same error text and the same warnings in order.
+counting with the same error text and the same warnings in order; OMCS
+index tables, witnesses and matrices exactly, the reader's triplets and
+error text exactly.
 """
 
 import io
@@ -22,6 +25,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selpref.commonsense import (
+    GroupStats,
+    MatchKind,
+    OMCSFormatError,
+    OMCSIndex,
+    OMCSTriplet,
+    PlausibilityGroup,
+    RelationMatrix,
+    classify_plausibility,
+    coverage_by_group,
+    match_pair,
+    read_omcs,
+    relation_matrix,
+)
 from selpref.conllu import CorpusFormatError, read_conllu, read_conllu_file
 from selpref.core import (
     BadLemmaError,
@@ -38,7 +55,7 @@ from selpref.embeddings import (
     cosine,
     load_embeddings,
 )
-from selpref.evaluation import pseudo_disambiguation
+from selpref.evaluation import GoldSet, pseudo_disambiguation
 from selpref.extract import (
     NOUN_UPOS,
     OBJECT_DEPRELS,
@@ -52,6 +69,7 @@ from selpref.extract import (
     read_counts,
     write_counts,
 )
+from selpref.lemmatize import lemmatize
 from selpref.scorers import DSModel, LookupModel, PPModel, ds_score
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.conllu"
@@ -802,3 +820,248 @@ class TestCountConllu:
                 except BadLemmaError as err:
                     outcomes.append(("lemma", str(err)))
             assert outcomes[0] == outcomes[1], (trial, text)
+
+
+# OMCS index and reader ------------------------------------------------------
+
+class OldOMCSIndex:
+    """Inverted token index over lemmatized triplet phrases.
+
+    The lemmatizer is applied to triplet tokens at build time and to
+    query words at match time, so both sides are normalized identically.
+    """
+
+    def __init__(
+        self,
+        triplets,
+        lemmatizer=lemmatize,
+    ):
+        self._lemmatize = lemmatizer
+        self.triplets = []
+        self._exact = defaultdict(list)
+        self._start_tokens = defaultdict(set)
+        self._end_tokens = defaultdict(set)
+        for t in triplets:
+            i = len(self.triplets)
+            self.triplets.append(t)
+            start = [lemmatizer(tok.lower()) for tok in t.start]
+            end = [lemmatizer(tok.lower()) for tok in t.end]
+            if len(start) == 1 and len(end) == 1:
+                self._exact[(start[0], end[0])].append(i)
+            for tok in start:
+                self._start_tokens[tok].add(i)
+            for tok in end:
+                self._end_tokens[tok].add(i)
+
+    def __len__(self) -> int:
+        return len(self.triplets)
+
+    def exact_witnesses(self, pair):
+        h = self._lemmatize(pair.head)
+        d = self._lemmatize(pair.dependent)
+        ids = sorted(set(self._exact.get((h, d), [])) | set(self._exact.get((d, h), [])))
+        return [self.triplets[i] for i in ids]
+
+    def partial_witnesses(self, pair):
+        h = self._lemmatize(pair.head)
+        d = self._lemmatize(pair.dependent)
+        ids = (self._start_tokens.get(h, set()) & self._end_tokens.get(d, set())) | (
+            self._start_tokens.get(d, set()) & self._end_tokens.get(h, set())
+        )
+        return [self.triplets[i] for i in sorted(ids)]
+
+
+def old_coverage_by_group(gold, index):
+    """Table of match kinds per plausibility group (pair-level counts)."""
+    stats = {g: GroupStats(g) for g in PlausibilityGroup}
+    for pair, value in gold.items():
+        s = stats[classify_plausibility(value)]
+        s.n_pairs += 1
+        kind = match_pair(pair, index).kind
+        if kind is MatchKind.EXACT:
+            s.n_exact += 1
+        elif kind is MatchKind.PARTIAL:
+            s.n_partial += 1
+    return stats
+
+
+def old_relation_matrix(gold, index):
+    exact = {}
+    partial = {}
+    for pair, _ in gold.items():
+        witnesses = index.exact_witnesses(pair)
+        table = exact
+        if not witnesses:
+            witnesses = index.partial_witnesses(pair)
+            table = partial
+        for t in witnesses:
+            row = table.setdefault(pair.relation, {})
+            row[t.relation] = row.get(t.relation, 0) + 1
+    return RelationMatrix(exact=exact, partial=partial)
+
+
+def old_read_omcs(fh, source="<stream>"):
+    """TSV: start phrase, relation label, end phrase."""
+    out = []
+    for lineno, line in enumerate(fh, 1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise OMCSFormatError(
+                f"{source}:{lineno}: expected 3 columns, got {len(fields)}"
+            )
+        start, rel, end = fields
+        try:
+            out.append(OMCSTriplet(tuple(start.split()), rel, tuple(end.split())))
+        except OMCSFormatError as err:
+            raise OMCSFormatError(f"{source}:{lineno}: {err}") from None
+    return out
+
+
+OMCS_BASES = ["eat", "apple", "dog", "bark", "stop", "box", "fly", "child",
+              "mouse", "go", "run", "water", "news", "red"]
+# irregular forms, suffix inflections and mixed case of the bases above
+OMCS_FORMS = ["ate", "eaten", "eats", "eating", "Apples", "APPLE", "dogs", "Dog",
+              "barking", "barked", "stopped", "stopping", "boxes", "flies",
+              "flew", "children", "mice", "went", "gone", "ran", "running"]
+OMCS_LABELS = ["UsedFor", "CapableOf", "IsA", "AtLocation"]
+
+
+def random_triplets(rng, n):
+    words = OMCS_BASES + OMCS_FORMS
+
+    def phrase():
+        toks = [rng.choice(words) for _ in range(rng.choice((1, 1, 2, 3)))]
+        if len(toks) > 1 and rng.random() < 0.2:
+            toks[-1] = toks[0]      # a token repeated within one phrase
+        return tuple(toks)
+
+    return [OMCSTriplet(phrase(), rng.choice(OMCS_LABELS), phrase()) for _ in range(n)]
+
+
+def random_gold(rng, n):
+    words = OMCS_BASES + [w.lower() for w in OMCS_FORMS] + ["stone", "tasty"]
+    entries = {}
+    for _ in range(n):
+        pair = SPPair(rng.choice(RELATIONS), rng.choice(words), rng.choice(words))
+        entries[pair] = round(rng.uniform(0, 10), 2)
+    return GoldSet(entries.items())
+
+
+def omcs_outcome(text, newline):
+    try:
+        return old_read_omcs(io.StringIO(text, newline=newline), "o.tsv")
+    except OMCSFormatError as err:
+        return ("error", str(err))
+
+
+def new_omcs_outcome(text, newline):
+    try:
+        return read_omcs(io.StringIO(text, newline=newline), "o.tsv")
+    except OMCSFormatError as err:
+        return ("error", str(err))
+
+
+class TestOMCSIndex:
+    def check_against_reference(self, triplets, gold, lemmatizer=lemmatize):
+        new = OMCSIndex(triplets, lemmatizer)
+        old = OldOMCSIndex(triplets, lemmatizer)
+        assert new.triplets == old.triplets and len(new) == len(old)
+        assert new._exact == dict(old._exact)
+        assert new._start_tokens == dict(old._start_tokens)
+        assert new._end_tokens == dict(old._end_tokens)
+        for pair, _ in gold.items():
+            want, got = match_pair(pair, old), match_pair(pair, new)
+            assert got == want and got.witness is want.witness, pair
+            assert new.exact_witnesses(pair) == old.exact_witnesses(pair)
+            assert new.partial_witnesses(pair) == old.partial_witnesses(pair)
+        assert coverage_by_group(gold, new) == old_coverage_by_group(gold, old)
+        got, want = relation_matrix(gold, new), old_relation_matrix(gold, old)
+        for kind in (MatchKind.EXACT, MatchKind.PARTIAL):
+            assert got.to_csv(kind) == want.to_csv(kind)
+        assert got.to_json(run=1) == want.to_json(run=1)
+        return new
+
+    def test_random_triplets_match_reference(self):
+        rng = random.Random(1234)
+        kinds = Counter()
+        for trial in range(60):
+            triplets = random_triplets(rng, rng.randint(0, 80))
+            gold = random_gold(rng, 40)
+            index = self.check_against_reference(triplets, gold)
+            kinds.update(match_pair(p, index).kind for p, _ in gold.items())
+        assert min(kinds[k] for k in MatchKind) > 100, kinds
+
+    def test_empty_index_matches_reference(self):
+        gold = random_gold(random.Random(5), 30)
+        index = self.check_against_reference([], gold)
+        assert len(index) == 0 and index.distinct_tokens == 0
+
+    def test_custom_lemmatizer_is_honoured(self):
+        def first_three(word):
+            return word[:3]
+
+        rng = random.Random(99)
+        self.check_against_reference(random_triplets(rng, 60), random_gold(rng, 60),
+                                     first_three)
+        # every word here folds to "sto" under the custom lemmatizer only
+        pair = SPPair(SPRelation.DOBJ, "stopped", "stone")
+        triplets = [OMCSTriplet(("stop",), "IsA", ("stoat",))]
+        assert match_pair(pair, OMCSIndex(triplets, first_three)).kind is MatchKind.EXACT
+        assert match_pair(pair, OMCSIndex(triplets)).kind is MatchKind.NONE
+
+    def test_lemmatizer_runs_once_per_distinct_word(self):
+        calls = Counter()
+
+        def counting(word):
+            calls[word] += 1
+            return lemmatize(word)
+
+        rng = random.Random(4321)
+        triplets = random_triplets(rng, 200)
+        gold = random_gold(rng, 100)
+        index = OMCSIndex(triplets, counting)
+        tokens = {tok for t in triplets for tok in t.start + t.end}
+        assert index.distinct_tokens == len(tokens) == sum(calls.values())
+        coverage_by_group(gold, index)
+        relation_matrix(gold, index)
+        for pair, _ in gold.items():
+            match_pair(pair, index)
+        words = tokens | {w for p, _ in gold.items() for w in (p.head, p.dependent)}
+        # the lemmatizer sees each word once, lowercased; spellings that
+        # differ only in case are separate words
+        assert sum(calls.values()) == len(words)
+        assert calls == Counter(w.lower() for w in words)
+
+    @pytest.mark.parametrize("newline", [None, "\n"])
+    def test_reader_matches_reference(self, newline):
+        rng = random.Random(55)
+        good = ["eat\tUsedFor\tapple", "take a nap\tHasPrerequisite\tbe tired",
+                "  dog  barks\tCapableOf\tloudly ", "Dogs\tIsA\tanimal"]
+        bad = ["dog\tIsA", "dog\tIsA\tanimal\textra", "  \tIsA\tanimal", "dog\tIsA\t ",
+               "dog\t\tanimal", "", "# comment\twith\ttabs", "\r", "dog IsA animal"]
+        seen = Counter()
+        for trial in range(300):
+            rows = [rng.choice(good) for _ in range(rng.randint(0, 6))]
+            if trial % 3:
+                rows.insert(rng.randint(0, len(rows)), rng.choice(bad))
+            end = rng.choice(("\n", "\r\n"))
+            text = "".join(row + end for row in rows)
+            if rng.random() < 0.3:
+                text = text[:-len(end)]         # no line break at the end
+            want = omcs_outcome(text, newline)
+            assert new_omcs_outcome(text, newline) == want, (trial, text)
+            seen["error" if isinstance(want, tuple) else "ok"] += 1
+        assert min(seen.values()) > 50, seen
+        # the error text of each bad row, after one good row
+        for row in bad:
+            text = f"{good[0]}\n{row}\n"
+            assert new_omcs_outcome(text, newline) == omcs_outcome(text, newline)
+
+    def test_triplets_are_slotted_and_frozen(self):
+        t = OMCSTriplet(("dog",), "IsA", ("animal",))
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            t.relation = "CapableOf"
