@@ -104,6 +104,19 @@ DEFAULTS = {
 # keys a --config file may set; anything else is treated as a typo
 CONFIG_KEYS = frozenset(DEFAULTS)
 
+# the choices of these flags bind --config values too
+CHOICES = {
+    "log_level": ["debug", "info", "warning", "error"],
+    "missing": ["drop", "floor"],
+    "backend": ["pp", "ds", "nn", "lookup"],
+    "kind": ["exact", "partial"],
+}
+
+# JSON types a --config value may have, by the type of its default; a
+# bool is not an int, and an int is a float
+_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number"), str: ((str,), "a string")}
+
 
 class ConfigError(SelPrefError, ValueError):
     pass
@@ -122,6 +135,13 @@ def _load_config_file(path: Optional[str]) -> dict:
     unknown = sorted(set(doc) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        types, name = _CONFIG_TYPES[type(DEFAULTS[key])]
+        if type(value) not in types:
+            raise ConfigError(f"{path}: key {key!r} must be {name}, got {json.dumps(value)}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{path}: key {key!r} must be one of "
+                              f"{', '.join(CHOICES[key])}, got {json.dumps(value)}")
     return doc
 
 
@@ -519,7 +539,7 @@ def cmd_winograd(args, parser) -> int:
 # parser assembly
 
 def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--backend", choices=["pp", "ds", "nn", "lookup"],
+    sub.add_argument("--backend", choices=CHOICES["backend"],
                      help="scoring backend (default: pp)")
     sub.add_argument("--counts", help="counts TSV (pp and ds backends)")
     sub.add_argument("--embeddings", help="word vector text file (ds backend)")
@@ -530,7 +550,7 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags win over it")
     sub.add_argument("--log-level", dest="log_level",
-                     choices=["debug", "info", "warning", "error"],
+                     choices=CHOICES["log_level"],
                      help="also settable via SELPREF_LOG_LEVEL")
 
 
@@ -595,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="correlate a backend with gold ratings")
     p.add_argument("--gold", required=True)
-    p.add_argument("--missing", choices=["drop", "floor"])
+    p.add_argument("--missing", choices=CHOICES["missing"])
     p.add_argument("--out", help="JSON report path")
     _add_backend_flags(p)
     _add_common(p)
@@ -649,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--omcs")
     p.add_argument("--conceptnet")
-    p.add_argument("--kind", choices=["exact", "partial"])
+    p.add_argument("--kind", choices=CHOICES["kind"])
     p.add_argument("--out", help="CSV path")
     p.add_argument("--json", dest="json_out", help="JSON path")
     _add_common(p)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import io
 import json
+import logging
+import math
+import time
 import zipfile
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
@@ -17,6 +20,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import Lexicon, SelPrefError, SPPair, SPRelation, parse_relation
+
+log = logging.getLogger(__name__)
 
 
 class NNError(SelPrefError, ValueError):
@@ -48,14 +53,14 @@ class NNConfig:
     def __post_init__(self):
         if self.embedding_dim < 1 or self.hidden_dim < 1:
             raise NNError("embedding_dim and hidden_dim must be positive")
-        if self.margin <= 0:
-            raise NNError("margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise NNError("margin must be positive and finite")
         if self.negatives_per_positive < 1:
             raise NNError("negatives_per_positive must be positive")
         if self.epochs < 0:
             raise NNError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise NNError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise NNError("learning_rate must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -66,7 +71,7 @@ class NNConfig:
 
 
 class _RelationNet:
-    """Parameters and forward/backward passes for one relation."""
+    """Parameters, forward pass and SGD step for one relation."""
 
     def __init__(self, heads: list[str], deps: list[str], config: NNConfig,
                  rng: np.random.Generator):
@@ -92,36 +97,34 @@ class _RelationNet:
     def score(self, hi: int, di: int) -> float:
         return self.forward(hi, di)[0]
 
-    def grads(self, hi: int, di: int, cache):
-        """Gradient of the score w.r.t. every parameter, as a flat dict."""
-        x, hidden = cache
-        dpre = self.w2 * (1.0 - hidden ** 2)
-        dx = self.w1.T @ dpre
-        e = self.emb_head.shape[1]
-        return {
-            "w1": np.outer(dpre, x),
-            "b1": dpre,
-            "w2": hidden,
-            "b2": 1.0,
-            ("head", hi): dx[:e],
-            ("dep", di): dx[e:],
-        }
-
-    def apply(self, grad_sets: list[tuple[float, dict]], lr: float) -> None:
-        """SGD step on an accumulated list of (sign, score-gradients)."""
-        for sign, g in grad_sets:
-            step = lr * sign
-            self.w1 += step * g["w1"]
-            self.b1 += step * g["b1"]
-            self.w2 += step * g["w2"]
-            self.b2 += step * g["b2"]
-            for key, val in g.items():
-                if isinstance(key, tuple):
-                    kind, idx = key
-                    if kind == "head":
-                        self.emb_head[idx] += step * val
-                    else:
-                        self.emb_dep[idx] += step * val
+    def sgd_step(self, hi: int, di: int, pos, negatives, lr: float, outer) -> None:
+        """SGD step for the positive ``(hi, di)`` against the margin-violating
+        negatives ``(ni, cache)``, with gradients from the parameters before
+        the step. Per negative, the positive gradient (+lr) then the
+        negative's (-lr) goes to w1, b1, w2, b2, the head row, the dependent
+        row. The rank-1 product dpre x^T is one BLAS call (k = 1) into the
+        scratch array ``outer``, shaped like w1. It has np.outer's bits except
+        that an exact zero may be +0.0 where np.outer gives -0.0. Adding
+        either to a weight differs only if the weight is -0.0, and none is:
+        none starts there, and a sum is -0.0 only when both terms are."""
+        w1, b1, w2 = self.w1, self.b1, self.w2
+        emb_head, emb_dep = self.emb_head, self.emb_dep
+        e = emb_head.shape[1]
+        grads = []
+        for dep, (x, hidden) in [(di, pos), *negatives]:
+            dpre = w2 * (1.0 - hidden ** 2)
+            grads.append((dep, x, hidden, dpre, w1.T @ dpre))
+        for neg in grads[1:]:
+            for step, (dep, x, hidden, dpre, dx) in ((lr, grads[0]), (-lr, neg)):
+                np.dot(dpre[:, None], x[None, :], out=outer)
+                outer *= step
+                w1 += outer
+                b1 += step * dpre
+                w2 += step * hidden
+                self.b2 += step
+                dx = step * dx
+                emb_head[hi] += dx[:e]
+                emb_dep[dep] += dx[e:]
 
 
 class NNModel:
@@ -153,10 +156,8 @@ class NNModel:
         }
         for rel, net in self.nets.items():
             p = rel.value
-            heads = sorted(net.head_index, key=net.head_index.get)
-            deps = sorted(net.dep_index, key=net.dep_index.get)
-            arrays[f"{p}__heads"] = np.array(heads)
-            arrays[f"{p}__deps"] = np.array(deps)
+            arrays[f"{p}__heads"] = np.array(sorted(net.head_index, key=net.head_index.get))
+            arrays[f"{p}__deps"] = np.array(sorted(net.dep_index, key=net.dep_index.get))
             arrays[f"{p}__emb_head"] = net.emb_head
             arrays[f"{p}__emb_dep"] = net.emb_dep
             arrays[f"{p}__w1"] = net.w1
@@ -229,16 +230,15 @@ def nn_train(
         for p in pairs:
             if p.head not in head_pool:
                 raise VocabCoverageError(
-                    f"{rel.value}: head {p.head!r} not in the {rel.head_pos} pool"
-                )
+                    f"{rel.value}: head {p.head!r} not in the {rel.head_pos} pool")
             if p.dependent not in dep_pool:
                 raise VocabCoverageError(
-                    f"{rel.value}: dependent {p.dependent!r} not in the "
-                    f"{rel.dependent_pos} pool"
-                )
+                    f"{rel.value}: dependent {p.dependent!r} not in the {rel.dependent_pos} pool")
 
+    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     model = NNModel(config)
+    outer = np.empty((config.hidden_dim, 2 * config.embedding_dim))  # for sgd_step
     for rel in SPRelation:  # fixed order keeps the RNG stream stable
         pairs = by_rel.get(rel)
         if not pairs:
@@ -254,39 +254,39 @@ def nn_train(
             attested.setdefault(hi, set()).add(di)
         for hi, seen in attested.items():
             if len(seen) == len(deps):
-                head = heads[hi] if hi < len(heads) else hi
                 raise NegativePoolError(
-                    f"{rel.value}: every dependent attested for head {head!r}, "
+                    f"{rel.value}: every dependent attested for head {heads[hi]!r}, "
                     "nothing left to corrupt with"
                 )
 
         losses = []
         order = np.arange(len(instances))
+        n_neg, n_deps = config.negatives_per_positive, len(deps)
+        forward, integers = net.forward, rng.integers
         for epoch in range(config.epochs):
             rng.shuffle(order)
             total = 0.0
-            n_terms = 0
             for k in order:
                 hi, di = instances[k]
-                pos_score, pos_cache = net.forward(hi, di)
-                updates = []
-                pos_grads = None
-                for _ in range(config.negatives_per_positive):
-                    while True:
-                        ni = int(rng.integers(len(deps)))
-                        if ni not in attested[hi]:
-                            break
-                    neg_score, neg_cache = net.forward(hi, ni)
+                seen = attested[hi]
+                pos_score, pos = forward(hi, di)
+                violated = []
+                for _ in range(n_neg):
+                    ni = int(integers(n_deps))
+                    while ni in seen:
+                        ni = int(integers(n_deps))
+                    neg_score, neg = forward(hi, ni)
                     loss = config.margin - pos_score + neg_score
-                    n_terms += 1
                     if loss > 0:
                         total += loss
-                        if pos_grads is None:
-                            pos_grads = net.grads(hi, di, pos_cache)
-                        updates.append((+1.0, pos_grads))
-                        updates.append((-1.0, net.grads(hi, ni, neg_cache)))
-                net.apply(updates, config.learning_rate)
-            losses.append(total / max(n_terms, 1))
+                        violated.append((ni, neg))
+                if violated:
+                    net.sgd_step(hi, di, pos, violated, config.learning_rate, outer)
+            losses.append(total / (len(instances) * n_neg))
         model.nets[rel] = net
         model.epoch_losses[rel] = losses
+    seconds = time.perf_counter() - start
+    log.info("instances %s; %d epochs in %.2f s, %.0f instances/s",
+             " ".join(f"{rel.value}={len(by_rel[rel])}" for rel in model.nets), config.epochs,
+             seconds, sum(map(len, by_rel.values())) * config.epochs / seconds)
     return model

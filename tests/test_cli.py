@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import logging
+import re
 import subprocess
 import sys
 import zlib
@@ -293,6 +294,41 @@ def test_config_file_unknown_key_exit_1(tmp_path, corpus, capsys):
     assert "frequent_per_heads" in capsys.readouterr().err
 
 
+# one case per value that used to end in a traceback, plus a bool for an int
+# and a log level outside the flag's choices
+@pytest.mark.parametrize("sub, doc, message", [
+    ("extract", {"log_level": 5}, "key 'log_level' must be a string, got 5"),
+    ("train-nn", {"margin": "1"}, "key 'margin' must be a number, got \"1\""),
+    ("train-nn", {"epochs": 1.5}, "key 'epochs' must be an integer, got 1.5"),
+    ("train-nn", {"epochs": True}, "key 'epochs' must be an integer, got true"),
+    ("candidates", {"heads_per_relation": "5"},
+     "key 'heads_per_relation' must be an integer, got \"5\""),
+    ("eval", {"missing": "bogus"}, "key 'missing' must be one of drop, floor, got \"bogus\""),
+    ("extract", {"log_level": "verbose"},
+     "key 'log_level' must be one of debug, info, warning, error, got \"verbose\""),
+])
+def test_config_file_bad_value_exit_1(tmp_path, corpus, capsys, sub, doc, message):
+    counts, lex = str(make_counts(tmp_path, corpus)), make_lexicon(tmp_path)
+    gold = write(tmp_path / "gold.tsv", "#sp10k v1\ndobj\teat\tworm\t9.00\n")
+    argv = {"extract": ["--in", corpus],
+            "train-nn": ["--counts", counts, "--lexicon", lex, "--seed", "1",
+                         "--out", str(tmp_path / "m.npz")],
+            "candidates": ["--counts", counts, "--lexicon", lex, "--relation", "dobj",
+                           "--seed", "1"],
+            "eval": ["--gold", gold, "--backend", "lookup", "--scores", gold]}[sub]
+    cfg = write(tmp_path / "cfg.json", json.dumps(doc))
+    assert main([sub, *argv, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+def test_config_file_int_for_a_float_is_accepted(tmp_path, corpus):
+    counts = make_counts(tmp_path, corpus)
+    cfg = write(tmp_path / "cfg.json", json.dumps({"margin": 2, "learning_rate": 1}))
+    assert main(["train-nn", "--counts", str(counts), "--lexicon", make_lexicon(tmp_path),
+                 "--seed", "1", "--epochs", "1", "--out", str(tmp_path / "m.npz"),
+                 "--config", cfg]) == 0
+
+
 def test_eval_gold_as_model_reports_perfect_rho(tmp_path, capsys):
     gold = write(tmp_path / "gold.tsv", (
         "#sp10k v1\n"
@@ -352,6 +388,42 @@ def test_train_nn_byte_identical_reruns(tmp_path, corpus):
         assert rc == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--margin", "nan"), ("--margin", "inf"), ("--learning-rate", "nan"),
+    ("--learning-rate", "inf"),
+])
+def test_train_nn_non_finite_setting_exit_1(tmp_path, corpus, capsys, flag, value):
+    counts = make_counts(tmp_path, corpus)
+    out = tmp_path / "model.npz"
+    rc = main(["train-nn", "--counts", str(counts), "--lexicon", make_lexicon(tmp_path),
+               "--seed", "1", "--out", str(out), flag, value])
+    assert rc == 1
+    name = flag.removeprefix("--").replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be positive and finite\n"
+    assert not out.exists()
+
+
+def test_train_nn_info_summary_line(tmp_path, corpus):
+    counts = make_counts(tmp_path, corpus)
+    argv = [sys.executable, "-m", "selpref.cli", "train-nn", "--counts", str(counts),
+            "--lexicon", make_lexicon(tmp_path), "--seed", "1", "--epochs", "2",
+            "--embedding-dim", "4", "--hidden-dim", "6", "--out", "model.npz"]
+    for level in ([], ["--log-level", "info"]):     # default: warning
+        proc = subprocess.run([*argv, *level], capture_output=True, text=True, cwd=tmp_path,
+                              env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+        assert proc.returncode == 0
+        if not level:
+            assert proc.stderr == ""
+            continue
+        summary, *losses = proc.stderr.splitlines()
+        assert re.fullmatch(
+            r"INFO selpref\.nn: instances dobj=1 nsubj=1 amod=2 dobj_amod=1 nsubj_amod=1; "
+            r"2 epochs in \d+\.\d\d s, \d+ instances/s", summary), summary
+        assert [line.split(":")[1] for line in losses] == [
+            f" train-nn {rel}" for rel in ("amod", "dobj", "dobj_amod", "nsubj", "nsubj_amod")]
+    assert b"instances" not in (tmp_path / "model.npz").read_bytes()
 
 
 def test_trained_model_scores_through_cli(tmp_path, corpus):
@@ -714,3 +786,32 @@ def test_omcs_info_summary_line(tmp_path):
             assert "lemmatized" not in proc.stdout
     for name in ("match.json", "matrix.csv", "matrix.json"):
         assert "lemmatized" not in (tmp_path / name).read_text(encoding="utf-8")
+
+
+# fields of counts rows, good and bad; rows join fields with tabs
+COUNTS_FIELDS = [b"dobj", b"NSUBJ", b"bogus", b"eat", b"Worm", b"fish", b"", b" ", b"#x",
+                 b"1", b"3", b"0", b"-2", b"3.5", b"1_0", b" 4 ", b"9" * 5000, b"nan",
+                 b"\r", b"\xc3\xa9", b"\xe2\x80\xa8", b"\x1c", b"\x00", b"\xff"]
+COUNTS_ROWS = st.one_of(
+    st.tuples(*[st.sampled_from(COUNTS_FIELDS)] * 4),
+    st.lists(st.sampled_from(COUNTS_FIELDS), min_size=1, max_size=5)).map(b"\t".join)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(st.sampled_from(OMCS_PIECES + COUNTS_FIELDS), max_size=40).map(b"".join),
+                 st.lists(COUNTS_ROWS, max_size=6).map(b"\n".join)))
+def test_any_counts_bytes_exit_0_or_error_line(fuzz_dir, data):
+    counts = fuzz_dir / "counts.tsv"
+    counts.write_bytes(data)
+    (fuzz_dir / "pairs.tsv").write_text("dobj\teat\tworm\nnsubj\teat\tfish\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["score", "--backend", "pp", "--counts", str(counts),
+                   "--pairs", str(fuzz_dir / "pairs.tsv")])
+    if rc == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("#sp-scores v1\n")
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith(f"error: {counts}:")
+        assert err.getvalue().count("\n") == 1

@@ -6,13 +6,14 @@ per relation plus parallel marginal and total counters, the counts reader
 that built an ``SPPair`` per row, the scalar ``ds`` loop, the
 pseudo-disambiguation loop that re-sorted the pool for every test pair,
 the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence``
-per sentence and an ``SPPair`` per extracted pair, and the OMCS index that
-lemmatized every token occurrence, with its reader.
+per sentence and an ``SPPair`` per extracted pair, the OMCS index that
+lemmatized every token occurrence, with its reader, and the NN trainer that
+passed gradient dicts to an ``apply`` step.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
 counting with the same error text and the same warnings in order; OMCS
 index tables, witnesses and matrices exactly, the reader's triplets and
-error text exactly.
+error text exactly; NN models byte for byte, with the same epoch losses.
 """
 
 import io
@@ -70,6 +71,7 @@ from selpref.extract import (
     write_counts,
 )
 from selpref.lemmatize import lemmatize
+from selpref.nn import NegativePoolError, NNConfig, NNError, NNModel, VocabCoverageError, nn_train
 from selpref.scorers import DSModel, LookupModel, PPModel, ds_score
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.conllu"
@@ -1065,3 +1067,219 @@ class TestOMCSIndex:
         assert not hasattr(t, "__dict__")
         with pytest.raises(AttributeError):
             t.relation = "CapableOf"
+
+
+# -- NN trainer: the gradient-dict step it replaced ---------------------------
+
+class OldRelationNet:
+    """Parameters and forward/backward passes for one relation."""
+
+    def __init__(self, heads: list[str], deps: list[str], config: NNConfig,
+                 rng: np.random.Generator):
+        e, h = config.embedding_dim, config.hidden_dim
+        self.head_index = {w: i for i, w in enumerate(heads)}
+        self.dep_index = {w: i for i, w in enumerate(deps)}
+        bound = 0.5 / e
+        self.emb_head = rng.uniform(-bound, bound, size=(len(heads), e))
+        self.emb_dep = rng.uniform(-bound, bound, size=(len(deps), e))
+        a1 = np.sqrt(6.0 / (2 * e + h))
+        self.w1 = rng.uniform(-a1, a1, size=(h, 2 * e))
+        self.b1 = np.zeros(h)
+        a2 = np.sqrt(6.0 / (h + 1))
+        self.w2 = rng.uniform(-a2, a2, size=h)
+        self.b2 = 0.0
+
+    def forward(self, hi: int, di: int):
+        x = np.concatenate([self.emb_head[hi], self.emb_dep[di]])
+        hidden = np.tanh(self.w1 @ x + self.b1)
+        score = float(self.w2 @ hidden + self.b2)
+        return score, (x, hidden)
+
+    def score(self, hi: int, di: int) -> float:
+        return self.forward(hi, di)[0]
+
+    def grads(self, hi: int, di: int, cache):
+        """Gradient of the score w.r.t. every parameter, as a flat dict."""
+        x, hidden = cache
+        dpre = self.w2 * (1.0 - hidden ** 2)
+        dx = self.w1.T @ dpre
+        e = self.emb_head.shape[1]
+        return {
+            "w1": np.outer(dpre, x),
+            "b1": dpre,
+            "w2": hidden,
+            "b2": 1.0,
+            ("head", hi): dx[:e],
+            ("dep", di): dx[e:],
+        }
+
+    def apply(self, grad_sets: list[tuple[float, dict]], lr: float) -> None:
+        """SGD step on an accumulated list of (sign, score-gradients)."""
+        for sign, g in grad_sets:
+            step = lr * sign
+            self.w1 += step * g["w1"]
+            self.b1 += step * g["b1"]
+            self.w2 += step * g["w2"]
+            self.b2 += step * g["b2"]
+            for key, val in g.items():
+                if isinstance(key, tuple):
+                    kind, idx = key
+                    if kind == "head":
+                        self.emb_head[idx] += step * val
+                    else:
+                        self.emb_dep[idx] += step * val
+
+
+def old_nn_train(corpus_pairs, config, vocab):
+    by_rel: dict[SPRelation, list[SPPair]] = {}
+    for pair in corpus_pairs:
+        by_rel.setdefault(pair.relation, []).append(pair)
+    if not by_rel:
+        raise NNError("empty training stream")
+
+    for rel, pairs in by_rel.items():
+        head_pool = vocab.pool(rel.head_pos)
+        dep_pool = vocab.pool(rel.dependent_pos)
+        for p in pairs:
+            if p.head not in head_pool:
+                raise VocabCoverageError(
+                    f"{rel.value}: head {p.head!r} not in the {rel.head_pos} pool"
+                )
+            if p.dependent not in dep_pool:
+                raise VocabCoverageError(
+                    f"{rel.value}: dependent {p.dependent!r} not in the "
+                    f"{rel.dependent_pos} pool"
+                )
+
+    rng = np.random.default_rng(config.seed)
+    model = NNModel(config)
+    for rel in SPRelation:  # fixed order keeps the RNG stream stable
+        pairs = by_rel.get(rel)
+        if not pairs:
+            continue
+        heads = sorted(vocab.pool(rel.head_pos))
+        deps = sorted(vocab.pool(rel.dependent_pos))
+        net = OldRelationNet(heads, deps, config, rng)
+        attested: dict[int, set[int]] = {}
+        instances = []
+        for p in pairs:
+            hi, di = net.head_index[p.head], net.dep_index[p.dependent]
+            instances.append((hi, di))
+            attested.setdefault(hi, set()).add(di)
+        for hi, seen in attested.items():
+            if len(seen) == len(deps):
+                head = heads[hi] if hi < len(heads) else hi
+                raise NegativePoolError(
+                    f"{rel.value}: every dependent attested for head {head!r}, "
+                    "nothing left to corrupt with"
+                )
+
+        losses = []
+        order = np.arange(len(instances))
+        for epoch in range(config.epochs):
+            rng.shuffle(order)
+            total = 0.0
+            n_terms = 0
+            for k in order:
+                hi, di = instances[k]
+                pos_score, pos_cache = net.forward(hi, di)
+                updates = []
+                pos_grads = None
+                for _ in range(config.negatives_per_positive):
+                    while True:
+                        ni = int(rng.integers(len(deps)))
+                        if ni not in attested[hi]:
+                            break
+                    neg_score, neg_cache = net.forward(hi, ni)
+                    loss = config.margin - pos_score + neg_score
+                    n_terms += 1
+                    if loss > 0:
+                        total += loss
+                        if pos_grads is None:
+                            pos_grads = net.grads(hi, di, pos_cache)
+                        updates.append((+1.0, pos_grads))
+                        updates.append((-1.0, net.grads(hi, ni, neg_cache)))
+                net.apply(updates, config.learning_rate)
+            losses.append(total / max(n_terms, 1))
+        model.nets[rel] = net
+        model.epoch_losses[rel] = losses
+    return model
+
+
+def model_bytes(model):
+    buf = io.BytesIO()
+    model.save(buf)
+    return buf.getvalue()
+
+
+def random_nn_case(rng):
+    """A random config and training stream over a small random lexicon.
+
+    Some heads are attested with every dependent but one, so the
+    negative sampler has a single free dependent to find. Learning rates
+    of 1 and 2 saturate tanh, so some rank-1 products are exact zeros that
+    np.outer gives as -0.0 and BLAS as +0.0.
+    """
+    words = {"verb": [f"v{i}" for i in range(rng.randint(1, 4))],
+             "noun": [f"n{i}" for i in range(rng.randint(2, 6))],
+             "adj": [f"a{i}" for i in range(rng.randint(2, 5))]}
+    vocab = Lexicon(verbs=frozenset(words["verb"]), nouns=frozenset(words["noun"]),
+                    adjectives=frozenset(words["adj"]))
+    pairs = []
+    for rel in rng.sample(RELATIONS, rng.randint(1, len(RELATIONS))):
+        heads, deps = words[rel.head_pos], words[rel.dependent_pos]
+        for head in rng.sample(heads, rng.randint(1, len(heads))):
+            k = len(deps) - 1 if rng.random() < 0.4 else rng.randint(1, len(deps) - 1)
+            for dep in rng.sample(deps, k):
+                pairs += [SPPair(rel, head, dep)] * rng.randint(1, 2)
+    rng.shuffle(pairs)
+    config = NNConfig(
+        embedding_dim=rng.randint(1, 8), hidden_dim=rng.randint(1, 16),
+        margin=rng.choice([0.5, 1.0, 4.0]), negatives_per_positive=rng.randint(1, 3),
+        epochs=rng.randint(0, 3), learning_rate=rng.choice([0.01, 0.1, 1.0, 2]),
+        seed=rng.randrange(10_000))
+    return pairs, config, vocab
+
+
+class TestNNTrainer:
+    def test_random_configs_match_reference(self):
+        rng = random.Random(2014)
+        seen = Counter()
+        for trial in range(48):
+            pairs, config, vocab = random_nn_case(rng)
+            old, new = old_nn_train(pairs, config, vocab), nn_train(pairs, config, vocab)
+            assert model_bytes(new) == model_bytes(old), (trial, config)
+            assert new.epoch_losses == old.epoch_losses, (trial, config)
+            seen[f"negatives={config.negatives_per_positive}"] += 1
+            seen[f"epochs={config.epochs}"] += 1
+            seen["several relations"] += len(new.nets) > 1
+            seen["trained"] += bool(config.epochs)
+        assert min(seen.values()) >= 6, seen
+
+    def test_release_dims_match_reference(self):
+        # the default 50/100 dims send the rank-1 product down BLAS gemm
+        words = ["eat", "see", "fish", "worm", "bird", "stone", "bread", "cat"]
+        vocab = Lexicon(verbs=frozenset(words[:2]), nouns=frozenset(words[2:]),
+                        adjectives=frozenset())
+        rng = random.Random(7)
+        pairs = [SPPair(SPRelation.DOBJ, rng.choice(words[:2]), rng.choice(words[2:5]))
+                 for _ in range(150)]
+        for negatives in (1, 3):
+            config = NNConfig(negatives_per_positive=negatives, epochs=2, seed=negatives)
+            old, new = old_nn_train(pairs, config, vocab), nn_train(pairs, config, vocab)
+            assert model_bytes(new) == model_bytes(old)
+            assert new.epoch_losses == old.epoch_losses
+
+    def test_errors_match_reference(self):
+        vocab = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset({"fish", "worm"}),
+                        adjectives=frozenset())
+        cases = [[], [SPPair(SPRelation.DOBJ, "see", "fish")],
+                 [SPPair(SPRelation.DOBJ, "eat", "cat")],
+                 [SPPair(SPRelation.DOBJ, "eat", "fish"), SPPair(SPRelation.DOBJ, "eat", "worm")]]
+        for pairs in cases:
+            errors = []
+            for train in (old_nn_train, nn_train):
+                with pytest.raises(NNError) as exc:
+                    train(pairs, NNConfig(), vocab)
+                errors.append((exc.type, str(exc.value)))
+            assert errors[0] == errors[1]

@@ -1,8 +1,13 @@
+import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selpref
 from selpref.core import Lexicon, SPPair, SPRelation
 from selpref.nn import (
     NegativePoolError,
@@ -15,6 +20,8 @@ from selpref.nn import (
 )
 
 R = SPRelation.DOBJ
+# the child interpreter finds the package the same way this one did
+SRC = str(Path(selpref.__file__).resolve().parent.parent)
 
 
 def planted_corpus(n=400, seed=5):
@@ -140,6 +147,31 @@ def test_config_validation():
         NNConfig(learning_rate=-1)
     with pytest.raises(NNError):
         NNConfig(negatives_per_positive=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NNError, match="margin must be positive and finite"):
+            NNConfig(margin=bad)
+        with pytest.raises(NNError, match="learning_rate must be positive and finite"):
+            NNConfig(learning_rate=bad)
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The weight update is a BLAS product; one BLAS thread must give the
+    bytes of the default thread count."""
+    cfg = NNConfig(epochs=2, negatives_per_positive=2, seed=3)     # release dims
+    nn_train(planted_corpus(), cfg, VOCAB).save(tmp_path / "default.npz")
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from test_nn import VOCAB, NNConfig, nn_train, planted_corpus\n"
+        "cfg = NNConfig(epochs=2, negatives_per_positive=2, seed=3)\n"
+        "nn_train(planted_corpus(), cfg, VOCAB).save(sys.argv[2])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(Path(__file__).parent), str(tmp_path / "one.npz")],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "one.npz").read_bytes() == (tmp_path / "default.npz").read_bytes()
 
 
 def test_npz_roundtrip_is_exact(tmp_path):
