@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -26,6 +25,11 @@ from typing import Optional
 
 from . import __version__
 from .annotate import (
+    CHECKPOINTS_PER_SURVEY,
+    RATING_MAX,
+    RATING_MIN,
+    AnnotationError,
+    MixedRelationError,
     aggregate,
     filter_annotations,
     generate_survey,
@@ -45,15 +49,17 @@ from .core import (
     SelPrefError,
     SPPair,
     SPRelation,
+    _clip,
+    _rows,
     open_input,
     parse_relation,
 )
 from .embeddings import load_embeddings
 from .evaluation import (
     GOLD_HEADER,
-    GoldFormatError,
     evaluate,
     load_gold_file,
+    load_scores_file,
     pseudo_disambiguation,
 )
 from .extract import (
@@ -162,9 +168,12 @@ def _log_level(args: argparse.Namespace, resolved: dict) -> str:
     if getattr(args, "log_level", None) is not None:
         return args.log_level
     env = os.environ.get("SELPREF_LOG_LEVEL")
-    if env:
-        return env.lower()
-    return resolved.get("log_level", DEFAULTS["log_level"])
+    if not env:
+        return resolved["log_level"]
+    if env.lower() not in CHOICES["log_level"]:
+        raise ConfigError(f"SELPREF_LOG_LEVEL: must be one of "
+                          f"{', '.join(CHOICES['log_level'])}, got {_clip(env)}")
+    return env.lower()
 
 
 def _meta(config: dict) -> dict:
@@ -184,52 +193,30 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
-def _read_scores_tsv(path: str) -> dict[SPPair, float]:
-    """4-column relation/head/dependent/value table; values may be any
-    finite float, so model outputs and gold ratings both qualify."""
-    table: dict[SPPair, float] = {}
-    with open_input(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise GoldFormatError(
-                    f"{path}:{lineno}: expected 4 columns, got {len(fields)}"
-                )
-            try:
-                pair = SPPair(parse_relation(fields[0]), fields[1], fields[2])
-                value = float(fields[3])
-            except (SelPrefError, ValueError) as err:
-                raise GoldFormatError(f"{path}:{lineno}: {err}") from None
-            if not math.isfinite(value):
-                raise GoldFormatError(f"{path}:{lineno}: non-finite value {fields[3]!r}")
-            if pair in table:
-                raise GoldFormatError(f"{path}:{lineno}: duplicate pair {pair}")
-            table[pair] = value
-    return table
-
-
-def _read_checkpoints(path: str) -> list[tuple[SPPair, frozenset]]:
-    """relation/head/dependent/expected rows; expected is |-joined ratings."""
+def _read_checkpoints(path: str, relation: Optional[SPRelation]
+                      ) -> list[tuple[SPPair, frozenset]]:
+    """relation/head/dependent/expected rows, all of the survey's relation;
+    expected is |-joined ratings."""
     out = []
     with open_input(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise GoldFormatError(
-                    f"{path}:{lineno}: expected 4 columns, got {len(fields)}"
-                )
+        for lineno, (rel_name, head, dep, text) in _rows(fh, path, 4, AnnotationError):
             try:
-                pair = SPPair(parse_relation(fields[0]), fields[1], fields[2])
-                expected = frozenset(int(v) for v in fields[3].split("|"))
-            except (SelPrefError, ValueError) as err:
-                raise GoldFormatError(f"{path}:{lineno}: {err}") from None
+                pair = SPPair(parse_relation(rel_name), head, dep)
+            except SelPrefError as err:
+                raise AnnotationError(f"{path}:{lineno}: {err}") from None
+            try:
+                expected = frozenset(int(v) for v in text.split("|"))
+            except ValueError:
+                expected = frozenset()
+            if not expected or not all(RATING_MIN <= e <= RATING_MAX for e in expected):
+                raise AnnotationError(f"{path}:{lineno}: bad expected ratings {_clip(text)}")
+            if relation not in (None, pair.relation):
+                raise MixedRelationError(f"{path}:{lineno}: checkpoint relation "
+                                         f"{pair.relation}, survey relation {relation}")
             out.append((pair, expected))
+    if len(out) != CHECKPOINTS_PER_SURVEY:
+        raise AnnotationError(f"{path}: need exactly {CHECKPOINTS_PER_SURVEY} "
+                              f"checkpoints, got {len(out)}")
     return out
 
 
@@ -254,7 +241,7 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser,
     if backend == "lookup":
         if not args.scores:
             parser.error("backend lookup requires --scores")
-        return LookupModel(_read_scores_tsv(args.scores))
+        return LookupModel(load_scores_file(args.scores))
     parser.error(f"unknown backend {backend!r}")
 
 
@@ -457,7 +444,8 @@ def cmd_survey(args, parser) -> int:
               "seed": args.seed}
     with open_input(args.pairs) as fh:
         pairs = read_pairs(fh, source=args.pairs)
-    checkpoints = _read_checkpoints(args.checkpoints)
+    checkpoints = _read_checkpoints(args.checkpoints,
+                                    pairs[0].relation if pairs else None)
     survey = generate_survey(pairs, checkpoints, seed=args.seed)
     with _open_out(args.out) as out:
         out.write(survey.to_json(**_meta(config)) + "\n")
@@ -511,17 +499,15 @@ def cmd_omcs_matrix(args, parser) -> int:
 
 def cmd_winograd(args, parser) -> int:
     resolved = _resolve(args, ["backend"])
-    if args.gold:
+    if args.gold:  # --gold GOLD means --backend lookup --scores GOLD
         resolved["backend"] = "lookup"
     config = {"subcommand": "winograd", "questions": args.questions,
               "gold": args.gold, "out": args.out,
               "predictions": args.predictions, "seed": None,
               "counts": args.counts, "embeddings": args.embeddings,
               "model": args.model, "scores": args.scores, **resolved}
-    if args.gold:
-        model = LookupModel(_read_scores_tsv(args.gold))
-    else:
-        model = _build_model(args, parser, resolved)
+    args.scores = args.gold or args.scores
+    model = _build_model(args, parser, resolved)
     if args.questions:
         questions = load_questions_file(args.questions)
     else:
@@ -695,8 +681,7 @@ def main(argv=None) -> int:
     try:
         resolved_for_log = _resolve(args, ["log_level"])
         logging.basicConfig(
-            level=getattr(logging, _log_level(args, resolved_for_log).upper(),
-                          logging.WARNING),
+            level=getattr(logging, _log_level(args, resolved_for_log).upper()),
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )

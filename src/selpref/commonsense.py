@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation, check_plausibility
+from .core import SelPrefError, SPPair, SPRelation, _rows, check_plausibility
 from .evaluation import GoldSet
 from .lemmatize import lemmatize
 
@@ -289,16 +289,7 @@ def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:
     """TSV: start phrase, relation label, end phrase."""
     out = []
     append = out.append
-    for lineno, line in enumerate(fh, 1):
-        line = line.rstrip("\n")
-        if not line or line[0] == "#":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise OMCSFormatError(
-                f"{source}:{lineno}: expected 3 columns, got {len(fields)}"
-            )
-        start, rel, end = fields
+    for lineno, (start, rel, end) in _rows(fh, source, 3, OMCSFormatError):
         try:
             append(OMCSTriplet(tuple(start.split()), rel, tuple(end.split())))
         except OMCSFormatError as err:

@@ -8,7 +8,7 @@ import gzip
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 
 class SelPrefError(Exception):
@@ -17,7 +17,7 @@ class SelPrefError(Exception):
 
 class UnknownRelationError(SelPrefError, ValueError):
     def __init__(self, name: str):
-        super().__init__(f"unknown selectional relation: {name!r}")
+        super().__init__(f"unknown selectional relation: {_clip(name)}")
         self.name = name
 
 
@@ -194,21 +194,41 @@ class Lexicon:
     @classmethod
     def from_tsv(cls, path) -> "Lexicon":
         """Load a `lemma<TAB>pos` file with pos in {verb, noun, adj}."""
-        sets: dict[str, set[str]] = {"verb": set(), "noun": set(), "adj": set()}
+        pos_of: dict[str, str] = {}
         with open_input(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise LexiconError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-                lemma, pos = fields
-                if pos not in sets:
-                    raise LexiconError(f"{path}:{lineno}: unknown POS {pos!r}")
-                sets[pos].add(lemma.lower())
-        return cls(
-            verbs=frozenset(sets["verb"]),
-            nouns=frozenset(sets["noun"]),
-            adjectives=frozenset(sets["adj"]),
-        )
+            for lineno, (lemma, pos) in _rows(fh, path, 2, LexiconError):
+                if pos not in _POS_CLASSES:
+                    raise LexiconError(f"{path}:{lineno}: unknown POS {_clip(pos)}")
+                lemma = lemma.lower()
+                if pos_of.setdefault(lemma, pos) != pos:
+                    raise LexiconError(f"{path}:{lineno}: {_clip(lemma)} is both "
+                                       f"{pos_of[lemma]} and {pos}")
+        return cls(*(frozenset(w for w, p in pos_of.items() if p == pos)
+                     for pos in _POS_CLASSES))
+
+
+_POS_CLASSES = ("verb", "noun", "adj")  # in Lexicon's field order
+
+
+def _rows(fh: Iterable[str], source, ncols: int, error: type[SelPrefError],
+          extra: bool = False) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-split fields) per data row of a TSV stream.
+
+    Blank lines and lines starting with ``#`` are skipped. A row has
+    exactly ``ncols`` fields, or at least that many with ``extra``; any
+    other width raises ``error`` at ``source:line``.
+    """
+    for lineno, line in enumerate(fh, 1):
+        line = line.rstrip("\n")
+        if not line or line[0] == "#":
+            continue
+        fields = line.split("\t")
+        if len(fields) != ncols and not (extra and len(fields) > ncols):
+            raise error(f"{source}:{lineno}: expected {'>= ' * extra}{ncols} columns, "
+                        f"got {len(fields)}")
+        yield lineno, fields
+
+
+def _clip(text: str, limit: int = 40) -> str:
+    """repr of an input field echoed in an error, cut to ``limit`` characters."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."

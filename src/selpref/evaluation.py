@@ -13,10 +13,11 @@ import numpy as np
 
 from .core import (
     Lexicon,
-    PlausibilityRangeError,
     SelPrefError,
     SPPair,
     SPRelation,
+    _clip,
+    _rows,
     check_plausibility,
     open_input,
     parse_relation,
@@ -93,38 +94,54 @@ class GoldSet:
 
 def load_gold(fh: TextIO, source: str = "<stream>") -> GoldSet:
     """Read the gold TSV: relation, head, dependent, plausibility."""
-    entries = []
-    for lineno, line in enumerate(fh, 1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise GoldFormatError(
-                f"{source}:{lineno}: expected 4 columns, got {len(fields)}"
-            )
-        rel_name, head, dep, score_text = fields
-        try:
-            value = float(score_text)
-        except ValueError:
-            raise GoldFormatError(
-                f"{source}:{lineno}: bad plausibility {score_text!r}"
-            ) from None
-        try:
-            pair = SPPair(parse_relation(rel_name), head, dep)
-            check_plausibility(value)
-        except (SelPrefError, PlausibilityRangeError) as err:
-            raise GoldFormatError(f"{source}:{lineno}: {err}") from None
-        entries.append((pair, value))
-    try:
-        return GoldSet(entries)
-    except DuplicatePairError as err:
-        raise DuplicatePairError(f"{source}: {err}") from None
+    return GoldSet(_read_values(fh, source, gold=True).items())
 
 
 def load_gold_file(path) -> GoldSet:
     with open_input(path) as fh:
         return load_gold(fh, source=str(path))
+
+
+def load_scores_file(path) -> dict[SPPair, Optional[float]]:
+    """Read a pair score TSV as ``score`` writes it: relation, head,
+    dependent and any finite value, or NA (read as None) for a pair the
+    model could not score."""
+    with open_input(path) as fh:
+        return _read_values(fh, str(path), gold=False)
+
+
+def _read_values(fh: TextIO, source: str, gold: bool) -> dict:
+    values: dict = {}
+    for lineno, fields in _rows(fh, source, 4, GoldFormatError):
+        _add_value(values, source, lineno, fields, gold)
+    return values
+
+
+def _add_value(values: dict, source, lineno: int, fields: list[str], gold: bool) -> None:
+    """Parse one relation, head, dependent, value row into ``values``."""
+    rel_name, head, dep, text = fields
+    try:
+        pair = SPPair(parse_relation(rel_name), head, dep)
+        value = None if text == "NA" and not gold else _value(text, gold)
+    except SelPrefError as err:
+        raise GoldFormatError(f"{source}:{lineno}: {err}") from None
+    if pair in values:
+        raise DuplicatePairError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                                 f"{_clip(pair.head)} {_clip(pair.dependent)}")
+    values[pair] = value
+
+
+def _value(text: str, gold: bool) -> float:
+    """A gold value is a plausibility; a score is any finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise GoldFormatError(f"bad {'plausibility' if gold else 'score'} {_clip(text)}") from None
+    if gold:
+        return check_plausibility(value)
+    if not math.isfinite(value):
+        raise GoldFormatError(f"non-finite value {_clip(text)}")
+    return value
 
 
 def write_gold(gold: GoldSet, fh: TextIO) -> None:
@@ -140,47 +157,24 @@ def import_sp10k_directory(root) -> GoldSet:
     (`<rel>.txt`, `<rel>_annotation.txt`, `annotation_<rel>.txt`, same
     with .tsv, optionally inside an `annotations/` or `data/`
     subdirectory) holding `head<TAB>dependent<TAB>score` lines with the
-    score already on the 0-10 scale.
+    score already on the 0-10 scale; surrounding whitespace is ignored.
     """
     import pathlib
 
     root = pathlib.Path(root)
-    entries = []
+    values: dict[SPPair, float] = {}
     for rel in SPRelation:
-        path = None
-        stems = [rel.value, f"{rel.value}_annotation", f"annotation_{rel.value}"]
-        for sub in ("", "annotations", "data"):
-            base = root / sub if sub else root
-            for stem in stems:
-                for ext in (".txt", ".tsv"):
-                    cand = base / f"{stem}{ext}"
-                    if cand.is_file():
-                        path = cand
-                        break
-                if path:
-                    break
-            if path:
-                break
+        names = (root / sub / f"{stem}{ext}" for sub in ("", "annotations", "data")
+                 for stem in (rel.value, f"{rel.value}_annotation", f"annotation_{rel.value}")
+                 for ext in (".txt", ".tsv"))
+        path = next((name for name in names if name.is_file()), None)
         if path is None:
             raise GoldFormatError(f"{root}: no annotation file found for {rel.value}")
         with open_input(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise GoldFormatError(
-                        f"{path}:{lineno}: expected 3 columns, got {len(fields)}"
-                    )
-                head, dep, score_text = fields
-                try:
-                    entries.append((SPPair(rel, head, dep), float(score_text)))
-                except ValueError:
-                    raise GoldFormatError(
-                        f"{path}:{lineno}: bad score {score_text!r}"
-                    ) from None
-    return GoldSet(entries)
+            lines = (line.strip() for line in fh)
+            for lineno, fields in _rows(lines, path, 3, GoldFormatError):
+                _add_value(values, path, lineno, [rel.value, *fields], gold=True)
+    return GoldSet(values.items())
 
 
 def _average_ranks(values) -> np.ndarray:

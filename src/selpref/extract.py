@@ -25,6 +25,8 @@ from .core import (
     SPRelation,
     UnknownRelationError,
     _check_lemma,
+    _clip,
+    _rows,
     parse_relation,
 )
 
@@ -278,18 +280,11 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
     """
     table = CountTable()
     store = table._heads
-    for lineno, line in enumerate(fh, 1):
-        line = line.rstrip("\n")
-        if not line or line[0] == "#":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise CountTableError(f"{source}:{lineno}: expected 4 columns, got {len(fields)}")
-        rel_name, head, dep, count_text = fields
+    for lineno, (rel_name, head, dep, count_text) in _rows(fh, source, 4, CountTableError):
         try:
             count = int(count_text)
         except ValueError:
-            raise CountTableError(f"{source}:{lineno}: bad count {count_text!r}") from None
+            raise CountTableError(f"{source}:{lineno}: bad count {_clip(count_text)}") from None
         if count < 1:
             raise CountTableError(f"{source}:{lineno}: count must be >= 1, got {count}")
         relation = _RELATIONS.get(rel_name)
@@ -384,12 +379,9 @@ def read_pairs(fh: TextIO, source: str = "<stream>") -> list[SPPair]:
     """Read a pair list: TSV with relation, head, dependent in the first
     three columns (extra columns ignored; # lines skipped)."""
     pairs = []
-    for lineno, line in enumerate(fh, 1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) < 3:
-            raise CountTableError(f"{source}:{lineno}: expected >= 3 columns, got {len(fields)}")
-        pairs.append(SPPair(parse_relation(fields[0]), fields[1], fields[2]))
+    for lineno, (rel_name, head, dep, *_) in _rows(fh, source, 3, CountTableError, extra=True):
+        try:
+            pairs.append(SPPair(parse_relation(rel_name), head, dep))
+        except SelPrefError as err:
+            raise CountTableError(f"{source}:{lineno}: {err}") from None
     return pairs

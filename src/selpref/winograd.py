@@ -57,12 +57,6 @@ class WinogradQuestion:
         if not self.verb or not self.adjective:
             raise WinogradError(f"question {self.id}: verb and adjective required")
 
-    @property
-    def gold_candidate(self) -> Mention:
-        return (
-            self.candidate_subject if self.gold == SUBJECT else self.candidate_object
-        )
-
 
 class Outcome(enum.Enum):
     CORRECT = "correct"

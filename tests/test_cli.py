@@ -602,10 +602,21 @@ def test_log_level_env_override(tmp_path):
     assert proc.returncode == 0
     assert "extract:" in proc.stderr
 
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_bad_log_level_env_exit_1(corpus, capsys, monkeypatch, value):
+    monkeypatch.setenv("SELPREF_LOG_LEVEL", value)
+    assert main(["extract", "--in", corpus]) == 1
+    assert capsys.readouterr().err == (
+        "error: SELPREF_LOG_LEVEL: must be one of debug, info, warning, error, "
+        f"got {value!r}\n")
+
 @pytest.mark.parametrize("row, message", [
     ("bogus\teat\tworm\t2", "unknown selectional relation: 'bogus'"),
     ("dobj\t\tworm\t2", "head lemma is empty"),
     ("dobj\teat\t   \t2", "dependent lemma is empty"),
+    pytest.param("dobj\teat\tworm\t" + "9" * 5000, f"bad count '{'9' * 40}'...",
+                 id="5000-digit count"),
 ])
 def test_bad_counts_row_exit_1_with_coordinates(tmp_path, capsys, row, message):
     counts = write(tmp_path / "counts.tsv",
@@ -614,7 +625,9 @@ def test_bad_counts_row_exit_1_with_coordinates(tmp_path, capsys, row, message):
     rc = main(["score", "--backend", "pp", "--counts", counts,
                "--pairs", pairs])
     assert rc == 1
-    assert f"error: {counts}:3: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: {counts}:3: {message}\n"
+    assert len(err) < len(counts) + 80
 
 
 def test_carriage_return_in_counts_lemma_exit_1_with_coordinates(tmp_path, capsys):
@@ -647,6 +660,29 @@ def test_non_finite_lookup_score_exit_1_with_coordinates(tmp_path, capsys, value
                "--scores", scores])
     assert rc == 1
     assert f"error: {scores}:3: non-finite value" in capsys.readouterr().err
+
+
+def test_score_output_reads_back_as_lookup_scores(tmp_path, corpus, capsys):
+    counts = str(make_counts(tmp_path, corpus))
+    gold = write(tmp_path / "gold.tsv", (
+        "#sp10k v1\n"
+        "dobj\teat\tworm\t9.00\n"
+        "dobj\teat\tstone\t1.00\n"
+        "nsubj\teat\tfish\t8.00\n"
+        "nsubj\teat\tstone\t2.00\n"
+        "nsubj\tsee\tbird\t5.00\n"          # unseen head: pp scores NA
+    ))
+    scores = tmp_path / "scores.tsv"
+    assert main(["score", "--backend", "pp", "--counts", counts,
+                 "--pairs", gold, "--out", str(scores)]) == 0
+    assert data_lines(scores)[-1] == "nsubj\tsee\tbird\tNA"
+    capsys.readouterr()
+    assert main(["eval", "--gold", gold, "--backend", "pp", "--counts", counts]) == 0
+    direct = capsys.readouterr().out
+    assert main(["eval", "--gold", gold, "--backend", "lookup",
+                 "--scores", str(scores)]) == 0
+    assert capsys.readouterr().out == direct
+    assert "nsubj     0.5000  0.667" in direct   # the NA pair counts as uncovered
 
 
 def test_nn_model_that_is_not_npz_exit_1(tmp_path, capsys):
@@ -728,35 +764,6 @@ def test_gz_input_that_is_not_gzip_exit_1_with_coordinates(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}:1: Not a gzipped file")
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("omcs-fuzz")
-    (root / "gold.tsv").write_text(GOLD, encoding="utf-8")
-    return root
-
-
-OMCS_PIECES = [b"\t", b"\n", b"\r", b" ", b"#", b"eat", b"worms", b"Fish", b"UsedFor",
-               b"\xc3\xa9", b"\xe2\x80\xa8", b"\x00", b"\x0c", b"\xff", b"\xc3"]
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.one_of(st.binary(max_size=64),
-                 st.lists(st.sampled_from(OMCS_PIECES), max_size=40).map(b"".join)))
-def test_any_omcs_bytes_exit_0_or_error_line(fuzz_dir, data):
-    omcs = fuzz_dir / "omcs.tsv"
-    omcs.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["omcs-match", "--gold", str(fuzz_dir / "gold.tsv"),
-                   "--omcs", str(omcs)])
-    if rc == 0:
-        assert err.getvalue() == "" and out.getvalue().startswith("group")
-    else:
-        assert rc == 1
-        assert err.getvalue().startswith(f"error: {omcs}:")
-        assert err.getvalue().count("\n") == 1
-
-
 def test_omcs_info_summary_line(tmp_path):
     gold = write(tmp_path / "gold.tsv", (
         "#sp10k v1\n"
@@ -788,30 +795,64 @@ def test_omcs_info_summary_line(tmp_path):
         assert "lemmatized" not in (tmp_path / name).read_text(encoding="utf-8")
 
 
-# fields of counts rows, good and bad; rows join fields with tabs
-COUNTS_FIELDS = [b"dobj", b"NSUBJ", b"bogus", b"eat", b"Worm", b"fish", b"", b" ", b"#x",
-                 b"1", b"3", b"0", b"-2", b"3.5", b"1_0", b" 4 ", b"9" * 5000, b"nan",
-                 b"\r", b"\xc3\xa9", b"\xe2\x80\xa8", b"\x1c", b"\x00", b"\xff"]
-COUNTS_ROWS = st.one_of(
-    st.tuples(*[st.sampled_from(COUNTS_FIELDS)] * 4),
-    st.lists(st.sampled_from(COUNTS_FIELDS), min_size=1, max_size=5)).map(b"\t".join)
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tsv-fuzz")
+    files = {"gold.tsv": GOLD,
+             "pairs.tsv": "dobj\teat\tworm\nnsubj\teat\tfish\n",
+             "counts.tsv": "#sp-counts v1\ndobj\teat\tworm\t2\nnsubj\teat\tfish\t1\n",
+             "survey_pairs.tsv": "".join(f"dobj\tverb{i}\tnoun{i}\n" for i in range(100))}
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
 
 
+# one command per TSV reader; bad.tsv is the fuzzed file, the others are fixed
+TSV_FAMILIES = {
+    "pairs": ["score", "--counts", "counts.tsv", "--pairs", "bad.tsv"],
+    "gold": ["eval", "--gold", "bad.tsv", "--backend", "lookup", "--scores", "gold.tsv"],
+    "scores": ["eval", "--gold", "gold.tsv", "--backend", "lookup", "--scores", "bad.tsv"],
+    "checkpoints": ["survey", "--pairs", "survey_pairs.tsv", "--checkpoints", "bad.tsv",
+                    "--seed", "1"],
+    "lexicon": ["candidates", "--counts", "counts.tsv", "--lexicon", "bad.tsv",
+                "--relation", "dobj", "--seed", "1", "--random-per-head", "0"],
+    "counts": ["score", "--counts", "bad.tsv", "--pairs", "pairs.tsv"],
+    "omcs": ["omcs-match", "--gold", "gold.tsv", "--omcs", "bad.tsv"],
+}
+
+OMCS_PIECES = [b"\t", b"\n", b"\r", b" ", b"#", b"eat", b"worms", b"Fish", b"UsedFor",
+               b"\xc3\xa9", b"\xe2\x80\xa8", b"\x00", b"\x0c", b"\xff", b"\xc3"]
+# fields of rows, good and bad for some reader; rows join fields with tabs
+FIELDS = [b"dobj", b"NSUBJ", b"bogus", b"eat", b"Worm", b"fish", b"", b" ", b"#x",
+          b"1", b"3", b"0", b"-2", b"3.5", b"1_0", b" 4 ", b"9" * 5000, b"nan", b"NA", b"12",
+          b"verb", b"noun", b"adj", b"4|5", b"1|9", b"eat worms",
+          b"\r", b"\xc3\xa9", b"\xe2\x80\xa8", b"\x1c", b"\x00", b"\xff"]
+ROWS = st.one_of(
+    st.sampled_from([2, 3, 4]).flatmap(
+        lambda n: st.lists(st.sampled_from(FIELDS), min_size=n, max_size=n)),
+    st.lists(st.sampled_from(FIELDS), min_size=1, max_size=5)).map(b"\t".join)
+
+
+@pytest.mark.parametrize("family", sorted(TSV_FAMILIES))
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.one_of(st.binary(max_size=64),
-                 st.lists(st.sampled_from(OMCS_PIECES + COUNTS_FIELDS), max_size=40).map(b"".join),
-                 st.lists(COUNTS_ROWS, max_size=6).map(b"\n".join)))
-def test_any_counts_bytes_exit_0_or_error_line(fuzz_dir, data):
-    counts = fuzz_dir / "counts.tsv"
-    counts.write_bytes(data)
-    (fuzz_dir / "pairs.tsv").write_text("dobj\teat\tworm\nnsubj\teat\tfish\n", encoding="utf-8")
+@given(data=st.one_of(st.binary(max_size=64),
+                      st.lists(st.sampled_from(OMCS_PIECES + FIELDS), max_size=40).map(b"".join),
+                      st.lists(ROWS, max_size=6).map(b"\n".join)))
+def test_any_bytes_exit_0_or_error_line(fuzz_dir, family, data):
+    bad = fuzz_dir / "bad.tsv"
+    bad.write_bytes(data)
+    argv = [str(fuzz_dir / arg) if arg.endswith(".tsv") else arg
+            for arg in TSV_FAMILIES[family]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["score", "--backend", "pp", "--counts", str(counts),
-                   "--pairs", str(fuzz_dir / "pairs.tsv")])
+        rc = main(argv)
     if rc == 0:
-        assert err.getvalue() == "" and out.getvalue().startswith("#sp-scores v1\n")
-    else:
-        assert rc == 1
-        assert err.getvalue().startswith(f"error: {counts}:")
-        assert err.getvalue().count("\n") == 1
+        assert err.getvalue() == "" and out.getvalue()
+        return
+    assert rc == 1
+    # a survey needs three checkpoints: the one error that is not a row's
+    row_error = rf"error: {re.escape(str(bad))}:\d+: .+\n"
+    file_error = rf"error: {re.escape(str(bad))}: need exactly 3 checkpoints, got \d+\n"
+    assert (re.fullmatch(row_error, err.getvalue())
+            or family == "checkpoints" and re.fullmatch(file_error, err.getvalue())), err.getvalue()
+    assert len(err.getvalue()) < len(str(bad)) + 150

@@ -109,6 +109,13 @@ class TestLexicon:
         assert lex.nouns == frozenset({"fish"})
         assert lex.adjectives == frozenset({"fresh"})
 
+    def test_from_tsv_lemma_in_two_classes_names_its_line(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("# lemma\tpos\nfish\tnoun\neat\tverb\nFish\tverb\n")
+        with pytest.raises(LexiconError) as exc:
+            Lexicon.from_tsv(path)
+        assert str(exc.value) == f"{path}:4: 'fish' is both noun and verb"
+
     def test_from_tsv_bad_pos(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("eat\tVB\n")

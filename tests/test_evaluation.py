@@ -21,6 +21,7 @@ from selpref.evaluation import (
     import_sp10k_directory,
     load_gold,
     load_gold_file,
+    load_scores_file,
     pseudo_disambiguation,
     significance,
     spearman,
@@ -152,6 +153,23 @@ class TestGoldSet:
         with pytest.raises(DuplicatePairError):
             load_gold(io.StringIO(text))
 
+    def test_duplicate_pair_names_its_line(self):
+        text = "#sp10k v1\ndobj\teat\tmeal\t10\nDOBJ\tEat\tmeal\t9\n"
+        with pytest.raises(DuplicatePairError) as exc:
+            load_gold(io.StringIO(text), source="g.tsv")
+        assert str(exc.value) == "g.tsv:3: duplicate pair dobj 'eat' 'meal'"
+
+    def test_na_is_a_bad_plausibility(self):
+        with pytest.raises(GoldFormatError) as exc:
+            load_gold(io.StringIO("dobj\teat\tmeal\t5\ndobj\teat\trock\tNA\n"), source="g")
+        assert str(exc.value) == "g:2: bad plausibility 'NA'"
+
+    def test_scores_read_na_as_absent(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("#sp-scores v1\ndobj\teat\tmeal\t-3.5\ndobj\teat\trock\tNA\n")
+        assert load_scores_file(path) == {SPPair(SPRelation.DOBJ, "eat", "meal"): -3.5,
+                                          SPPair(SPRelation.DOBJ, "eat", "rock"): None}
+
     def test_roundtrip(self, tmp_path):
         gold = gold_from([
             ("dobj", "eat", "meal", 10.0),
@@ -179,6 +197,22 @@ class TestGoldSet:
         gold = import_sp10k_directory(tmp_path)
         assert len(gold) == 5
         assert gold.value(SPPair(SPRelation.AMOD, "hamod", "damod")) == 7.5
+
+    @pytest.mark.parametrize("row, message", [
+        ("a\tb\t12", "plausibility 12.0 outside [0.0, 10.0]"),
+        ("a\t \t5", "dependent lemma is empty"),
+        ("a\tb\tfive", "bad plausibility 'five'"),
+        ("a\tb", "expected 3 columns, got 2"),
+        ("A\tb\t5", "duplicate pair nsubj 'a' 'b'"),
+    ])
+    def test_directory_adapter_bad_row_names_its_line(self, tmp_path, row, message):
+        for rel in SPRelation:
+            (tmp_path / f"{rel.value}.txt").write_text("a\tb\t5\n")
+        path = tmp_path / "nsubj.txt"
+        path.write_text(f"  a\tb\t5  \n\n{row}\n")
+        with pytest.raises(GoldFormatError) as exc:
+            import_sp10k_directory(tmp_path)
+        assert str(exc.value) == f"{path}:3: {message}"
 
     def test_directory_adapter_missing_relation(self, tmp_path):
         (tmp_path / "dobj.txt").write_text("a\tb\t5\n")
