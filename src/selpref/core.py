@@ -229,6 +229,6 @@ def _rows(fh: Iterable[str], source, ncols: int, error: type[SelPrefError],
         yield lineno, fields
 
 
-def _clip(text: str, limit: int = 40) -> str:
-    """repr of an input field echoed in an error, cut to ``limit`` characters."""
-    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+def _clip(text: str) -> str:
+    """repr of an input field echoed in an error, cut to 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."

@@ -110,8 +110,8 @@ def load_scores_file(path) -> dict[SPPair, Optional[float]]:
         return _read_values(fh, str(path), gold=False)
 
 
-def _read_values(fh: TextIO, source: str, gold: bool) -> dict:
-    values: dict = {}
+def _read_values(fh: TextIO, source: str, gold: bool) -> dict[SPPair, Optional[float]]:
+    values: dict[SPPair, Optional[float]] = {}
     for lineno, fields in _rows(fh, source, 4, GoldFormatError):
         _add_value(values, source, lineno, fields, gold)
     return values
@@ -164,10 +164,20 @@ def import_sp10k_directory(root) -> GoldSet:
     root = pathlib.Path(root)
     values: dict[SPPair, float] = {}
     for rel in SPRelation:
-        names = (root / sub / f"{stem}{ext}" for sub in ("", "annotations", "data")
-                 for stem in (rel.value, f"{rel.value}_annotation", f"annotation_{rel.value}")
-                 for ext in (".txt", ".tsv"))
-        path = next((name for name in names if name.is_file()), None)
+        path = None
+        stems = [rel.value, f"{rel.value}_annotation", f"annotation_{rel.value}"]
+        for sub in ("", "annotations", "data"):
+            base = root / sub if sub else root
+            for stem in stems:
+                for ext in (".txt", ".tsv"):
+                    cand = base / f"{stem}{ext}"
+                    if cand.is_file():
+                        path = cand
+                        break
+                if path:
+                    break
+            if path:
+                break
         if path is None:
             raise GoldFormatError(f"{root}: no annotation file found for {rel.value}")
         with open_input(path) as fh:

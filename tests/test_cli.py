@@ -589,6 +589,24 @@ def test_winograd_bundled_default(tmp_path):
     assert doc["ap"] is None
 
 
+@pytest.mark.parametrize("rows, where, message", [
+    ("dobj\teat\tmeal\t4|5\nnsubj\teat\tsky\t1|2\ndobj\tdrink\twater\t4|5\n", ":2",
+     "checkpoint relation nsubj, survey relation dobj"),
+    ("dobj\teat\tmeal\t4|5\ndobj\teat\tsky\t1|9\ndobj\tdrink\twater\t4|5\n", ":2",
+     "bad expected ratings '1|9'"),
+    ("dobj\teat\tmeal\t4|5\n#\ndobj\teat\tsky\tlow\n", ":3", "bad expected ratings 'low'"),
+    ("dobj\teat\tmeal\t4|5\ndobj\tdrink\twater\t4|5\n", "",
+     "need exactly 3 checkpoints, got 2"),
+])
+def test_bad_checkpoints_exit_1_with_coordinates(tmp_path, capsys, rows, where, message):
+    pairs = write(tmp_path / "pairs.tsv", "".join(f"dobj\tverb{i}\tnoun{i}\n"
+                                                  for i in range(100)))
+    checkpoints = write(tmp_path / "cp.tsv", rows)
+    assert main(["survey", "--pairs", pairs, "--checkpoints", checkpoints,
+                 "--seed", "5"]) == 1
+    assert capsys.readouterr().err == f"error: {checkpoints}{where}: {message}\n"
+
+
 def test_log_level_env_override(tmp_path):
     corpus = tmp_path / "c.conllu"
     corpus.write_text(FISH_WORM, encoding="utf-8")
