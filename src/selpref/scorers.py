@@ -92,7 +92,7 @@ class LookupModel:
 
     name = "lookup"
 
-    def __init__(self, table: dict[SPPair, float]):
+    def __init__(self, table: dict[SPPair, Optional[float]]):
         self.table = dict(table)
 
     def score(self, pair: SPPair) -> Optional[float]:

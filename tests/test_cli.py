@@ -629,6 +629,7 @@ def test_bad_log_level_env_exit_1(corpus, capsys, monkeypatch, value):
         "error: SELPREF_LOG_LEVEL: must be one of debug, info, warning, error, "
         f"got {value!r}\n")
 
+
 @pytest.mark.parametrize("row, message", [
     ("bogus\teat\tworm\t2", "unknown selectional relation: 'bogus'"),
     ("dobj\t\tworm\t2", "head lemma is empty"),
@@ -825,17 +826,21 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
-# one command per TSV reader; bad.tsv is the fuzzed file, the others are fixed
+# one command per TSV reader, and the start of its stdout on success;
+# bad.tsv is the fuzzed file, the others are fixed
 TSV_FAMILIES = {
-    "pairs": ["score", "--counts", "counts.tsv", "--pairs", "bad.tsv"],
-    "gold": ["eval", "--gold", "bad.tsv", "--backend", "lookup", "--scores", "gold.tsv"],
-    "scores": ["eval", "--gold", "gold.tsv", "--backend", "lookup", "--scores", "bad.tsv"],
-    "checkpoints": ["survey", "--pairs", "survey_pairs.tsv", "--checkpoints", "bad.tsv",
-                    "--seed", "1"],
-    "lexicon": ["candidates", "--counts", "counts.tsv", "--lexicon", "bad.tsv",
-                "--relation", "dobj", "--seed", "1", "--random-per-head", "0"],
-    "counts": ["score", "--counts", "bad.tsv", "--pairs", "pairs.tsv"],
-    "omcs": ["omcs-match", "--gold", "gold.tsv", "--omcs", "bad.tsv"],
+    "pairs": (["score", "--counts", "counts.tsv", "--pairs", "bad.tsv"], "#sp-scores v1\n"),
+    "gold": (["eval", "--gold", "bad.tsv", "--backend", "lookup", "--scores", "gold.tsv"],
+             "relation"),
+    "scores": (["eval", "--gold", "gold.tsv", "--backend", "lookup", "--scores", "bad.tsv"],
+               "relation"),
+    "checkpoints": (["survey", "--pairs", "survey_pairs.tsv", "--checkpoints", "bad.tsv",
+                     "--seed", "1"], "{"),
+    "lexicon": (["candidates", "--counts", "counts.tsv", "--lexicon", "bad.tsv",
+                 "--relation", "dobj", "--seed", "1", "--random-per-head", "0"],
+                "#sp-candidates v1\n"),
+    "counts": (["score", "--counts", "bad.tsv", "--pairs", "pairs.tsv"], "#sp-scores v1\n"),
+    "omcs": (["omcs-match", "--gold", "gold.tsv", "--omcs", "bad.tsv"], "group"),
 }
 
 OMCS_PIECES = [b"\t", b"\n", b"\r", b" ", b"#", b"eat", b"worms", b"Fish", b"UsedFor",
@@ -859,13 +864,13 @@ ROWS = st.one_of(
 def test_any_bytes_exit_0_or_error_line(fuzz_dir, family, data):
     bad = fuzz_dir / "bad.tsv"
     bad.write_bytes(data)
-    argv = [str(fuzz_dir / arg) if arg.endswith(".tsv") else arg
-            for arg in TSV_FAMILIES[family]]
+    command, stdout = TSV_FAMILIES[family]
+    argv = [str(fuzz_dir / arg) if arg.endswith(".tsv") else arg for arg in command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     if rc == 0:
-        assert err.getvalue() == "" and out.getvalue()
+        assert err.getvalue() == "" and out.getvalue().startswith(stdout)
         return
     assert rc == 1
     # a survey needs three checkpoints: the one error that is not a row's
