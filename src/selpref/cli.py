@@ -51,6 +51,7 @@ from .core import (
     SPRelation,
     _clip,
     _rows,
+    _shown,
     open_input,
     parse_relation,
 )
@@ -131,49 +132,60 @@ class ConfigError(SelPrefError, ValueError):
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
+    with open_input(path) as fh:
+        text = fh.read()
     try:
-        with open_input(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}: invalid JSON: {err.msg}") from None
+    except (RecursionError, ValueError) as err:  # too deep, or an int past the digit limit
+        raise ConfigError(f"{path}: invalid JSON: {_clip(str(err))}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"{path}: unknown config keys: {_shown(', '.join(unknown))}")
     for key, value in doc.items():
-        types, name = _CONFIG_TYPES[type(DEFAULTS[key])]
-        if type(value) not in types:
-            raise ConfigError(f"{path}: key {key!r} must be {name}, got {json.dumps(value)}")
-        if key in CHOICES and value not in CHOICES[key]:
-            raise ConfigError(f"{path}: key {key!r} must be one of "
-                              f"{', '.join(CHOICES[key])}, got {json.dumps(value)}")
+        types, wanted = _CONFIG_TYPES[type(DEFAULTS[key])]
+        if type(value) in types:
+            if key not in CHOICES or value in CHOICES[key]:
+                continue
+            wanted = f"one of {', '.join(CHOICES[key])}"
+        raise ConfigError(f"{path}: key {key!r} must be {wanted}, "
+                          f"got {_shown(json.dumps(value))}")
     return doc
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
-    """flags > config file > defaults, for the listed option keys."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is None:
-            v = file_cfg.get(k, DEFAULTS.get(k))
-        out[k] = v
-    return out
-
-
-def _log_level(args: argparse.Namespace, resolved: dict) -> str:
-    # the one environment override: flag > env > config file > default
-    if getattr(args, "log_level", None) is not None:
-        return args.log_level
+def _resolve(args: argparse.Namespace) -> None:
+    """Fill in place every option the flags left unset: the --config
+    file first, then the default. The log level alone reads
+    SELPREF_LOG_LEVEL, after the flag and before the file."""
+    file_cfg = _load_config_file(args.config)
     env = os.environ.get("SELPREF_LOG_LEVEL")
-    if not env:
-        return resolved["log_level"]
-    if env.lower() not in CHOICES["log_level"]:
-        raise ConfigError(f"SELPREF_LOG_LEVEL: must be one of "
-                          f"{', '.join(CHOICES['log_level'])}, got {_clip(env)}")
-    return env.lower()
+    if args.log_level is None and env:
+        if env.lower() not in CHOICES["log_level"]:
+            raise ConfigError(f"SELPREF_LOG_LEVEL: must be one of "
+                              f"{', '.join(CHOICES['log_level'])}, got {_clip(env)}")
+        args.log_level = env.lower()
+    for key in DEFAULTS.keys() & vars(args).keys():
+        if getattr(args, key) is None:
+            setattr(args, key, file_cfg.get(key, DEFAULTS[key]))
+
+
+# namespace entries that steer the run but are not echoed, and the echo
+# names of the flags whose dest differs from their name
+_NOT_ECHOED = ("func", "config", "log_level")
+_ECHO_NAMES = {"infile": "in", "json_out": "json"}
+
+
+def _config(args: argparse.Namespace) -> dict:
+    """The run config echoed into artifacts: the subcommand, its seed
+    (None without --seed) and every flag under its name."""
+    config = {"seed": None}
+    for key, value in vars(args).items():
+        if key not in _NOT_ECHOED:
+            config[_ECHO_NAMES.get(key, key)] = value
+    return config
 
 
 def _meta(config: dict) -> dict:
@@ -191,6 +203,11 @@ def _open_out(path: Optional[str]):
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+
+
+def _write_json(path: Optional[str], doc: dict) -> None:
+    with _open_out(path) as out:
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_checkpoints(path: str, relation: Optional[SPRelation]
@@ -220,9 +237,8 @@ def _read_checkpoints(path: str, relation: Optional[SPRelation]
     return out
 
 
-def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                 resolved: dict) -> ScoreModel:
-    backend = resolved["backend"]
+def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ScoreModel:
+    backend = args.backend
     if backend == "pp":
         if not args.counts:
             parser.error("backend pp requires --counts")
@@ -261,52 +277,40 @@ def _load_omcs_index(args: argparse.Namespace,
 # subcommand handlers
 
 def cmd_extract(args, parser) -> int:
-    resolved = _resolve(args, ["include_passive", "skip_malformed"])
-    config = {"subcommand": "extract", "in": args.infile, "out": args.out,
-              "seed": None, **resolved}
     with open_input(args.infile) as fh:
         table = count_conllu(fh, source=args.infile,
-                             skip_malformed=resolved["skip_malformed"],
-                             include_passive=resolved["include_passive"])
+                             skip_malformed=args.skip_malformed,
+                             include_passive=args.include_passive)
     with _open_out(args.out) as out:
-        write_counts(table, out, config=config)
+        write_counts(table, out, config=_config(args))
     return 0
 
 
 def cmd_candidates(args, parser) -> int:
-    resolved = _resolve(args, ["heads_per_relation", "frequent_per_head",
-                               "random_per_head"])
     relation = parse_relation(args.relation)
-    config = {"subcommand": "candidates", "counts": args.counts,
-              "lexicon": args.lexicon, "relation": relation.value,
-              "out": args.out, "seed": args.seed, **resolved}
+    args.relation = relation.value  # echoed normalized
     with open_input(args.counts) as fh:
         counts = read_counts(fh, source=args.counts)
     lexicon = Lexicon.from_tsv(args.lexicon)
     cands = generate_candidates(
         counts, lexicon, relation,
-        heads_per_relation=resolved["heads_per_relation"],
-        frequent_per_head=resolved["frequent_per_head"],
-        random_per_head=resolved["random_per_head"],
+        heads_per_relation=args.heads_per_relation,
+        frequent_per_head=args.frequent_per_head,
+        random_per_head=args.random_per_head,
         seed=args.seed,
     )
     with _open_out(args.out) as out:
-        write_candidates(cands, out, config=config)
+        write_candidates(cands, out, config=_config(args))
     return 0
 
 
 def cmd_score(args, parser) -> int:
-    resolved = _resolve(args, ["backend"])
-    config = {"subcommand": "score", "pairs": args.pairs, "out": args.out,
-              "seed": None, "counts": args.counts,
-              "embeddings": args.embeddings, "model": args.model,
-              "scores": args.scores, **resolved}
-    model = _build_model(args, parser, resolved)
+    model = _build_model(args, parser)
     with open_input(args.pairs) as fh:
         pairs = read_pairs(fh, source=args.pairs)
     with _open_out(args.out) as out:
         out.write(SCORES_HEADER + "\n")
-        out.write("#config " + json.dumps(config, sort_keys=True) + "\n")
+        out.write("#config " + json.dumps(_config(args), sort_keys=True) + "\n")
         for pair in pairs:
             value = model.score(pair)
             text = "NA" if value is None else repr(value)
@@ -316,15 +320,13 @@ def cmd_score(args, parser) -> int:
 
 
 def cmd_train_nn(args, parser) -> int:
-    resolved = _resolve(args, ["embedding_dim", "hidden_dim", "margin",
-                               "negatives", "epochs", "learning_rate"])
     nn_config = NNConfig(
-        embedding_dim=resolved["embedding_dim"],
-        hidden_dim=resolved["hidden_dim"],
-        margin=resolved["margin"],
-        negatives_per_positive=resolved["negatives"],
-        epochs=resolved["epochs"],
-        learning_rate=resolved["learning_rate"],
+        embedding_dim=args.embedding_dim,
+        hidden_dim=args.hidden_dim,
+        margin=args.margin,
+        negatives_per_positive=args.negatives,
+        epochs=args.epochs,
+        learning_rate=args.learning_rate,
         seed=args.seed,
     )
     with open_input(args.counts) as fh:
@@ -348,47 +350,33 @@ def cmd_train_nn(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    resolved = _resolve(args, ["backend", "missing"])
-    config = {"subcommand": "eval", "gold": args.gold, "out": args.out,
-              "seed": None, "counts": args.counts,
-              "embeddings": args.embeddings, "model": args.model,
-              "scores": args.scores, **resolved}
-    model = _build_model(args, parser, resolved)
+    model = _build_model(args, parser)
     gold = load_gold_file(args.gold)
-    report = evaluate(model, gold, missing_policy=resolved["missing"])
+    report = evaluate(model, gold, missing_policy=args.missing)
     print(report.to_table())
     if args.out:
         with _open_out(args.out) as out:
-            out.write(report.to_json(**_meta(config)) + "\n")
+            out.write(report.to_json(**_meta(_config(args))) + "\n")
     return 0
 
 
 def cmd_pseudo(args, parser) -> int:
-    resolved = _resolve(args, ["backend"])
-    config = {"subcommand": "pseudo", "pairs": args.pairs,
-              "lexicon": args.lexicon, "out": args.out, "seed": args.seed,
-              "counts": args.counts, "embeddings": args.embeddings,
-              "model": args.model, "scores": args.scores, **resolved}
-    model = _build_model(args, parser, resolved)
+    model = _build_model(args, parser)
     with open_input(args.pairs) as fh:
         pairs = read_pairs(fh, source=args.pairs)
     vocab = Lexicon.from_tsv(args.lexicon)
     accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
-    doc = {"accuracy": accuracy, "n_pairs": len(pairs), "meta": _meta(config)}
-    with _open_out(args.out) as out:
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, {"accuracy": accuracy, "n_pairs": len(pairs),
+                           "meta": _meta(_config(args))})
     return 0
 
 
 def cmd_aggregate(args, parser) -> int:
-    resolved = _resolve(args, ["min_ratings"])
-    config = {"subcommand": "aggregate", "ratings": args.ratings,
-              "out": args.out, "report": args.report, "seed": None,
-              **resolved}
+    config = _config(args)
     with open_input(args.ratings) as fh:
         ratings = read_ratings(fh, source=args.ratings)
     kept, rejections = filter_annotations(ratings)
-    scores, underrated = aggregate(kept, min_ratings=resolved["min_ratings"])
+    scores, underrated = aggregate(kept, min_ratings=args.min_ratings)
     with _open_out(args.out) as out:
         out.write(GOLD_HEADER + "\n")
         out.write("#config " + json.dumps(config, sort_keys=True) + "\n")
@@ -411,16 +399,13 @@ def cmd_aggregate(args, parser) -> int:
             ],
             "meta": _meta(config),
         }
-        with _open_out(args.report) as out:
-            out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json(args.report, doc)
     log.info("aggregate: %d pairs scored, %d rejected annotators",
              len(scores), len(rejections))
     return 0
 
 
 def cmd_iaa(args, parser) -> int:
-    config = {"subcommand": "iaa", "ratings": args.ratings, "out": args.out,
-              "seed": None}
     with open_input(args.ratings) as fh:
         ratings = read_ratings(fh, source=args.ratings)
     kept, rejections = filter_annotations(ratings)
@@ -431,31 +416,24 @@ def cmd_iaa(args, parser) -> int:
         "overall": overall,
         "annotators_kept": len({r.annotator_id for r in kept}),
         "annotators_rejected": len(rejections),
-        "meta": _meta(config),
+        "meta": _meta(_config(args)),
     }
-    with _open_out(args.out) as out:
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 
 def cmd_survey(args, parser) -> int:
-    config = {"subcommand": "survey", "pairs": args.pairs,
-              "checkpoints": args.checkpoints, "out": args.out,
-              "seed": args.seed}
     with open_input(args.pairs) as fh:
         pairs = read_pairs(fh, source=args.pairs)
     checkpoints = _read_checkpoints(args.checkpoints,
                                     pairs[0].relation if pairs else None)
     survey = generate_survey(pairs, checkpoints, seed=args.seed)
     with _open_out(args.out) as out:
-        out.write(survey.to_json(**_meta(config)) + "\n")
+        out.write(survey.to_json(**_meta(_config(args))) + "\n")
     return 0
 
 
 def cmd_omcs_match(args, parser) -> int:
-    config = {"subcommand": "omcs-match", "gold": args.gold,
-              "omcs": args.omcs, "conceptnet": args.conceptnet,
-              "out": args.out, "seed": None}
     gold = load_gold_file(args.gold)
     index = _load_omcs_index(args, parser)
     stats = coverage_by_group(gold, index)
@@ -472,25 +450,20 @@ def cmd_omcs_match(args, parser) -> int:
                 }
                 for group, st in stats.items()
             },
-            "meta": _meta(config),
+            "meta": _meta(_config(args)),
         }
-        with _open_out(args.out) as out:
-            out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, doc)
     return 0
 
 
 def cmd_omcs_matrix(args, parser) -> int:
-    resolved = _resolve(args, ["kind"])
-    config = {"subcommand": "omcs-matrix", "gold": args.gold,
-              "omcs": args.omcs, "conceptnet": args.conceptnet,
-              "out": args.out, "json": args.json_out, "seed": None,
-              **resolved}
+    config = _config(args)
     gold = load_gold_file(args.gold)
     index = _load_omcs_index(args, parser)
     matrix = relation_matrix(gold, index)
     with _open_out(args.out) as out:
         out.write("#config " + json.dumps(config, sort_keys=True) + "\n")
-        out.write(matrix.to_csv(resolved["kind"]))
+        out.write(matrix.to_csv(args.kind))
     if args.json_out:
         with _open_out(args.json_out) as out:
             out.write(matrix.to_json(**_meta(config)) + "\n")
@@ -498,16 +471,11 @@ def cmd_omcs_matrix(args, parser) -> int:
 
 
 def cmd_winograd(args, parser) -> int:
-    resolved = _resolve(args, ["backend"])
     if args.gold:  # --gold GOLD means --backend lookup --scores GOLD
-        resolved["backend"] = "lookup"
-    config = {"subcommand": "winograd", "questions": args.questions,
-              "gold": args.gold, "out": args.out,
-              "predictions": args.predictions, "seed": None,
-              "counts": args.counts, "embeddings": args.embeddings,
-              "model": args.model, "scores": args.scores, **resolved}
+        args.backend = "lookup"
+    config = _config(args)  # echoes --scores as given
     args.scores = args.gold or args.scores
-    model = _build_model(args, parser, resolved)
+    model = _build_model(args, parser)
     if args.questions:
         questions = load_questions_file(args.questions)
     else:
@@ -679,9 +647,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolved_for_log = _resolve(args, ["log_level"])
+        _resolve(args)
         logging.basicConfig(
-            level=getattr(logging, _log_level(args, resolved_for_log).upper()),
+            level=getattr(logging, args.log_level.upper()),
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )

@@ -232,3 +232,11 @@ def _rows(fh: Iterable[str], source, ncols: int, error: type[SelPrefError],
 def _clip(text: str) -> str:
     """repr of an input field echoed in an error, cut to 40 characters."""
     return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
+def _shown(text: str) -> str:
+    """a number or JSON text echoed in an error: printable text unquoted,
+    cut to 40 characters; anything else as _clip gives it."""
+    if not text.isprintable():
+        return _clip(text)
+    return text if len(text) <= 40 else text[:40] + "..."

@@ -27,6 +27,7 @@ from .core import (
     _check_lemma,
     _clip,
     _rows,
+    _shown,
     parse_relation,
 )
 
@@ -286,7 +287,8 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
         except ValueError:
             raise CountTableError(f"{source}:{lineno}: bad count {_clip(count_text)}") from None
         if count < 1:
-            raise CountTableError(f"{source}:{lineno}: count must be >= 1, got {count}")
+            raise CountTableError(f"{source}:{lineno}: count must be >= 1, "
+                                  f"got {_shown(str(count))}")
         relation = _RELATIONS.get(rel_name)
         if relation is None:
             try:
@@ -335,6 +337,11 @@ def generate_candidates(
     random dependents are drawn without replacement, excluding dependents
     already chosen for that head.
     """
+    for name, value in (("heads_per_relation", heads_per_relation),
+                        ("frequent_per_head", frequent_per_head),
+                        ("random_per_head", random_per_head)):
+        if value < 0:
+            raise CandidatePoolError(f"{name} must be >= 0, got {_shown(str(value))}")
     if counts.total(relation) == 0:
         raise CandidatePoolError(f"no counts for relation {relation.value}")
     rng = random.Random(seed)

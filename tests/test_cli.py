@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gzip
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selpref
-from selpref.cli import main
+from selpref.cli import DEFAULTS, build_parser, main
 from selpref.conllu import read_conllu
 from selpref.extract import build_counts, count_conllu, read_counts, write_counts
 
@@ -306,6 +307,8 @@ def test_config_file_unknown_key_exit_1(tmp_path, corpus, capsys):
     ("eval", {"missing": "bogus"}, "key 'missing' must be one of drop, floor, got \"bogus\""),
     ("extract", {"log_level": "verbose"},
      "key 'log_level' must be one of debug, info, warning, error, got \"verbose\""),
+    ("eval", {"missing": "x" * 100},
+     "key 'missing' must be one of drop, floor, got \"" + "x" * 39 + "..."),
 ])
 def test_config_file_bad_value_exit_1(tmp_path, corpus, capsys, sub, doc, message):
     counts, lex = str(make_counts(tmp_path, corpus)), make_lexicon(tmp_path)
@@ -318,6 +321,21 @@ def test_config_file_bad_value_exit_1(tmp_path, corpus, capsys, sub, doc, messag
             "eval": ["--gold", gold, "--backend", "lookup", "--scores", gold]}[sub]
     cfg = write(tmp_path / "cfg.json", json.dumps(doc))
     assert main([sub, *argv, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+# text that json cannot turn into a value (nested past the recursion
+# limit, an integer past Python's 4300-digit limit), and unknown keys
+# that would split the error line if echoed raw
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100000, "invalid JSON: 'maximum recursion depth exceeded while d'..."),
+    ('{"epochs": ' + "9" * 5000 + "}",
+     "invalid JSON: 'Exceeds the limit (4300 digits) for inte'..."),
+    ('{"a\\nb": 1, "zz": 2}', "unknown config keys: 'a\\nb, zz'"),
+], ids=["deep", "5000 digits", "odd keys"])
+def test_config_file_unreadable_json_exit_1(tmp_path, corpus, capsys, text, message):
+    cfg = write(tmp_path / "cfg.json", text)
+    assert main(["extract", "--in", corpus, "--config", cfg]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
@@ -607,6 +625,97 @@ def test_bad_checkpoints_exit_1_with_coordinates(tmp_path, capsys, rows, where, 
     assert capsys.readouterr().err == f"error: {checkpoints}{where}: {message}\n"
 
 
+@pytest.mark.parametrize("option", ["heads_per_relation", "frequent_per_head",
+                                    "random_per_head"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_candidates_negative_count_exit_1(tmp_path, corpus, capsys, option, route):
+    counts, lex = str(make_counts(tmp_path, corpus)), make_lexicon(tmp_path)
+    argv = ["candidates", "--counts", counts, "--lexicon", lex, "--relation", "dobj",
+            "--seed", "1"]
+    if route == "flag":
+        argv += ["--" + option.replace("_", "-"), "-2"]
+    else:
+        argv += ["--config", write(tmp_path / "cfg.json", json.dumps({option: -2}))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {option} must be >= 0, got -2\n"
+
+
+def test_candidates_zero_counts_are_accepted(tmp_path, corpus):
+    out = tmp_path / "c.tsv"
+    assert main(["candidates", "--counts", str(make_counts(tmp_path, corpus)),
+                 "--lexicon", make_lexicon(tmp_path), "--relation", "dobj", "--seed", "1",
+                 "--frequent-per-head", "0", "--random-per-head", "0",
+                 "--out", str(out)]) == 0
+    assert data_lines(out) == []
+
+
+def config_echo(path):
+    line, = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+             if ln.startswith("#config ")]
+    return json.loads(line.removeprefix("#config "))
+
+
+def test_config_file_value_is_echoed_and_used_by_eval(tmp_path):
+    gold = write(tmp_path / "gold.tsv", "#sp10k v1\ndobj\teat\tworm\t9.00\n"
+                                        "dobj\teat\tstone\t1.00\ndobj\teat\tbread\t5.00\n")
+    scores = write(tmp_path / "scores.tsv", "dobj\teat\tworm\t2.0\ndobj\teat\tstone\t1.0\n")
+    cfg = write(tmp_path / "cfg.json", json.dumps({"missing": "drop"}))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--gold", gold, "--backend", "lookup", "--scores", scores,
+                 "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["missing_policy"] == "drop"
+    assert doc["relations"]["dobj"]["n_used"] == 2
+    assert doc["meta"]["config"]["missing"] == "drop"
+
+
+def test_config_key_without_a_flag_is_accepted_and_not_echoed(tmp_path, corpus):
+    cfg = write(tmp_path / "cfg.json", json.dumps({"epochs": 3, "skip_malformed": True}))
+    out = tmp_path / "counts.tsv"
+    assert main(["extract", "--in", corpus, "--config", cfg, "--out", str(out)]) == 0
+    assert config_echo(out) == {"subcommand": "extract", "in": corpus, "out": str(out),
+                                "seed": None, "include_passive": False,
+                                "skip_malformed": True}
+
+
+def test_every_config_key_is_a_flag_defaulting_to_none():
+    # the resolver fills only flags the command line left at None, so a
+    # flag with a default of its own would hide the config file
+    subparsers, = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flagged = set()
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest in DEFAULTS:
+                assert sub.get_default(action.dest) is None, (name, action.dest)
+                flagged.add(action.dest)
+    assert flagged == set(DEFAULTS)
+
+
+# flag, SELPREF_LOG_LEVEL, --config log_level -> whether info is logged
+@pytest.mark.parametrize("flag, env, file, shown", [
+    ("info", "error", "error", True),
+    ("warning", "info", "info", False),
+    (None, "info", "error", True),
+    (None, "error", "info", False),
+    (None, "", "info", True),
+    (None, None, "info", True),
+    (None, None, None, False),
+])
+def test_log_level_precedence(tmp_path, flag, env, file, shown):
+    corpus = write(tmp_path / "c.conllu", FISH_WORM)
+    argv = [sys.executable, "-m", "selpref.cli", "extract", "--in", corpus]
+    argv += ["--log-level", flag] if flag else []
+    if file:
+        argv += ["--config", write(tmp_path / "cfg.json", json.dumps({"log_level": file}))]
+    environ = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC}
+    if env is not None:
+        environ["SELPREF_LOG_LEVEL"] = env
+    proc = subprocess.run(argv, capture_output=True, text=True, env=environ)
+    assert proc.returncode == 0
+    assert ("extract:" in proc.stderr) is shown
+
+
 def test_log_level_env_override(tmp_path):
     corpus = tmp_path / "c.conllu"
     corpus.write_text(FISH_WORM, encoding="utf-8")
@@ -636,6 +745,9 @@ def test_bad_log_level_env_exit_1(corpus, capsys, monkeypatch, value):
     ("dobj\teat\t   \t2", "dependent lemma is empty"),
     pytest.param("dobj\teat\tworm\t" + "9" * 5000, f"bad count '{'9' * 40}'...",
                  id="5000-digit count"),
+    ("dobj\teat\tworm\t-3", "count must be >= 1, got -3"),
+    pytest.param("dobj\teat\tworm\t-" + "9" * 4000,
+                 f"count must be >= 1, got -{'9' * 39}...", id="4000-digit negative count"),
 ])
 def test_bad_counts_row_exit_1_with_coordinates(tmp_path, capsys, row, message):
     counts = write(tmp_path / "counts.tsv",
@@ -879,3 +991,37 @@ def test_any_bytes_exit_0_or_error_line(fuzz_dir, family, data):
     assert (re.fullmatch(row_error, err.getvalue())
             or family == "checkpoints" and re.fullmatch(file_error, err.getvalue())), err.getvalue()
     assert len(err.getvalue()) < len(str(bad)) + 150
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["debug", "info", "drop", "floor", "pp", "lookup", "exact"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6)
+CONFIG_DOCS = st.dictionaries(st.sampled_from(sorted(DEFAULTS) + ["epoch", "", "in"]),
+                              JSON_VALUES, max_size=4)
+JSON_PIECES = [b"{", b"}", b"[", b"]", b":", b",", b" ", b"\n", b'"epochs"', b'"log_level"',
+               b'"info"', b"1", b"-2", b"1.5", b"1e999", b"NaN", b"true", b"null",
+               b"9" * 5000, b"[" * 2000, b"\xff", b"\x00", b"\xc3\xa9"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.one_of(CONFIG_DOCS.map(lambda doc: json.dumps(doc).encode()),
+                      JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+                      st.binary(max_size=64),
+                      st.lists(st.sampled_from(JSON_PIECES), max_size=20).map(b"".join)))
+def test_any_config_bytes_exit_0_or_error_line(fuzz_dir, data):
+    corpus, cfg = fuzz_dir / "corpus.conllu", fuzz_dir / "cfg.json"
+    corpus.write_text(FISH_WORM, encoding="utf-8")
+    cfg.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["extract", "--in", str(corpus), "--config", str(cfg)])
+    if rc == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("#sp-counts v1\n")
+        return
+    assert rc == 1
+    assert re.fullmatch(rf"error: {re.escape(str(cfg))}(:\d+)?: .+\n", err.getvalue()), \
+        err.getvalue()
+    assert len(err.getvalue()) < len(str(cfg)) + 150
