@@ -5,12 +5,11 @@ inter-annotator agreement."""
 from __future__ import annotations
 
 import csv
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation, parse_relation
+from .core import SelPrefError, SPPair, SPRelation, _clip, _shown, parse_relation
 from .evaluation import ConstantInputError, spearman
 
 
@@ -96,8 +95,8 @@ class Survey:
         if any(q.pair.relation is not self.relation for q in self.questions):
             raise MixedRelationError("survey mixes relations")
 
-    def to_json(self, **meta) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "relation": self.relation.value,
             "instructions": (
                 "Rate how suitable each word combination is. Select one "
@@ -121,9 +120,6 @@ class Survey:
                 for i, q in enumerate(self.questions)
             ],
         }
-        if meta:
-            doc["meta"] = meta
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def generate_survey(
@@ -167,7 +163,7 @@ class RawRating:
 
     def __post_init__(self):
         if not (RATING_MIN <= self.rating <= RATING_MAX):
-            raise AnnotationError(f"rating {self.rating} outside [1,5]")
+            raise AnnotationError(f"rating {_shown(str(self.rating))} outside [1,5]")
         if self.is_checkpoint and not self.expected:
             raise AnnotationError("checkpoint rating without expected answers")
         if not self.is_checkpoint and self.expected:
@@ -316,30 +312,47 @@ def write_ratings(ratings: Iterable[RawRating], fh: TextIO) -> None:
         ])
 
 
+def parse_rating_set(text: str) -> frozenset[int]:
+    """A |-joined set of ratings, as a checkpoint's expected answers."""
+    try:
+        ratings = frozenset(int(v) for v in text.split("|"))
+    except ValueError:
+        ratings = frozenset()
+    if not ratings or not all(RATING_MIN <= r <= RATING_MAX for r in ratings):
+        raise AnnotationError(f"bad expected ratings {_clip(text)}")
+    return ratings
+
+
 def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
+    """Read write_ratings' CSV; an error names the line its row ends on."""
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != RATINGS_COLUMNS:
-        raise AnnotationError(f"{source}: bad header {header!r}")
     out = []
-    for lineno, row in enumerate(reader, 2):
-        if not row:
-            continue
-        if len(row) != len(RATINGS_COLUMNS):
-            raise AnnotationError(
-                f"{source}:{lineno}: expected {len(RATINGS_COLUMNS)} fields, "
-                f"got {len(row)}"
-            )
-        ann_id, rel_name, head, dep, rating, is_cp, expected = row
-        try:
-            out.append(RawRating(
-                annotator_id=ann_id,
-                pair=SPPair(parse_relation(rel_name), head, dep),
-                rating=int(rating),
-                is_checkpoint=is_cp == "1",
-                expected=frozenset(int(e) for e in expected.split("|"))
-                if expected else None,
-            ))
-        except (SelPrefError, ValueError) as err:
-            raise AnnotationError(f"{source}:{lineno}: {err}") from None
+    try:
+        header = next(reader, None)
+        if header != RATINGS_COLUMNS:
+            raise AnnotationError(f"{source}:1: bad header {_clip(','.join(header or []))}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(RATINGS_COLUMNS):
+                raise AnnotationError(
+                    f"{source}:{reader.line_num}: expected {len(RATINGS_COLUMNS)} "
+                    f"fields, got {len(row)}"
+                )
+            ann_id, rel_name, head, dep, rating, is_cp, expected = row
+            try:
+                out.append(RawRating(
+                    annotator_id=ann_id,
+                    pair=SPPair(parse_relation(rel_name), head, dep),
+                    rating=int(rating),
+                    is_checkpoint=is_cp == "1",
+                    expected=parse_rating_set(expected) if expected else None,
+                ))
+            except SelPrefError as err:
+                raise AnnotationError(f"{source}:{reader.line_num}: {err}") from None
+            except ValueError:  # only int() raises a bare one
+                raise AnnotationError(
+                    f"{source}:{reader.line_num}: bad rating {_clip(rating)}") from None
+    except csv.Error as err:
+        raise AnnotationError(f"{source}:{reader.line_num}: {err}") from None
     return out

@@ -2,9 +2,10 @@
 
 One executable, twelve subcommands, wiring corpora, count tables,
 scorers, gold ratings, surveys, commonsense matching and the pronoun
-resolver together. Every run is seeded and config-driven; the resolved
-configuration is echoed into each output artifact so results can be
-traced back to the exact invocation.
+resolver together. Every run is seeded and config-driven. Each artifact
+but the trained model and the winograd predictions CSV echoes the resolved
+config, so results can be traced back to the exact invocation: a JSON
+artifact in its meta block, a TSV or CSV artifact in a #config line.
 
 Option precedence: command line flags beat the --config file, which
 beats built-in defaults. The only environment override is
@@ -26,14 +27,13 @@ from typing import Optional
 from . import __version__
 from .annotate import (
     CHECKPOINTS_PER_SURVEY,
-    RATING_MAX,
-    RATING_MIN,
     AnnotationError,
     MixedRelationError,
     aggregate,
     filter_annotations,
     generate_survey,
     iaa,
+    parse_rating_set,
     read_ratings,
 )
 from .commonsense import (
@@ -50,6 +50,7 @@ from .core import (
     SPPair,
     SPRelation,
     _clip,
+    _load_json,
     _rows,
     _shown,
     open_input,
@@ -78,10 +79,9 @@ from .scorers import DSModel, LookupModel, PPModel, ScoreModel
 from .winograd import (
     SCHEMA_VERSION,
     bundled_questions,
-    load_questions_file,
+    load_questions,
     resolve,
     score_accuracy,
-    summary_json,
     write_predictions,
 )
 
@@ -132,14 +132,7 @@ class ConfigError(SelPrefError, ValueError):
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open_input(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}:{err.lineno}: invalid JSON: {err.msg}") from None
-    except (RecursionError, ValueError) as err:  # too deep, or an int past the digit limit
-        raise ConfigError(f"{path}: invalid JSON: {_clip(str(err))}") from None
+    doc = _read(_load_json, path, error=ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - CONFIG_KEYS)
@@ -188,14 +181,6 @@ def _config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _meta(config: dict) -> dict:
-    return {
-        "tool": f"selpref {__version__}",
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "config": config,
-    }
-
-
 @contextmanager
 def _open_out(path: Optional[str]):
     if path is None or path == "-":
@@ -205,34 +190,48 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
-def _write_json(path: Optional[str], doc: dict) -> None:
+def _write_json(path: Optional[str], doc: dict, args: argparse.Namespace) -> None:
+    meta = {"tool": f"selpref {__version__}",
+            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "config": _config(args)}
     with _open_out(path) as out:
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps({**doc, "meta": meta}, indent=2, sort_keys=True) + "\n")
 
 
-def _read_checkpoints(path: str, relation: Optional[SPRelation]
+@contextmanager
+def _open_echoed(path: Optional[str], args: argparse.Namespace,
+                 header: Optional[str] = None):
+    """Open an output with its format header, if any, and #config line written."""
+    with _open_out(path) as out:
+        if header:
+            out.write(header + "\n")
+        out.write("#config " + json.dumps(_config(args), sort_keys=True) + "\n")
+        yield out
+
+
+def _read(reader, path: str, **kwargs):
+    """reader's result on the opened input, its errors naming that path."""
+    with open_input(path) as fh:
+        return reader(fh, source=path, **kwargs)
+
+
+def _read_checkpoints(fh, source: str, relation: Optional[SPRelation]
                       ) -> list[tuple[SPPair, frozenset]]:
     """relation/head/dependent/expected rows, all of the survey's relation;
     expected is |-joined ratings."""
     out = []
-    with open_input(path) as fh:
-        for lineno, (rel_name, head, dep, text) in _rows(fh, path, 4, AnnotationError):
-            try:
-                pair = SPPair(parse_relation(rel_name), head, dep)
-            except SelPrefError as err:
-                raise AnnotationError(f"{path}:{lineno}: {err}") from None
-            try:
-                expected = frozenset(int(v) for v in text.split("|"))
-            except ValueError:
-                expected = frozenset()
-            if not expected or not all(RATING_MIN <= e <= RATING_MAX for e in expected):
-                raise AnnotationError(f"{path}:{lineno}: bad expected ratings {_clip(text)}")
-            if relation not in (None, pair.relation):
-                raise MixedRelationError(f"{path}:{lineno}: checkpoint relation "
-                                         f"{pair.relation}, survey relation {relation}")
-            out.append((pair, expected))
+    for lineno, (rel_name, head, dep, text) in _rows(fh, source, 4, AnnotationError):
+        try:
+            pair = SPPair(parse_relation(rel_name), head, dep)
+            expected = parse_rating_set(text)
+        except SelPrefError as err:
+            raise AnnotationError(f"{source}:{lineno}: {err}") from None
+        if relation not in (None, pair.relation):
+            raise MixedRelationError(f"{source}:{lineno}: checkpoint relation "
+                                     f"{pair.relation}, survey relation {relation}")
+        out.append((pair, expected))
     if len(out) != CHECKPOINTS_PER_SURVEY:
-        raise AnnotationError(f"{path}: need exactly {CHECKPOINTS_PER_SURVEY} "
+        raise AnnotationError(f"{source}: need exactly {CHECKPOINTS_PER_SURVEY} "
                               f"checkpoints, got {len(out)}")
     return out
 
@@ -242,14 +241,11 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> S
     if backend == "pp":
         if not args.counts:
             parser.error("backend pp requires --counts")
-        with open_input(args.counts) as fh:
-            return PPModel(read_counts(fh, source=args.counts))
+        return PPModel(_read(read_counts, args.counts))
     if backend == "ds":
         if not (args.counts and args.embeddings):
             parser.error("backend ds requires --counts and --embeddings")
-        with open_input(args.counts) as fh:
-            counts = read_counts(fh, source=args.counts)
-        return DSModel(counts, load_embeddings(args.embeddings))
+        return DSModel(_read(read_counts, args.counts), load_embeddings(args.embeddings))
     if backend == "nn":
         if not args.model:
             parser.error("backend nn requires --model")
@@ -266,8 +262,7 @@ def _load_omcs_index(args: argparse.Namespace,
     if bool(args.omcs) == bool(args.conceptnet):
         parser.error("exactly one of --omcs / --conceptnet is required")
     if args.omcs:
-        with open_input(args.omcs) as fh:
-            triplets = read_omcs(fh, source=args.omcs)
+        triplets = _read(read_omcs, args.omcs)
     else:
         with open_input(args.conceptnet) as fh:
             triplets = import_conceptnet_csv(fh)
@@ -277,10 +272,8 @@ def _load_omcs_index(args: argparse.Namespace,
 # subcommand handlers
 
 def cmd_extract(args, parser) -> int:
-    with open_input(args.infile) as fh:
-        table = count_conllu(fh, source=args.infile,
-                             skip_malformed=args.skip_malformed,
-                             include_passive=args.include_passive)
+    table = _read(count_conllu, args.infile, skip_malformed=args.skip_malformed,
+                  include_passive=args.include_passive)
     with _open_out(args.out) as out:
         write_counts(table, out, config=_config(args))
     return 0
@@ -289,8 +282,7 @@ def cmd_extract(args, parser) -> int:
 def cmd_candidates(args, parser) -> int:
     relation = parse_relation(args.relation)
     args.relation = relation.value  # echoed normalized
-    with open_input(args.counts) as fh:
-        counts = read_counts(fh, source=args.counts)
+    counts = _read(read_counts, args.counts)
     lexicon = Lexicon.from_tsv(args.lexicon)
     cands = generate_candidates(
         counts, lexicon, relation,
@@ -306,11 +298,8 @@ def cmd_candidates(args, parser) -> int:
 
 def cmd_score(args, parser) -> int:
     model = _build_model(args, parser)
-    with open_input(args.pairs) as fh:
-        pairs = read_pairs(fh, source=args.pairs)
-    with _open_out(args.out) as out:
-        out.write(SCORES_HEADER + "\n")
-        out.write("#config " + json.dumps(_config(args), sort_keys=True) + "\n")
+    pairs = _read(read_pairs, args.pairs)
+    with _open_echoed(args.out, args, SCORES_HEADER) as out:
         for pair in pairs:
             value = model.score(pair)
             text = "NA" if value is None else repr(value)
@@ -329,8 +318,7 @@ def cmd_train_nn(args, parser) -> int:
         learning_rate=args.learning_rate,
         seed=args.seed,
     )
-    with open_input(args.counts) as fh:
-        counts = read_counts(fh, source=args.counts)
+    counts = _read(read_counts, args.counts)
     vocab = Lexicon.from_tsv(args.lexicon)
 
     def instances():
@@ -355,31 +343,23 @@ def cmd_eval(args, parser) -> int:
     report = evaluate(model, gold, missing_policy=args.missing)
     print(report.to_table())
     if args.out:
-        with _open_out(args.out) as out:
-            out.write(report.to_json(**_meta(_config(args))) + "\n")
+        _write_json(args.out, report.to_dict(), args)
     return 0
 
 
 def cmd_pseudo(args, parser) -> int:
     model = _build_model(args, parser)
-    with open_input(args.pairs) as fh:
-        pairs = read_pairs(fh, source=args.pairs)
+    pairs = _read(read_pairs, args.pairs)
     vocab = Lexicon.from_tsv(args.lexicon)
     accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
-    _write_json(args.out, {"accuracy": accuracy, "n_pairs": len(pairs),
-                           "meta": _meta(_config(args))})
+    _write_json(args.out, {"accuracy": accuracy, "n_pairs": len(pairs)}, args)
     return 0
 
 
 def cmd_aggregate(args, parser) -> int:
-    config = _config(args)
-    with open_input(args.ratings) as fh:
-        ratings = read_ratings(fh, source=args.ratings)
-    kept, rejections = filter_annotations(ratings)
+    kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
     scores, underrated = aggregate(kept, min_ratings=args.min_ratings)
-    with _open_out(args.out) as out:
-        out.write(GOLD_HEADER + "\n")
-        out.write("#config " + json.dumps(config, sort_keys=True) + "\n")
+    with _open_echoed(args.out, args, GOLD_HEADER) as out:
         for pair in sorted(scores, key=lambda p: (p.relation.value, p.head,
                                                   p.dependent)):
             out.write(f"{pair.relation.value}\t{pair.head}\t"
@@ -397,39 +377,32 @@ def cmd_aggregate(args, parser) -> int:
                 {"annotator_id": r.annotator_id, "reason": r.reason}
                 for r in rejections
             ],
-            "meta": _meta(config),
         }
-        _write_json(args.report, doc)
+        _write_json(args.report, doc, args)
     log.info("aggregate: %d pairs scored, %d rejected annotators",
              len(scores), len(rejections))
     return 0
 
 
 def cmd_iaa(args, parser) -> int:
-    with open_input(args.ratings) as fh:
-        ratings = read_ratings(fh, source=args.ratings)
-    kept, rejections = filter_annotations(ratings)
+    kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
     per_relation, overall = iaa(kept)
-    doc = {
+    _write_json(args.out, {
         "per_relation": {r.value: v for r, v in sorted(
             per_relation.items(), key=lambda kv: kv[0].value)},
         "overall": overall,
         "annotators_kept": len({r.annotator_id for r in kept}),
         "annotators_rejected": len(rejections),
-        "meta": _meta(_config(args)),
-    }
-    _write_json(args.out, doc)
+    }, args)
     return 0
 
 
 def cmd_survey(args, parser) -> int:
-    with open_input(args.pairs) as fh:
-        pairs = read_pairs(fh, source=args.pairs)
-    checkpoints = _read_checkpoints(args.checkpoints,
-                                    pairs[0].relation if pairs else None)
+    pairs = _read(read_pairs, args.pairs)
+    checkpoints = _read(_read_checkpoints, args.checkpoints,
+                        relation=pairs[0].relation if pairs else None)
     survey = generate_survey(pairs, checkpoints, seed=args.seed)
-    with _open_out(args.out) as out:
-        out.write(survey.to_json(**_meta(_config(args))) + "\n")
+    _write_json(args.out, survey.to_dict(), args)
     return 0
 
 
@@ -439,45 +412,38 @@ def cmd_omcs_match(args, parser) -> int:
     stats = coverage_by_group(gold, index)
     print(coverage_table(stats))
     if args.out:
-        doc = {
-            "groups": {
-                group.value: {
-                    "pairs": st.n_pairs,
-                    "exact": st.n_exact,
-                    "partial": st.n_partial,
-                    "exact_rate": st.exact_rate,
-                    "partial_rate": st.partial_rate,
-                }
-                for group, st in stats.items()
-            },
-            "meta": _meta(_config(args)),
-        }
-        _write_json(args.out, doc)
+        _write_json(args.out, {"groups": {
+            group.value: {
+                "pairs": st.n_pairs,
+                "exact": st.n_exact,
+                "partial": st.n_partial,
+                "exact_rate": st.exact_rate,
+                "partial_rate": st.partial_rate,
+            }
+            for group, st in stats.items()
+        }}, args)
     return 0
 
 
 def cmd_omcs_matrix(args, parser) -> int:
-    config = _config(args)
     gold = load_gold_file(args.gold)
     index = _load_omcs_index(args, parser)
     matrix = relation_matrix(gold, index)
-    with _open_out(args.out) as out:
-        out.write("#config " + json.dumps(config, sort_keys=True) + "\n")
+    with _open_echoed(args.out, args) as out:
         out.write(matrix.to_csv(args.kind))
     if args.json_out:
-        with _open_out(args.json_out) as out:
-            out.write(matrix.to_json(**_meta(config)) + "\n")
+        _write_json(args.json_out, matrix.to_dict(), args)
     return 0
 
 
 def cmd_winograd(args, parser) -> int:
-    if args.gold:  # --gold GOLD means --backend lookup --scores GOLD
+    if args.gold:  # a score TSV used directly, echoed as backend lookup
         args.backend = "lookup"
-    config = _config(args)  # echoes --scores as given
-    args.scores = args.gold or args.scores
-    model = _build_model(args, parser)
+        model = LookupModel(load_scores_file(args.gold))
+    else:
+        model = _build_model(args, parser)
     if args.questions:
-        questions = load_questions_file(args.questions)
+        questions = _read(load_questions, args.questions)
     else:
         questions = bundled_questions()
     predictions = [resolve(q, model) for q in questions]
@@ -485,12 +451,25 @@ def cmd_winograd(args, parser) -> int:
     if args.predictions:
         with _open_out(args.predictions) as out:
             write_predictions(predictions, out)
-    with _open_out(args.out) as out:
-        out.write(summary_json(summary, **_meta(config)) + "\n")
+    _write_json(args.out, summary.to_dict(), args)
     return 0
 
 
 # parser assembly
+
+def _typed(convert):
+    """An argparse type= that clips the rejected value argparse would echo whole."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {_clip(text)}") from None
+    return parse
+
+
+_int, _float = _typed(int), _typed(float)
+
 
 def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=CHOICES["backend"],
@@ -538,10 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True,
                    help="lemma<TAB>pos vocabulary file")
     p.add_argument("--relation", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--heads-per-relation", dest="heads_per_relation", type=int)
-    p.add_argument("--frequent-per-head", dest="frequent_per_head", type=int)
-    p.add_argument("--random-per-head", dest="random_per_head", type=int)
+    p.add_argument("--seed", type=_int, required=True)
+    p.add_argument("--heads-per-relation", dest="heads_per_relation", type=_int)
+    p.add_argument("--frequent-per-head", dest="frequent_per_head", type=_int)
+    p.add_argument("--random-per-head", dest="random_per_head", type=_int)
     p.add_argument("--out")
     _add_common(p)
     p.set_defaults(func=cmd_candidates)
@@ -556,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train-nn", help="train the neural scorer on counts")
     p.add_argument("--counts", required=True)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--out", required=True, help="model .npz path")
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--embedding-dim", dest="embedding_dim", type=_int)
+    p.add_argument("--hidden-dim", dest="hidden_dim", type=_int)
+    p.add_argument("--margin", type=_float)
+    p.add_argument("--negatives", type=_int)
+    p.add_argument("--epochs", type=_int)
+    p.add_argument("--learning-rate", dest="learning_rate", type=_float)
     _add_common(p)
     p.set_defaults(func=cmd_train_nn)
 
@@ -579,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pseudo-disambiguation accuracy of a backend")
     p.add_argument("--pairs", required=True, help="positive test pairs")
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--out")
     _add_backend_flags(p)
     _add_common(p)
@@ -588,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("aggregate",
                         help="filter ratings and aggregate to plausibility")
     p.add_argument("--ratings", required=True, help="ratings CSV")
-    p.add_argument("--min-ratings", dest="min_ratings", type=int)
+    p.add_argument("--min-ratings", dest="min_ratings", type=_int)
     p.add_argument("--out", help="gold-format TSV path")
     p.add_argument("--report", help="JSON rejection/underrated report path")
     _add_common(p)
@@ -604,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="100 pairs, one relation")
     p.add_argument("--checkpoints", required=True,
                    help="3 checkpoint rows with expected ratings")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--out")
     _add_common(p)
     p.set_defaults(func=cmd_survey)

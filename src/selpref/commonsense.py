@@ -10,7 +10,6 @@ counted as partial.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
@@ -252,17 +251,14 @@ class RelationMatrix:
             lines.append(rel.value + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def to_json(self, **meta) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "omcs_relations": self.omcs_relations(),
             "exact": {r.value: dict(sorted(self.exact.get(r, {}).items()))
                       for r in SPRelation},
             "partial": {r.value: dict(sorted(self.partial.get(r, {}).items()))
                         for r in SPRelation},
         }
-        if meta:
-            doc["meta"] = meta
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def relation_matrix(gold: GoldSet, index: OMCSIndex) -> RelationMatrix:

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .core import SelPrefError, open_input
+from .core import SelPrefError, _clip, _shown, open_input
 
 log = logging.getLogger(__name__)
 
@@ -65,11 +65,11 @@ class Sentence:
 def _token_error(index: int, head: int) -> str | None:
     """What is wrong with one token's index and head, or None."""
     if index < 1:
-        return f"token index must be >= 1, got {index}"
+        return f"token index must be >= 1, got {_shown(str(index))}"
     if head < 0:
-        return f"head index must be >= 0, got {head}"
+        return f"head index must be >= 0, got {_shown(str(head))}"
     if head == index:
-        return f"token {index} is its own head"
+        return f"token {_shown(str(index))} is its own head"
     return None
 
 
@@ -83,7 +83,7 @@ def _sentence_error(indices: list[int], heads: list[int]) -> str | None:
         if index != pos:
             return f"token indices not contiguous at position {pos}"
         if head > n:
-            return f"token {index} points at head {head} beyond sentence end"
+            return f"token {index} points at head {_shown(str(head))} beyond sentence end"
     return None
 
 
@@ -116,12 +116,12 @@ def sentence_rows(
             try:
                 index = int(tok_id)
             except ValueError:
-                message = f"bad token id {tok_id!r}"
+                message = f"bad token id {_clip(tok_id)}"
             else:
                 try:
                     head = int(fields[6])
                 except ValueError:
-                    message = f"bad head index {fields[6]!r}"
+                    message = f"bad head index {_clip(fields[6])}"
                 else:
                     if index >= 1 and head >= 0 and head != index:
                         rows.append((index, fields[2], fields[3], head, fields[7], lineno))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import gzip
+import json
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ def _check_lemma(role: str, lemma: str) -> str:
     if not lemma or not lemma.strip():
         raise BadLemmaError(f"{role} lemma is empty")
     if "\t" in lemma or "\n" in lemma or "\r" in lemma:
-        raise BadLemmaError(f"{role} lemma contains tab/newline: {lemma!r}")
+        raise BadLemmaError(f"{role} lemma contains tab/newline: {_clip(lemma)}")
     return lemma.lower()
 
 
@@ -129,6 +130,18 @@ def open_input(path) -> Iterator[TextIO]:
             yield fh
         except _DECODE_ERRORS as err:
             raise InputDecodeError(_first_bad_line(path, gz, err)) from None
+
+
+def _load_json(fh: TextIO, source, error: type[SelPrefError]):
+    """The JSON document of a text stream. Bad syntax, nesting too deep
+    and an int past the digit limit raise ``error`` naming ``source``."""
+    text = fh.read()  # outside the try: a decode error is open_input's to locate
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise error(f"{source}:{err.lineno}: invalid JSON: {err.msg}") from None
+    except (RecursionError, ValueError) as err:
+        raise error(f"{source}: invalid JSON: {_clip(str(err))}") from None
 
 
 def _line_ends(raw: bytes) -> int:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import logging
+import math
 from array import array
 
 import numpy as np
 
-from .core import SelPrefError, open_input
+from .core import SelPrefError, _clip, open_input
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +107,22 @@ def load_embeddings(path) -> EmbeddingTable:
         raise EmptyEmbeddingFile(f"{path}: empty embedding file")
     if dupes:
         log.warning("%s: %d duplicate words ignored (first kept)", path, dupes)
-    return EmbeddingTable.from_rows(list(words), np.frombuffer(buf).reshape(len(words), dim))
+    try:
+        return EmbeddingTable.from_rows(list(words), np.frombuffer(buf).reshape(len(words), dim))
+    except EmbeddingError:  # the one check it makes: every component finite
+        raise EmbeddingError(_non_finite_line(path)) from None
+
+
+def _non_finite_line(path) -> str:
+    """Locate the first kept non-finite vector by reading the file again."""
+    seen = set()
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            word, *parts = line.rstrip("\n").split(" ")
+            if word not in seen and not all(math.isfinite(float(x)) for x in parts):
+                return f"{path}:{lineno}: non-finite component in vector for {_clip(word)}"
+            seen.add(word)
+    return f"{path}: non-finite component"
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,7 +3,6 @@ pseudo-disambiguation."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -264,12 +263,6 @@ class EvalReport:
                 for r in self.per_relation.values()
             },
         }
-
-    def to_json(self, **meta) -> str:
-        doc = self.to_dict()
-        if meta:
-            doc["meta"] = meta
-        return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         """Aligned text table, one relation per row."""

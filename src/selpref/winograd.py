@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation, open_input
+from .core import SelPrefError, SPPair, SPRelation, _check_lemma, _load_json, _shown
 from .scorers import ScoreModel
 
 
@@ -51,11 +50,14 @@ class WinogradQuestion:
 
     def __post_init__(self):
         if self.gold not in (SUBJECT, OBJECT):
-            raise WinogradError(f"question {self.id}: gold must be subject/object")
+            raise WinogradError(f"question {_shown(self.id)}: gold must be subject/object")
         if self.candidate_subject.lemma == self.candidate_object.lemma:
-            raise WinogradError(f"question {self.id}: candidates must differ")
-        if not self.verb or not self.adjective:
-            raise WinogradError(f"question {self.id}: verb and adjective required")
+            raise WinogradError(f"question {_shown(self.id)}: candidates must differ")
+        if not (isinstance(self.verb, str) and isinstance(self.adjective, str)):
+            raise WinogradError(f"question {_shown(self.id)}: verb and adjective must be strings")
+        # resolve pairs them: a lemma SPPair rejects fails here, not while scoring
+        _check_lemma("verb", self.verb)
+        _check_lemma("adjective", self.adjective)
 
 
 class Outcome(enum.Enum):
@@ -156,16 +158,13 @@ def score_accuracy(predictions: Iterable[Prediction]) -> AccuracySummary:
 
 
 def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestion]:
-    try:
-        doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise WinogradError(f"{source}: invalid JSON: {err}") from None
-    if not isinstance(doc, dict) or "questions" not in doc:
-        raise WinogradError(f"{source}: expected an object with a questions array")
+    doc = _load_json(fh, source, WinogradError)
+    if not (isinstance(doc, dict) and isinstance(doc.get("questions"), list)
+            and doc["questions"]):
+        raise WinogradError(f"{source}: expected an object with a non-empty questions array")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise WinogradError(
-            f"{source}: unsupported schema_version {doc.get('schema_version')!r}"
-        )
+        raise WinogradError(f"{source}: unsupported schema_version "
+                            f"{_shown(repr(doc.get('schema_version')))}")
     out = []
     seen = set()
     for i, rec in enumerate(doc["questions"]):
@@ -175,23 +174,20 @@ def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestio
                 sentence=rec["sentence"],
                 verb=rec["verb"],
                 adjective=rec["adjective"],
-                candidate_subject=Mention(**rec["candidate_subject"]),
-                candidate_object=Mention(**rec["candidate_object"]),
+                candidate_subject=Mention(rec["candidate_subject"]["surface"],
+                                          rec["candidate_subject"]["lemma"]),
+                candidate_object=Mention(rec["candidate_object"]["surface"],
+                                         rec["candidate_object"]["lemma"]),
                 gold=rec["gold"],
                 note=rec.get("note", ""),
             )
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, SelPrefError) as err:
             raise WinogradError(f"{source}: question #{i}: {err}") from None
         if q.id in seen:
-            raise WinogradError(f"{source}: duplicate question id {q.id}")
+            raise WinogradError(f"{source}: duplicate question id {_shown(q.id)}")
         seen.add(q.id)
         out.append(q)
     return out
-
-
-def load_questions_file(path) -> list[WinogradQuestion]:
-    with open_input(path) as fh:
-        return load_questions(fh, source=str(path))
 
 
 def bundled_questions() -> list[WinogradQuestion]:
@@ -221,10 +217,3 @@ def write_predictions(predictions: Iterable[Prediction], fh: TextIO) -> None:
             p.predicted or "",
             p.outcome.value,
         ])
-
-
-def summary_json(summary: AccuracySummary, **meta) -> str:
-    doc = summary.to_dict()
-    if meta:
-        doc["meta"] = meta
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -97,9 +97,7 @@ class TestGenerateSurvey:
 
     def test_json_export(self):
         s = generate_survey(self.pairs(), self.checkpoints(), seed=1)
-        import json
-
-        doc = json.loads(s.to_json(seed=1))
+        doc = s.to_dict()
         assert doc["relation"] == "dobj"
         assert len(doc["questions"]) == 103
         assert doc["questions"][0]["index"] == 1

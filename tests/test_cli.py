@@ -625,6 +625,68 @@ def test_bad_checkpoints_exit_1_with_coordinates(tmp_path, capsys, rows, where, 
     assert capsys.readouterr().err == f"error: {checkpoints}{where}: {message}\n"
 
 
+RATINGS_HEAD = "annotator_id,relation,head,dependent,rating,is_checkpoint,expected\n"
+
+
+@pytest.mark.parametrize("rows, where, message", [
+    pytest.param("a,dobj,eat,worm,3,1,9\n", ":2", "bad expected ratings '9'",
+                 id="checkpoint expecting 9"),
+    pytest.param("a,dobj,eat,worm,3,0,\na,dobj,eat,worm,low,0,\n", ":3",
+                 "bad rating 'low'", id="non-integer rating"),
+    pytest.param("a,dobj,eat,worm," + "x" * 5000 + ",0,\n", ":2",
+                 f"bad rating '{'x' * 40}'...", id="5000-character rating"),
+    pytest.param('"a\nb",dobj,eat,worm,3,0,\na,dobj,eat,worm,3,0,4|5\n', ":4",
+                 "expected answers on a non-checkpoint rating",
+                 id="row after a field spanning two lines"),
+    pytest.param("a,dobj,eat,worm," + "1" * 131073 + ",0,\n", ":2",
+                 "field larger than field limit (131072)", id="field over the csv limit"),
+])
+def test_bad_ratings_exit_1_with_coordinates(tmp_path, capsys, rows, where, message):
+    ratings = write(tmp_path / "r.csv", RATINGS_HEAD + rows)
+    assert main(["aggregate", "--ratings", ratings]) == 1
+    assert capsys.readouterr().err == f"error: {ratings}{where}: {message}\n"
+
+
+def test_bad_ratings_header_is_clipped_and_located(tmp_path, capsys):
+    ratings = write(tmp_path / "r.csv", "x" * 5000 + "\n")
+    assert main(["iaa", "--ratings", ratings]) == 1
+    assert capsys.readouterr().err == f"error: {ratings}:1: bad header '{'x' * 40}'...\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "9" * 5000],
+                         ids=["nan", "inf", "1e400", "5000 nines"])
+def test_non_finite_embedding_exit_1_with_coordinates(tmp_path, capsys, corpus, value):
+    vectors = write(tmp_path / "v.txt", f"eat 1 2\nfish 1 2\neat 3 {value}\n"
+                                        f"{'w' * 50} {value} 1\n")
+    pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tworm\n")
+    assert main(["score", "--backend", "ds", "--counts", str(make_counts(tmp_path, corpus)),
+                 "--embeddings", vectors, "--pairs", pairs]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {vectors}:4: non-finite component in vector for '{'w' * 40}'...\n")
+
+
+@pytest.mark.parametrize("flag", ["--heads-per-relation", "--seed"])
+def test_bad_int_flag_value_is_clipped(tmp_path, capsys, flag):
+    argv = ["candidates", "--counts", "c.tsv", "--lexicon", "l.tsv", "--relation", "dobj",
+            "--seed", "1", flag, "9" * 5000]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: invalid int value: '{'9' * 40}'...\n")
+    assert len(err) < 600
+
+
+@pytest.mark.parametrize("argv", [["score", "--counts", "COUNTS", "--pairs", "BAD"],
+                                  ["aggregate", "--ratings", "BAD"]])
+def test_bad_input_leaves_no_output_file(tmp_path, corpus, argv):
+    files = {"BAD": write(tmp_path / "bad.txt", "x\n"),
+             "COUNTS": str(make_counts(tmp_path, corpus))}
+    out = tmp_path / "out.tsv"
+    assert main([files.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["heads_per_relation", "frequent_per_head",
                                     "random_per_head"])
 @pytest.mark.parametrize("route", ["flag", "config"])
@@ -1025,3 +1087,89 @@ def test_any_config_bytes_exit_0_or_error_line(fuzz_dir, data):
     assert re.fullmatch(rf"error: {re.escape(str(cfg))}(:\d+)?: .+\n", err.getvalue()), \
         err.getvalue()
     assert len(err.getvalue()) < len(str(cfg)) + 150
+
+
+def rows_of(good, pieces, sep, widths):
+    """Byte lines joined by newlines: mostly well-formed ones drawn from
+    ``good``, the rest ``pieces`` joined by ``sep``, as many as a width
+    drawn from ``widths``."""
+    free = st.sampled_from(widths).flatmap(
+        lambda n: st.lists(st.sampled_from(pieces), min_size=n, max_size=n)).map(sep.join)
+    return st.lists(st.one_of(good, good, good, free), max_size=6).map(b"\n".join)
+
+
+BAD_BYTES = [b"", b" ", b"\r", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8", b"x" * 5000,
+             b"9" * 5000, b"9" * 4000, b"-" + b"9" * 4000]
+CONLLU_FIELDS = [b"1", b"2", b"3", b"0", b"-1", b"1-2", b"2.1", b"x", b"_", b"eat", b"Fish",
+                 b"VERB", b"NOUN", b"nsubj", b"obj", b"amod", b"root", b"aux:pass", b"#"
+                 ] + BAD_BYTES
+SENTENCES = st.lists(st.tuples(st.sampled_from(["Eat", "fish", "hungry", " "]),
+                               st.sampled_from(["VERB", "NOUN", "ADJ"]), st.integers(0, 3),
+                               st.sampled_from(["root", "nsubj", "obj", "amod", "nsubj:pass"])),
+                     min_size=1, max_size=3).map(lambda tokens: "".join(
+                         f"{i}\t_\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_\n"
+                         for i, (lemma, upos, head, deprel) in enumerate(tokens, 1)).encode())
+RATINGS_HEADER = b"annotator_id,relation,head,dependent,rating,is_checkpoint,expected\n"
+RATING_FIELDS = [b"a1", b"dobj", b"NSUBJ", b"bogus", b"eat", b"worm", b"1", b"3", b"9",
+                 b"0", b"4|5", b"1|9", b"|", b'"a\nb"', b'"x,""y"', b'"', b"1" * 131073
+                 ] + BAD_BYTES
+RATINGS = st.builds("{},{},eat,{},{},{}".format, st.sampled_from(["a1", "a2", '"a\n3"']),
+                    st.sampled_from(["dobj", "NSUBJ"]), st.sampled_from(["worm", "fish"]),
+                    st.integers(1, 5), st.sampled_from(["0,", "1,4|5", "1,1"])
+                    ).map(str.encode)
+VECTOR_FIELDS = [b"eat", b"worm", b"1", b"-0.5", b"nan", b"inf", b"1e400", b"1_0"] + BAD_BYTES
+VECTORS = st.builds("{} {} {}".format, st.sampled_from(["eat", "worm", "fish", "x" * 50]),
+                    st.sampled_from(["1", "-0.5", "0", "2e3"]),
+                    st.sampled_from(["1", "0.25", "0", "nan"])).map(str.encode)
+GOOD_QUESTION = {"id": "q", "sentence": "s", "verb": "eat", "adjective": "hungry",
+                 "candidate_subject": {"surface": "the fish", "lemma": "fish"},
+                 "candidate_object": {"surface": "the worm", "lemma": "worm"}, "gold": "subject"}
+QUESTION_VALUES = JSON_VALUES | st.sampled_from(["", " ", "a\tb", "x" * 5000, "object"])
+QUESTIONS = st.just(GOOD_QUESTION) | st.builds(
+    lambda over, drop: {k: v for k, v in {**GOOD_QUESTION, **over}.items() if k not in drop},
+    st.dictionaries(st.sampled_from(sorted(GOOD_QUESTION)), QUESTION_VALUES, max_size=1),
+    st.sets(st.sampled_from(sorted(GOOD_QUESTION)), max_size=1))
+QUESTION_LISTS = st.lists(QUESTIONS, min_size=1, max_size=3).map(lambda qs: [
+    {**q, "id": f"q{i}"} if q.get("id") == "q" else q for i, q in enumerate(qs)])
+QUESTION_DOCS = st.fixed_dictionaries({
+    "schema_version": st.one_of(st.just(1), st.just(1), QUESTION_VALUES),
+    "questions": st.one_of(QUESTION_LISTS, QUESTION_LISTS, QUESTION_VALUES)})
+
+# one command per input that is not a TSV, the start of its stdout on
+# success, the bytes its fuzzed file bad.tsv is drawn from, and the errors
+# it may end in that name no line
+INPUT_FAMILIES = {
+    "conllu": (["extract", "--in", "bad.tsv"], "#sp-counts v1\n",
+               rows_of(SENTENCES, CONLLU_FIELDS, b"\t", [10, 10, 9, 11]), None),
+    "ratings": (["aggregate", "--ratings", "bad.tsv", "--min-ratings", "1"], "#sp10k v1\n",
+                rows_of(RATINGS, RATING_FIELDS, b",", [7, 7, 6, 8]).map(
+                    lambda rows: RATINGS_HEADER + rows), None),
+    "questions": (["winograd", "--gold", "gold.tsv", "--questions", "bad.tsv"], "{",
+                  QUESTION_DOCS.map(lambda doc: json.dumps(doc).encode()), "{bad}: .+"),
+    "embeddings": (["score", "--backend", "ds", "--counts", "counts.tsv",
+                    "--embeddings", "bad.tsv", "--pairs", "pairs.tsv"], "#sp-scores v1\n",
+                   rows_of(VECTORS, VECTOR_FIELDS, b" ", [1, 3, 3, 4]),
+                   "{bad}: empty embedding file|cosine of a zero-norm vector is undefined"),
+}
+
+@pytest.mark.parametrize("family", sorted(INPUT_FAMILIES))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_input_bytes_exit_0_or_error_line(fuzz_dir, family, data):
+    command, stdout, structured, unlocated = INPUT_FAMILIES[family]
+    bad = fuzz_dir / "bad.tsv"
+    bad.write_bytes(data.draw(st.one_of(
+        st.binary(max_size=64), structured,
+        st.lists(st.sampled_from(JSON_PIECES + FIELDS), max_size=20).map(b"".join))))
+    argv = [str(fuzz_dir / arg) if arg.endswith(".tsv") else arg for arg in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith(stdout)
+        return
+    assert rc == 1
+    where = re.escape(str(bad))
+    other = "" if unlocated is None else "|" + unlocated.format(bad=where)
+    assert re.fullmatch(rf"error: ({where}:\d+: .+{other})\n", err.getvalue()), err.getvalue()
+    assert len(err.getvalue()) < len(str(bad)) + 150

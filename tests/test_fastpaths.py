@@ -983,7 +983,7 @@ class TestOMCSIndex:
         got, want = relation_matrix(gold, new), old_relation_matrix(gold, old)
         for kind in (MatchKind.EXACT, MatchKind.PARTIAL):
             assert got.to_csv(kind) == want.to_csv(kind)
-        assert got.to_json(run=1) == want.to_json(run=1)
+        assert got.to_dict() == want.to_dict()
         return new
 
     def test_random_triplets_match_reference(self):
