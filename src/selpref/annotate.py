@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
 from .core import SelPrefError, SPPair, SPRelation, _clip, _shown, parse_relation
@@ -59,7 +59,6 @@ QUESTION_TEMPLATES = {
     ),
 }
 
-QUESTIONS_PER_SURVEY = 103
 PAIRS_PER_SURVEY = 100
 CHECKPOINTS_PER_SURVEY = 3
 
@@ -73,27 +72,23 @@ def render_question(pair: SPPair) -> str:
 @dataclass(frozen=True)
 class SurveyQuestion:
     pair: SPPair
-    text: str
-    is_checkpoint: bool
     expected: Optional[frozenset[int]] = None  # accepted checkpoint answers
+
+    @property
+    def text(self) -> str:
+        return render_question(self.pair)
+
+    @property
+    def is_checkpoint(self) -> bool:
+        return self.expected is not None
 
 
 @dataclass
 class Survey:
+    """The questions of one relation, as generate_survey builds them."""
+
     relation: SPRelation
     questions: list[SurveyQuestion]
-
-    def __post_init__(self):
-        if len(self.questions) != QUESTIONS_PER_SURVEY:
-            raise AnnotationError(
-                f"survey must hold {QUESTIONS_PER_SURVEY} questions, "
-                f"got {len(self.questions)}"
-            )
-        n_cp = sum(q.is_checkpoint for q in self.questions)
-        if n_cp != CHECKPOINTS_PER_SURVEY:
-            raise AnnotationError(f"survey must hold 3 checkpoints, got {n_cp}")
-        if any(q.pair.relation is not self.relation for q in self.questions):
-            raise MixedRelationError("survey mixes relations")
 
     def to_dict(self) -> dict:
         return {
@@ -143,11 +138,8 @@ def generate_survey(
         if not expected or not all(RATING_MIN <= e <= RATING_MAX for e in expected):
             raise AnnotationError(f"bad checkpoint expected set: {sorted(expected)}")
 
-    questions = [
-        SurveyQuestion(p, render_question(p), False) for p in pairs
-    ] + [
-        SurveyQuestion(p, render_question(p), True, frozenset(expected))
-        for p, expected in checkpoints
+    questions = [SurveyQuestion(p) for p in pairs] + [
+        SurveyQuestion(p, frozenset(expected)) for p, expected in checkpoints
     ]
     random.Random(seed).shuffle(questions)
     return Survey(relation=relation, questions=questions)
@@ -210,7 +202,7 @@ def filter_annotations(
 def aggregate(
     kept: list[RawRating], min_ratings: int = 10
 ) -> tuple[dict[SPPair, float], dict[SPPair, int]]:
-    """Mean rating per pair mapped onto [0,10] via (mean - 1) * 2.5.
+    """Mean rating per pair mapped onto [0,10] by scale_rating_mean.
 
     Checkpoint answers never enter the aggregate. Pairs with fewer than
     min_ratings ratings come back in the second map (pair -> how many it
@@ -227,7 +219,7 @@ def aggregate(
     underrated = {}
     for pair, n in counts.items():
         if n >= min_ratings:
-            scores[pair] = (sums[pair] / n - 1.0) * 2.5
+            scores[pair] = scale_rating_mean(sums[pair] / n)
         else:
             underrated[pair] = n
     return scores, underrated
@@ -254,14 +246,12 @@ def _leave_one_out(by_annotator: dict[str, dict[SPPair, float]]) -> list[float]:
                 shared.append((rating, sum(others) / len(others)))
         if len(shared) < 2:
             raise InsufficientOverlapError(
-                f"annotator {ann_id!r} shares fewer than 2 pairs with the rest"
+                f"annotator {_clip(ann_id)} shares fewer than 2 pairs with the rest"
             )
         try:
             rhos.append(spearman([a for a, _ in shared], [b for _, b in shared]))
         except ConstantInputError as err:
-            raise InsufficientOverlapError(
-                f"annotator {ann_id!r}: {err}"
-            ) from None
+            raise InsufficientOverlapError(f"annotator {_clip(ann_id)}: {err}") from None
     return rhos
 
 

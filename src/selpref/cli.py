@@ -28,6 +28,7 @@ from . import __version__
 from .annotate import (
     CHECKPOINTS_PER_SURVEY,
     AnnotationError,
+    InsufficientOverlapError,
     MixedRelationError,
     aggregate,
     filter_annotations,
@@ -386,7 +387,10 @@ def cmd_aggregate(args, parser) -> int:
 
 def cmd_iaa(args, parser) -> int:
     kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
-    per_relation, overall = iaa(kept)
+    try:
+        per_relation, overall = iaa(kept)
+    except InsufficientOverlapError as err:
+        raise InsufficientOverlapError(f"{args.ratings}: {err}") from None
     _write_json(args.out, {
         "per_relation": {r.value: v for r, v in sorted(
             per_relation.items(), key=lambda kv: kv[0].value)},

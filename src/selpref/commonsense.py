@@ -128,15 +128,20 @@ class OMCSIndex:
         return [self.triplets[i] for i in sorted(ids)]
 
 
-def match_pair(pair: SPPair, index: OMCSIndex) -> MatchResult:
-    """Exact first and short-circuiting, then partial, else none."""
+def _witnesses(pair: SPPair, index: OMCSIndex) -> tuple[MatchKind, list[OMCSTriplet]]:
+    """Exact wins: the partial witnesses are looked up only when the pair
+    has no exact one. NONE comes with no witnesses."""
     exact = index.exact_witnesses(pair)
     if exact:
-        return MatchResult(pair, MatchKind.EXACT, exact[0])
+        return MatchKind.EXACT, exact
     partial = index.partial_witnesses(pair)
-    if partial:
-        return MatchResult(pair, MatchKind.PARTIAL, partial[0])
-    return MatchResult(pair, MatchKind.NONE)
+    return (MatchKind.PARTIAL if partial else MatchKind.NONE), partial
+
+
+def match_pair(pair: SPPair, index: OMCSIndex) -> MatchResult:
+    """The pair's match kind with its lowest-numbered witness."""
+    kind, witnesses = _witnesses(pair, index)
+    return MatchResult(pair, kind, witnesses[0] if witnesses else None)
 
 
 class PlausibilityGroup(enum.Enum):
@@ -179,24 +184,22 @@ class GroupStats:
 def coverage_by_group(gold: GoldSet, index: OMCSIndex) -> dict[PlausibilityGroup, GroupStats]:
     """Table of match kinds per plausibility group (pair-level counts)."""
     stats = {g: GroupStats(g) for g in PlausibilityGroup}
+    kinds = dict.fromkeys(MatchKind, 0)
     for pair, value in gold.items():
         s = stats[classify_plausibility(value)]
+        kind, _ = _witnesses(pair, index)
+        kinds[kind] += 1
         s.n_pairs += 1
-        kind = match_pair(pair, index).kind
-        if kind is MatchKind.EXACT:
-            s.n_exact += 1
-        elif kind is MatchKind.PARTIAL:
-            s.n_partial += 1
-    exact = sum(s.n_exact for s in stats.values())
-    partial = sum(s.n_partial for s in stats.values())
-    _log_summary(index, exact, partial, len(gold) - exact - partial)
+        s.n_exact += kind is MatchKind.EXACT
+        s.n_partial += kind is MatchKind.PARTIAL
+    _log_summary(index, kinds)
     return stats
 
 
-def _log_summary(index: OMCSIndex, exact: int, partial: int, none: int) -> None:
+def _log_summary(index: OMCSIndex, kinds: dict[MatchKind, int]) -> None:
     log.info("%d triplets read, %d distinct tokens lemmatized; "
-             "pairs exact=%d partial=%d none=%d",
-             len(index), index.distinct_tokens, exact, partial, none)
+             "pairs exact=%d partial=%d none=%d", len(index), index.distinct_tokens,
+             kinds[MatchKind.EXACT], kinds[MatchKind.PARTIAL], kinds[MatchKind.NONE])
 
 
 def coverage_table(stats: dict[PlausibilityGroup, GroupStats]) -> str:
@@ -262,23 +265,17 @@ class RelationMatrix:
 
 
 def relation_matrix(gold: GoldSet, index: OMCSIndex) -> RelationMatrix:
-    exact: dict[SPRelation, dict[str, int]] = {}
-    partial: dict[SPRelation, dict[str, int]] = {}
-    n_exact = n_partial = 0
+    tables: dict[MatchKind, dict[SPRelation, dict[str, int]]] = {
+        MatchKind.EXACT: {}, MatchKind.PARTIAL: {}}
+    kinds = dict.fromkeys(MatchKind, 0)
     for pair, _ in gold.items():
-        witnesses = index.exact_witnesses(pair)
-        if witnesses:
-            table = exact
-            n_exact += 1
-        else:
-            witnesses = index.partial_witnesses(pair)
-            table = partial
-            n_partial += bool(witnesses)
+        kind, witnesses = _witnesses(pair, index)
+        kinds[kind] += 1
         for t in witnesses:
-            row = table.setdefault(pair.relation, {})
+            row = tables[kind].setdefault(pair.relation, {})
             row[t.relation] = row.get(t.relation, 0) + 1
-    _log_summary(index, n_exact, n_partial, len(gold) - n_exact - n_partial)
-    return RelationMatrix(exact=exact, partial=partial)
+    _log_summary(index, kinds)
+    return RelationMatrix(exact=tables[MatchKind.EXACT], partial=tables[MatchKind.PARTIAL])
 
 
 def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:

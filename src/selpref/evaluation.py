@@ -59,36 +59,35 @@ class GoldSet:
     """Gold plausibility judgments, unique per pair, indexed by relation."""
 
     def __init__(self, entries: Iterable[tuple[SPPair, float]]):
-        self._scores: dict[SPPair, float] = {}
-        self._by_rel: dict[SPRelation, list[SPPair]] = {r: [] for r in SPRelation}
+        # relation -> pair -> value, relations in SPRelation order
+        self._by_rel: dict[SPRelation, dict[SPPair, float]] = {r: {} for r in SPRelation}
         for pair, value in entries:
             check_plausibility(value)
-            if pair in self._scores:
+            values = self._by_rel[pair.relation]
+            if pair in values:
                 raise DuplicatePairError(f"duplicate gold pair: {pair}")
-            self._scores[pair] = value
-            self._by_rel[pair.relation].append(pair)
+            values[pair] = value
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return sum(map(len, self._by_rel.values()))
 
     def __contains__(self, pair: SPPair) -> bool:
-        return pair in self._scores
+        return pair in self._by_rel[pair.relation]
 
     def value(self, pair: SPPair) -> float:
-        return self._scores[pair]
+        return self._by_rel[pair.relation][pair]
 
     def pairs(self, relation: SPRelation | None = None) -> list[SPPair]:
         if relation is None:
-            return [p for r in SPRelation for p in self._by_rel[r]]
+            return [p for values in self._by_rel.values() for p in values]
         return list(self._by_rel[relation])
 
     def relations(self) -> list[SPRelation]:
-        return [r for r in SPRelation if self._by_rel[r]]
+        return [r for r, values in self._by_rel.items() if values]
 
     def items(self) -> Iterable[tuple[SPPair, float]]:
-        for r in SPRelation:
-            for p in self._by_rel[r]:
-                yield p, self._scores[p]
+        for values in self._by_rel.values():
+            yield from values.items()
 
 
 def load_gold(fh: TextIO, source: str = "<stream>") -> GoldSet:

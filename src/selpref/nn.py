@@ -101,8 +101,9 @@ class _RelationNet:
         """SGD step for the positive ``(hi, di)`` against the margin-violating
         negatives ``(ni, cache)``, with gradients from the parameters before
         the step. Per negative, the positive gradient (+lr) then the
-        negative's (-lr) goes to w1, b1, w2, b2, the head row, the dependent
-        row. The rank-1 product dpre x^T is one BLAS call (k = 1) into the
+        negative's (-lr) goes to w1, b1, w2, the head row, the dependent
+        row. b2's gradient is 1 for both, so they cancel and b2 stays 0.0.
+        The rank-1 product dpre x^T is one BLAS call (k = 1) into the
         scratch array ``outer``, shaped like w1. It has np.outer's bits except
         that an exact zero may be +0.0 where np.outer gives -0.0. Adding
         either to a weight differs only if the weight is -0.0, and none is:
@@ -121,7 +122,6 @@ class _RelationNet:
                 w1 += outer
                 b1 += step * dpre
                 w2 += step * hidden
-                self.b2 += step
                 dx = step * dx
                 emb_head[hi] += dx[:e]
                 emb_dep[dep] += dx[e:]

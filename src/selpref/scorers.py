@@ -12,7 +12,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .core import SPPair, SPRelation
+from .core import SPPair
 from .embeddings import EmbeddingTable, ZeroVectorError
 from .extract import CountTable
 

@@ -72,39 +72,32 @@ class Prediction:
     gold: str
     subject_score: Optional[float]
     object_score: Optional[float]
-    predicted: Optional[str]
-    outcome: Outcome
 
-    def __post_init__(self):
-        should_abstain = (
-            self.subject_score is None
-            or self.object_score is None
-            or self.subject_score == self.object_score
-        )
-        if should_abstain != (self.outcome is Outcome.NA):
-            raise WinogradError("outcome is NA iff a score is missing or tied")
-        if (self.predicted is None) != (self.outcome is Outcome.NA):
-            raise WinogradError("prediction present iff an answer was made")
+    @property
+    def predicted(self) -> Optional[str]:
+        """The strictly higher-scoring side; None on a missing score or a tie."""
+        s, o = self.subject_score, self.object_score
+        if s is None or o is None or s == o:
+            return None
+        return SUBJECT if s > o else OBJECT
+
+    @property
+    def outcome(self) -> Outcome:
+        predicted = self.predicted
+        if predicted is None:
+            return Outcome.NA
+        return Outcome.CORRECT if predicted == self.gold else Outcome.WRONG
 
 
 def resolve(q: WinogradQuestion, model: ScoreModel) -> Prediction:
-    """Score the adjective against both roles of the verb and answer with
-    the strictly higher one; abstain on any missing score or a tie."""
-    subject_score = model.score(SPPair(SPRelation.NSUBJ_AMOD, q.verb, q.adjective))
-    object_score = model.score(SPPair(SPRelation.DOBJ_AMOD, q.verb, q.adjective))
-    if subject_score is None or object_score is None or subject_score == object_score:
-        predicted = None
-        outcome = Outcome.NA
-    else:
-        predicted = SUBJECT if subject_score > object_score else OBJECT
-        outcome = Outcome.CORRECT if predicted == q.gold else Outcome.WRONG
+    """Score the adjective against both roles of the verb; the Prediction
+    answers with the strictly higher one and abstains on a missing score
+    or a tie."""
     return Prediction(
         question_id=q.id,
         gold=q.gold,
-        subject_score=subject_score,
-        object_score=object_score,
-        predicted=predicted,
-        outcome=outcome,
+        subject_score=model.score(SPPair(SPRelation.NSUBJ_AMOD, q.verb, q.adjective)),
+        object_score=model.score(SPPair(SPRelation.DOBJ_AMOD, q.verb, q.adjective)),
     )
 
 
@@ -162,9 +155,10 @@ def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestio
     if not (isinstance(doc, dict) and isinstance(doc.get("questions"), list)
             and doc["questions"]):
         raise WinogradError(f"{source}: expected an object with a non-empty questions array")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1
         raise WinogradError(f"{source}: unsupported schema_version "
-                            f"{_shown(repr(doc.get('schema_version')))}")
+                            f"{_shown(repr(version))}")
     out = []
     seen = set()
     for i, rec in enumerate(doc["questions"]):

@@ -1173,3 +1173,33 @@ def test_any_input_bytes_exit_0_or_error_line(fuzz_dir, family, data):
     other = "" if unlocated is None else "|" + unlocated.format(bad=where)
     assert re.fullmatch(rf"error: ({where}:\d+: .+{other})\n", err.getvalue()), err.getvalue()
     assert len(err.getvalue()) < len(str(bad)) + 150
+
+
+@pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")],
+                         ids=["true", "1.0", "string 1"])
+def test_questions_schema_version_must_be_the_int_1(tmp_path, capsys, version, shown):
+    gold = write(tmp_path / "gold.tsv", GOLD)
+    questions = write(tmp_path / "q.json", json.dumps(
+        {"schema_version": version, "questions": [GOOD_QUESTION]}))
+    assert main(["winograd", "--gold", gold, "--questions", questions]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {questions}: unsupported schema_version {shown}\n")
+
+
+@pytest.mark.parametrize("rows, message", [
+    pytest.param(["a" * 5001 + ",dobj,eat,worm,3,0,", "b,dobj,eat,worm,4,0,",
+                  "b,dobj,eat,fish,2,0,"],
+                 f"annotator '{'a' * 40}'... shares fewer than 2 pairs with the rest",
+                 id="long id sharing one pair"),
+    pytest.param(["a" * 5001 + ",dobj,eat,worm,3,0,", "a" * 5001 + ",dobj,eat,fish,3,0,",
+                  "a" * 5001 + ",dobj,eat,stone,5,0,", "b,dobj,eat,worm,4,0,",
+                  "b,dobj,eat,fish,2,0,"],
+                 f"annotator '{'a' * 40}'...: rank variance is zero (constant input)",
+                 id="long id constant on the shared pairs"),
+])
+def test_iaa_overlap_error_names_the_file_and_clips_the_id(tmp_path, capsys, rows, message):
+    ratings = write(tmp_path / "r.csv", RATINGS_HEAD + "\n".join(rows) + "\n")
+    assert main(["iaa", "--ratings", ratings]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ratings}: {message}\n"
+    assert len(err) < len(ratings) + 150

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import selpref
 from selpref.core import (
     BadLemmaError,
     Lexicon,
@@ -121,3 +125,37 @@ class TestLexicon:
         path.write_text("eat\tVB\n")
         with pytest.raises(LexiconError):
             Lexicon.from_tsv(path)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (``__future__`` aside) and never reads;
+    a name listed in ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(selpref.__file__).parent
+    unused = {p.name: unused_imports(p.read_text(encoding="utf-8"))
+              for p in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_imports_sees_imports_annotations_and_all():
+    assert unused_imports(
+        "from __future__ import annotations\nimport os.path\nimport json as j\n"
+        "from typing import Optional, TextIO\nfrom .core import SPPair\n"
+        "__all__ = ['SPPair']\ndef f(fh: TextIO): return os.path.join('a')\n"
+    ) == ["Optional", "j"]

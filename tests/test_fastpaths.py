@@ -7,13 +7,17 @@ that built an ``SPPair`` per row, the scalar ``ds`` loop, the
 pseudo-disambiguation loop that re-sorted the pool for every test pair,
 the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence``
 per sentence and an ``SPPair`` per extracted pair, the OMCS index that
-lemmatized every token occurrence, with its reader, and the NN trainer that
-passed gradient dicts to an ``apply`` step.
+lemmatized every token occurrence, with its reader, the NN trainer that
+passed gradient dicts to an ``apply`` step, and the prediction, survey and
+gold-set records that stored derived fields beside the facts they derive
+from.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
 counting with the same error text and the same warnings in order; OMCS
 index tables, witnesses and matrices exactly, the reader's triplets and
-error text exactly; NN models byte for byte, with the same epoch losses.
+error text exactly; NN models byte for byte, with the same epoch losses;
+predictions, surveys and gold sets exactly, in order, with the same error
+text.
 """
 
 import io
@@ -26,6 +30,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selpref.annotate import (
+    CHECKPOINTS_PER_SURVEY,
+    PAIRS_PER_SURVEY,
+    RATING_MAX,
+    RATING_MIN,
+    RATING_OPTIONS,
+    AnnotationError,
+    MixedRelationError,
+    generate_survey,
+    render_question,
+)
 from selpref.commonsense import (
     GroupStats,
     MatchKind,
@@ -47,6 +62,7 @@ from selpref.core import (
     SelPrefError,
     SPPair,
     SPRelation,
+    check_plausibility,
     parse_relation,
 )
 from selpref.embeddings import (
@@ -56,7 +72,7 @@ from selpref.embeddings import (
     cosine,
     load_embeddings,
 )
-from selpref.evaluation import GoldSet, pseudo_disambiguation
+from selpref.evaluation import DuplicatePairError, GoldSet, pseudo_disambiguation
 from selpref.extract import (
     NOUN_UPOS,
     OBJECT_DEPRELS,
@@ -73,6 +89,15 @@ from selpref.extract import (
 from selpref.lemmatize import lemmatize
 from selpref.nn import NegativePoolError, NNConfig, NNError, NNModel, VocabCoverageError, nn_train
 from selpref.scorers import DSModel, LookupModel, PPModel, ds_score
+from selpref.winograd import (
+    OBJECT,
+    SUBJECT,
+    Mention,
+    Outcome,
+    WinogradError,
+    WinogradQuestion,
+    resolve,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.conllu"
 RELATIONS = list(SPRelation)
@@ -1283,3 +1308,281 @@ class TestNNTrainer:
                     train(pairs, NNConfig(), vocab)
                 errors.append((exc.type, str(exc.value)))
             assert errors[0] == errors[1]
+
+
+# -- Records that stored derived fields: predictions, surveys, gold sets -------
+
+@dataclass(frozen=True)
+class OldPrediction:
+    question_id: str
+    gold: str
+    subject_score: object
+    object_score: object
+    predicted: object
+    outcome: Outcome
+
+    def __post_init__(self):
+        should_abstain = (
+            self.subject_score is None
+            or self.object_score is None
+            or self.subject_score == self.object_score
+        )
+        if should_abstain != (self.outcome is Outcome.NA):
+            raise WinogradError("outcome is NA iff a score is missing or tied")
+        if (self.predicted is None) != (self.outcome is Outcome.NA):
+            raise WinogradError("prediction present iff an answer was made")
+
+
+def old_resolve(q, model):
+    """Score the adjective against both roles of the verb and answer with
+    the strictly higher one; abstain on any missing score or a tie."""
+    subject_score = model.score(SPPair(SPRelation.NSUBJ_AMOD, q.verb, q.adjective))
+    object_score = model.score(SPPair(SPRelation.DOBJ_AMOD, q.verb, q.adjective))
+    if subject_score is None or object_score is None or subject_score == object_score:
+        predicted = None
+        outcome = Outcome.NA
+    else:
+        predicted = SUBJECT if subject_score > object_score else OBJECT
+        outcome = Outcome.CORRECT if predicted == q.gold else Outcome.WRONG
+    return OldPrediction(
+        question_id=q.id,
+        gold=q.gold,
+        subject_score=subject_score,
+        object_score=object_score,
+        predicted=predicted,
+        outcome=outcome,
+    )
+
+
+QUESTIONS_PER_SURVEY = 103
+
+
+@dataclass(frozen=True)
+class OldSurveyQuestion:
+    pair: SPPair
+    text: str
+    is_checkpoint: bool
+    expected: object = None  # accepted checkpoint answers
+
+
+@dataclass
+class OldSurvey:
+    relation: SPRelation
+    questions: list
+
+    def __post_init__(self):
+        if len(self.questions) != QUESTIONS_PER_SURVEY:
+            raise AnnotationError(
+                f"survey must hold {QUESTIONS_PER_SURVEY} questions, "
+                f"got {len(self.questions)}"
+            )
+        n_cp = sum(q.is_checkpoint for q in self.questions)
+        if n_cp != CHECKPOINTS_PER_SURVEY:
+            raise AnnotationError(f"survey must hold 3 checkpoints, got {n_cp}")
+        if any(q.pair.relation is not self.relation for q in self.questions):
+            raise MixedRelationError("survey mixes relations")
+
+    def to_dict(self) -> dict:
+        return {
+            "relation": self.relation.value,
+            "instructions": (
+                "Rate how suitable each word combination is. Select one "
+                "option per question."
+            ),
+            "options": [{"rating": r, "label": l} for r, l in RATING_OPTIONS],
+            "example": {
+                "question": render_question(
+                    SPPair(SPRelation.DOBJ, "eat", "meal")
+                ),
+                "answer": "Perfectly match (5)",
+            },
+            "questions": [
+                {
+                    "index": i + 1,
+                    "relation": q.pair.relation.value,
+                    "head": q.pair.head,
+                    "dependent": q.pair.dependent,
+                    "text": q.text,
+                }
+                for i, q in enumerate(self.questions)
+            ],
+        }
+
+
+def old_generate_survey(pairs, checkpoints, seed=0):
+    """Build one 103-question survey: 100 pairs plus 3 checkpoints with
+    known acceptable answers, in seeded shuffled order."""
+    if len(pairs) != PAIRS_PER_SURVEY:
+        raise AnnotationError(f"need exactly {PAIRS_PER_SURVEY} pairs, got {len(pairs)}")
+    if len(checkpoints) != CHECKPOINTS_PER_SURVEY:
+        raise AnnotationError(
+            f"need exactly {CHECKPOINTS_PER_SURVEY} checkpoints, got {len(checkpoints)}"
+        )
+    relations = {p.relation for p in pairs} | {p.relation for p, _ in checkpoints}
+    if len(relations) != 1:
+        raise MixedRelationError(f"survey mixes relations: {sorted(r.value for r in relations)}")
+    (relation,) = relations
+    for _, expected in checkpoints:
+        if not expected or not all(RATING_MIN <= e <= RATING_MAX for e in expected):
+            raise AnnotationError(f"bad checkpoint expected set: {sorted(expected)}")
+
+    questions = [
+        OldSurveyQuestion(p, render_question(p), False) for p in pairs
+    ] + [
+        OldSurveyQuestion(p, render_question(p), True, frozenset(expected))
+        for p, expected in checkpoints
+    ]
+    random.Random(seed).shuffle(questions)
+    return OldSurvey(relation=relation, questions=questions)
+
+
+class OldGoldSet:
+    """Gold plausibility judgments, unique per pair, indexed by relation."""
+
+    def __init__(self, entries):
+        self._scores = {}
+        self._by_rel = {r: [] for r in SPRelation}
+        for pair, value in entries:
+            check_plausibility(value)
+            if pair in self._scores:
+                raise DuplicatePairError(f"duplicate gold pair: {pair}")
+            self._scores[pair] = value
+            self._by_rel[pair.relation].append(pair)
+
+    def __len__(self) -> int:
+        return len(self._scores)
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._scores
+
+    def value(self, pair) -> float:
+        return self._scores[pair]
+
+    def pairs(self, relation=None):
+        if relation is None:
+            return [p for r in SPRelation for p in self._by_rel[r]]
+        return list(self._by_rel[relation])
+
+    def relations(self):
+        return [r for r in SPRelation if self._by_rel[r]]
+
+    def items(self):
+        for r in SPRelation:
+            for p in self._by_rel[r]:
+                yield p, self._scores[p]
+
+
+# 0.0 == -0.0, so a pair of them is a tie; the rest tie, order or go missing
+SCORES = [None, 0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, -1e-300]
+
+
+class TestPrediction:
+    def test_derived_fields_match_reference(self):
+        rng = random.Random(808)
+        seen = Counter()
+        for trial in range(600):
+            subject, obj = (rng.choice(SCORES + [rng.uniform(-3, 3)]) for _ in range(2))
+            adjective = rng.choice(["hungry", "tasty"])
+            q = WinogradQuestion(id=f"q{trial}", sentence="s", verb="eat", adjective=adjective,
+                                 candidate_subject=Mention("the fish", "fish"),
+                                 candidate_object=Mention("the worm", "worm"),
+                                 gold=rng.choice([SUBJECT, OBJECT]))
+            table = {SPPair(SPRelation.NSUBJ_AMOD, "eat", adjective): subject,
+                     SPPair(SPRelation.DOBJ_AMOD, "eat", adjective): obj}
+            model = LookupModel(table)
+            old, new = old_resolve(q, model), resolve(q, model)
+            assert (new.question_id, new.gold) == (old.question_id, old.gold)
+            assert repr(new.subject_score) == repr(old.subject_score)
+            assert repr(new.object_score) == repr(old.object_score)
+            assert new.predicted == old.predicted, (subject, obj)
+            assert new.outcome is old.outcome, (subject, obj)
+            seen[old.outcome] += 1
+            seen["tie" if subject is not None and subject == obj else "no tie"] += 1
+        assert min(seen.values()) > 30, seen
+
+
+def random_survey_input(rng, relation):
+    pairs = [SPPair(relation, f"h{rng.randrange(30)}", f"d{i}") for i in range(100)]
+    checkpoints = [(SPPair(relation, "cp", f"c{i}"),
+                    frozenset(rng.sample(range(RATING_MIN, RATING_MAX + 1), rng.randint(1, 3))))
+                   for i in range(3)]
+    return pairs, checkpoints
+
+
+class TestSurvey:
+    def test_surveys_match_reference(self):
+        rng = random.Random(909)
+        for seed in range(40):
+            pairs, checkpoints = random_survey_input(rng, rng.choice(RELATIONS))
+            old = old_generate_survey(pairs, checkpoints, seed=seed)
+            new = generate_survey(pairs, checkpoints, seed=seed)
+            assert new.to_dict() == old.to_dict()
+            assert new.relation is old.relation
+            assert [(q.pair, q.text, q.is_checkpoint, q.expected) for q in new.questions] == [
+                (q.pair, q.text, q.is_checkpoint, q.expected) for q in old.questions]
+
+    def test_errors_match_reference(self):
+        pairs, checkpoints = random_survey_input(random.Random(1), SPRelation.DOBJ)
+        other = SPPair(SPRelation.AMOD, "stone", "red")
+        cases = [(pairs[:99], checkpoints), (pairs, checkpoints[:2]),
+                 (pairs[:99] + [other], checkpoints),
+                 (pairs, checkpoints[:2] + [(other, frozenset({5}))]),
+                 (pairs, checkpoints[:2] + [(pairs[0], frozenset())]),
+                 (pairs, checkpoints[:2] + [(pairs[0], frozenset({0, 5}))])]
+        for case in cases:
+            errors = []
+            for generate in (old_generate_survey, generate_survey):
+                with pytest.raises(AnnotationError) as exc:
+                    generate(*case)
+                errors.append((exc.type, str(exc.value)))
+            assert errors[0] == errors[1]
+
+
+def random_gold_entries(rng, n):
+    entries = []
+    for _ in range(n):
+        roll = rng.random()
+        if entries and roll < 0.03:
+            entries.append((rng.choice(entries)[0], 5.0))      # a duplicate pair
+            continue
+        pair = SPPair(rng.choice(RELATIONS), f"h{rng.randrange(8)}", f"d{rng.randrange(30)}")
+        if roll < 0.05:
+            value = rng.choice([-0.01, 10.01, float("nan"), float("inf")])
+        else:
+            value = rng.choice([0.0, 10.0, round(rng.uniform(0, 10), 2)])
+        entries.append((pair, value))
+    return entries
+
+
+def gold_outcome(cls, entries):
+    try:
+        return cls(entries)
+    except SelPrefError as err:
+        return (type(err), str(err))
+
+
+class TestGoldSet:
+    def test_random_entries_match_reference(self):
+        rng = random.Random(1010)
+        seen = Counter()
+        probes = [SPPair(r, f"h{h}", f"d{d}") for r in RELATIONS for h in range(8)
+                  for d in range(0, 30, 3)]
+        for trial in range(300):
+            entries = random_gold_entries(rng, rng.randint(0, 60))
+            old, new = gold_outcome(OldGoldSet, entries), gold_outcome(GoldSet, entries)
+            if isinstance(old, tuple):
+                assert new == old
+                seen[old[0].__name__] += 1
+                continue
+            seen["ok"] += 1
+            assert new.pairs() == old.pairs()
+            for rel in RELATIONS:
+                assert new.pairs(rel) == old.pairs(rel)
+            assert list(new.items()) == list(old.items())
+            assert new.relations() == old.relations()
+            assert len(new) == len(old)
+            for pair in probes:
+                assert (pair in new) == (pair in old)
+                if pair in old:
+                    assert new.value(pair) == old.value(pair)
+        assert min(seen.values()) > 20, seen

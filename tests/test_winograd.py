@@ -10,7 +10,6 @@ from selpref.winograd import (
     AccuracySummary,
     Mention,
     Outcome,
-    Prediction,
     WinogradError,
     WinogradQuestion,
     bundled_questions,
@@ -131,15 +130,6 @@ def test_outcome_matches_argmax_property():
             want = "subject" if s > o else "object"
             assert p.predicted == want
             assert (p.outcome is Outcome.CORRECT) == (want == gold)
-
-
-def test_prediction_consistency_enforced():
-    with pytest.raises(WinogradError):
-        Prediction("q", "subject", None, 3.0, "subject", Outcome.CORRECT)
-    with pytest.raises(WinogradError):
-        Prediction("q", "subject", 5.0, 3.0, None, Outcome.NA)
-    with pytest.raises(WinogradError):
-        Prediction("q", "subject", 5.0, 5.0, "subject", Outcome.WRONG)
 
 
 def test_question_validation():
