@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation, _clip, _shown, parse_relation
+from .core import SelPrefError, SPPair, SPRelation, _clip, _pair, _parsed_rows, _shown
 from .evaluation import ConstantInputError, spearman
 
 
@@ -235,15 +235,14 @@ def _leave_one_out(by_annotator: dict[str, dict[SPPair, float]]) -> list[float]:
     for ann_id in sorted(by_annotator):
         mine = by_annotator[ann_id]
         shared = []
-        for pair, rating in sorted(mine.items(), key=lambda kv: (
-            kv[0].relation.value, kv[0].head, kv[0].dependent)):
+        for pair in sorted(mine):
             others = [
                 table[pair]
                 for other, table in by_annotator.items()
                 if other != ann_id and pair in table
             ]
             if others:
-                shared.append((rating, sum(others) / len(others)))
+                shared.append((mine[pair], sum(others) / len(others)))
         if len(shared) < 2:
             raise InsufficientOverlapError(
                 f"annotator {_clip(ann_id)} shares fewer than 2 pairs with the rest"
@@ -269,7 +268,7 @@ def iaa(kept: list[RawRating]) -> tuple[dict[SPRelation, float], float]:
     if not by_rel:
         raise InsufficientOverlapError("no non-checkpoint ratings")
     per_relation = {}
-    for rel in sorted(by_rel, key=lambda r: r.value):
+    for rel in sorted(by_rel):
         annotators = by_rel[rel]
         if len(annotators) < 2:
             raise InsufficientOverlapError(
@@ -313,6 +312,35 @@ def parse_rating_set(text: str) -> frozenset[int]:
     return ratings
 
 
+def read_survey_pairs(fh: TextIO, source: str = "<stream>") -> list[SPPair]:
+    """A survey's pair list (extra columns ignored), all of the first row's relation."""
+    rows = _parsed_rows(fh, source, 3, AnnotationError, lambda f: (_pair(f),), extra=True)
+    return [pair for pair, in _of_relation(rows, source, None, "pair")]
+
+
+def read_checkpoints(fh: TextIO, source: str = "<stream>", relation: Optional[SPRelation] = None
+                     ) -> list[tuple[SPPair, frozenset[int]]]:
+    """A survey's CHECKPOINTS_PER_SURVEY rows of pair and |-joined expected
+    ratings, all of ``relation`` (the first row's when None)."""
+    rows = _parsed_rows(fh, source, 4, AnnotationError,
+                        lambda f: (_pair(f), parse_rating_set(f[3])))
+    return _of_relation(rows, source, relation, "checkpoint", CHECKPOINTS_PER_SURVEY)
+
+
+def _of_relation(rows, source, relation, kind: str, need: Optional[int] = None) -> list[tuple]:
+    """The located rows of a survey input, each led by a pair of ``relation``."""
+    out = []
+    for lineno, row in rows:
+        relation = relation or row[0].relation
+        if row[0].relation is not relation:
+            raise MixedRelationError(f"{source}:{lineno}: {kind} relation "
+                                     f"{row[0].relation}, survey relation {relation}")
+        out.append(row)
+    if need is not None and len(out) != need:
+        raise AnnotationError(f"{source}: need exactly {need} {kind}s, got {len(out)}")
+    return out
+
+
 def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
     """Read write_ratings' CSV; an error names the line its row ends on."""
     reader = csv.reader(fh)
@@ -329,11 +357,11 @@ def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
                     f"{source}:{reader.line_num}: expected {len(RATINGS_COLUMNS)} "
                     f"fields, got {len(row)}"
                 )
-            ann_id, rel_name, head, dep, rating, is_cp, expected = row
+            ann_id, _, _, _, rating, is_cp, expected = row
             try:
                 out.append(RawRating(
                     annotator_id=ann_id,
-                    pair=SPPair(parse_relation(rel_name), head, dep),
+                    pair=_pair(row[1:4]),
                     rating=int(rating),
                     is_checkpoint=is_cp == "1",
                     expected=parse_rating_set(expected) if expected else None,

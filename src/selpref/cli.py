@@ -26,16 +26,15 @@ from typing import Optional
 
 from . import __version__
 from .annotate import (
-    CHECKPOINTS_PER_SURVEY,
     AnnotationError,
     InsufficientOverlapError,
-    MixedRelationError,
     aggregate,
     filter_annotations,
     generate_survey,
     iaa,
-    parse_rating_set,
+    read_checkpoints,
     read_ratings,
+    read_survey_pairs,
 )
 from .commonsense import (
     OMCSIndex,
@@ -52,7 +51,6 @@ from .core import (
     SPRelation,
     _clip,
     _load_json,
-    _rows,
     _shown,
     open_input,
     parse_relation,
@@ -60,10 +58,12 @@ from .core import (
 from .embeddings import load_embeddings
 from .evaluation import (
     GOLD_HEADER,
+    NoTestPairsError,
     evaluate,
     load_gold_file,
     load_scores_file,
     pseudo_disambiguation,
+    write_gold,
 )
 from .extract import (
     CANDIDATES_HEADER,
@@ -216,27 +216,6 @@ def _read(reader, path: str, **kwargs):
         return reader(fh, source=path, **kwargs)
 
 
-def _read_checkpoints(fh, source: str, relation: Optional[SPRelation]
-                      ) -> list[tuple[SPPair, frozenset]]:
-    """relation/head/dependent/expected rows, all of the survey's relation;
-    expected is |-joined ratings."""
-    out = []
-    for lineno, (rel_name, head, dep, text) in _rows(fh, source, 4, AnnotationError):
-        try:
-            pair = SPPair(parse_relation(rel_name), head, dep)
-            expected = parse_rating_set(text)
-        except SelPrefError as err:
-            raise AnnotationError(f"{source}:{lineno}: {err}") from None
-        if relation not in (None, pair.relation):
-            raise MixedRelationError(f"{source}:{lineno}: checkpoint relation "
-                                     f"{pair.relation}, survey relation {relation}")
-        out.append((pair, expected))
-    if len(out) != CHECKPOINTS_PER_SURVEY:
-        raise AnnotationError(f"{source}: need exactly {CHECKPOINTS_PER_SURVEY} "
-                              f"checkpoints, got {len(out)}")
-    return out
-
-
 def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ScoreModel:
     backend = args.backend
     if backend == "pp":
@@ -275,8 +254,8 @@ def _load_omcs_index(args: argparse.Namespace,
 def cmd_extract(args, parser) -> int:
     table = _read(count_conllu, args.infile, skip_malformed=args.skip_malformed,
                   include_passive=args.include_passive)
-    with _open_out(args.out) as out:
-        write_counts(table, out, config=_config(args))
+    with _open_echoed(args.out, args, COUNTS_HEADER) as out:
+        write_counts(table, out)
     return 0
 
 
@@ -292,8 +271,8 @@ def cmd_candidates(args, parser) -> int:
         random_per_head=args.random_per_head,
         seed=args.seed,
     )
-    with _open_out(args.out) as out:
-        write_candidates(cands, out, config=_config(args))
+    with _open_echoed(args.out, args, CANDIDATES_HEADER) as out:
+        write_candidates(cands, out)
     return 0
 
 
@@ -330,11 +309,9 @@ def cmd_train_nn(args, parser) -> int:
 
     model = nn_train(instances(), nn_config, vocab)
     model.save(args.out)
-    for rel, losses in sorted(model.epoch_losses.items(),
-                              key=lambda kv: kv[0].value):
+    for rel, losses in sorted(model.epoch_losses.items()):
         if losses:
-            log.info("train-nn %s: loss %.4f -> %.4f",
-                     rel.value, losses[0], losses[-1])
+            log.info("train-nn %s: loss %.4f -> %.4f", rel, losses[0], losses[-1])
     return 0
 
 
@@ -352,7 +329,10 @@ def cmd_pseudo(args, parser) -> int:
     model = _build_model(args, parser)
     pairs = _read(read_pairs, args.pairs)
     vocab = Lexicon.from_tsv(args.lexicon)
-    accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
+    try:
+        accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
+    except NoTestPairsError as err:
+        raise NoTestPairsError(f"{args.pairs}: {err}") from None
     _write_json(args.out, {"accuracy": accuracy, "n_pairs": len(pairs)}, args)
     return 0
 
@@ -361,23 +341,14 @@ def cmd_aggregate(args, parser) -> int:
     kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
     scores, underrated = aggregate(kept, min_ratings=args.min_ratings)
     with _open_echoed(args.out, args, GOLD_HEADER) as out:
-        for pair in sorted(scores, key=lambda p: (p.relation.value, p.head,
-                                                  p.dependent)):
-            out.write(f"{pair.relation.value}\t{pair.head}\t"
-                      f"{pair.dependent}\t{scores[pair]:.2f}\n")
+        write_gold(scores, out)
     if args.report:
         doc = {
             "pairs_scored": len(scores),
-            "underrated": {
-                f"{p.relation.value}/{p.head}/{p.dependent}": n
-                for p, n in sorted(underrated.items(),
-                                   key=lambda kv: (kv[0].relation.value,
-                                                   kv[0].head, kv[0].dependent))
-            },
-            "rejections": [
-                {"annotator_id": r.annotator_id, "reason": r.reason}
-                for r in rejections
-            ],
+            "underrated": {f"{p.relation}/{p.head}/{p.dependent}": n
+                           for p, n in sorted(underrated.items())},
+            "rejections": [{"annotator_id": r.annotator_id, "reason": r.reason}
+                           for r in rejections],
         }
         _write_json(args.report, doc, args)
     log.info("aggregate: %d pairs scored, %d rejected annotators",
@@ -392,8 +363,7 @@ def cmd_iaa(args, parser) -> int:
     except InsufficientOverlapError as err:
         raise InsufficientOverlapError(f"{args.ratings}: {err}") from None
     _write_json(args.out, {
-        "per_relation": {r.value: v for r, v in sorted(
-            per_relation.items(), key=lambda kv: kv[0].value)},
+        "per_relation": {r.value: v for r, v in sorted(per_relation.items())},
         "overall": overall,
         "annotators_kept": len({r.annotator_id for r in kept}),
         "annotators_rejected": len(rejections),
@@ -402,10 +372,13 @@ def cmd_iaa(args, parser) -> int:
 
 
 def cmd_survey(args, parser) -> int:
-    pairs = _read(read_pairs, args.pairs)
-    checkpoints = _read(_read_checkpoints, args.checkpoints,
+    pairs = _read(read_survey_pairs, args.pairs)
+    checkpoints = _read(read_checkpoints, args.checkpoints,
                         relation=pairs[0].relation if pairs else None)
-    survey = generate_survey(pairs, checkpoints, seed=args.seed)
+    try:
+        survey = generate_survey(pairs, checkpoints, seed=args.seed)
+    except AnnotationError as err:  # the readers checked all but the pair count
+        raise AnnotationError(f"{args.pairs}: {err}") from None
     _write_json(args.out, survey.to_dict(), args)
     return 0
 

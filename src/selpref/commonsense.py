@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation, _rows, check_plausibility
+from .core import SelPrefError, SPPair, SPRelation, _parsed_rows, check_plausibility
 from .evaluation import GoldSet
 from .lemmatize import lemmatize
 
@@ -280,14 +280,8 @@ def relation_matrix(gold: GoldSet, index: OMCSIndex) -> RelationMatrix:
 
 def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:
     """TSV: start phrase, relation label, end phrase."""
-    out = []
-    append = out.append
-    for lineno, (start, rel, end) in _rows(fh, source, 3, OMCSFormatError):
-        try:
-            append(OMCSTriplet(tuple(start.split()), rel, tuple(end.split())))
-        except OMCSFormatError as err:
-            raise OMCSFormatError(f"{source}:{lineno}: {err}") from None
-    return out
+    return [t for _, t in _parsed_rows(fh, source, 3, OMCSFormatError, lambda f: OMCSTriplet(
+        tuple(f[0].split()), f[1], tuple(f[2].split())))]
 
 
 def write_omcs(triplets: Iterable[OMCSTriplet], fh: TextIO) -> None:

@@ -9,7 +9,7 @@ import json
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 
 class SelPrefError(Exception):
@@ -48,6 +48,9 @@ class SPRelation(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    def __lt__(self, other) -> bool:  # by name, as the artifacts list relations
+        return self.value < other.value if isinstance(other, SPRelation) else NotImplemented
+
     @property
     def head_pos(self) -> str:
         """POS class of the head lemma: 'verb' except for amod ('noun')."""
@@ -75,13 +78,13 @@ def _check_lemma(role: str, lemma: str) -> str:
     return lemma.lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SPPair:
     """A (relation, head, dependent) triple, the unit of SP knowledge.
 
     Heads are verbs (nouns for amod); dependents are nouns for dobj/nsubj
     and adjectives otherwise.  Lemmas are lowercased at construction and
-    may not contain tabs or newlines.
+    may not contain tabs or newlines.  Pairs sort by relation, head, dependent.
     """
 
     relation: SPRelation
@@ -240,6 +243,23 @@ def _rows(fh: Iterable[str], source, ncols: int, error: type[SelPrefError],
             raise error(f"{source}:{lineno}: expected {'>= ' * extra}{ncols} columns, "
                         f"got {len(fields)}")
         yield lineno, fields
+
+
+def _parsed_rows(fh: Iterable[str], source, ncols: int, error: type[SelPrefError],
+                 parse: Callable[[list[str]], Any], extra: bool = False) -> Iterator[tuple]:
+    """(line number, parse(fields)) per data row as ``_rows`` reads it; a
+    SelPrefError from ``parse`` is raised again as ``error`` at ``source:line``."""
+    for lineno, fields in _rows(fh, source, ncols, error, extra):
+        try:
+            parsed = parse(fields)
+        except SelPrefError as err:
+            raise error(f"{source}:{lineno}: {err}") from None
+        yield lineno, parsed
+
+
+def _pair(fields: list[str]) -> SPPair:
+    """The pair of a row whose first fields are relation, head, dependent."""
+    return SPPair(parse_relation(fields[0]), fields[1], fields[2])
 
 
 def _clip(text: str) -> str:

@@ -4,9 +4,10 @@ pseudo-disambiguation."""
 from __future__ import annotations
 
 import math
+import pathlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO
+from typing import Any, Iterable, Mapping, Optional, TextIO
 
 import numpy as np
 
@@ -16,10 +17,10 @@ from .core import (
     SPPair,
     SPRelation,
     _clip,
-    _rows,
+    _pair,
+    _parsed_rows,
     check_plausibility,
     open_input,
-    parse_relation,
 )
 from .scorers import ScoreModel
 
@@ -49,6 +50,10 @@ class SignificanceError(SelPrefError, ValueError):
 
 
 class ConfounderPoolError(SelPrefError, ValueError):
+    pass
+
+
+class NoTestPairsError(SelPrefError, ValueError):
     pass
 
 
@@ -92,7 +97,8 @@ class GoldSet:
 
 def load_gold(fh: TextIO, source: str = "<stream>") -> GoldSet:
     """Read the gold TSV: relation, head, dependent, plausibility."""
-    return GoldSet(_read_values(fh, source, gold=True).items())
+    return GoldSet(_unique(_parsed_rows(fh, source, 4, GoldFormatError, lambda f: (
+        _pair(f), _value(f[3], gold=True))), source).items())
 
 
 def load_gold_file(path) -> GoldSet:
@@ -101,32 +107,22 @@ def load_gold_file(path) -> GoldSet:
 
 
 def load_scores_file(path) -> dict[SPPair, Optional[float]]:
-    """Read a pair score TSV as ``score`` writes it: relation, head,
-    dependent and any finite value, or NA (read as None) for a pair the
-    model could not score."""
+    """Read a pair score TSV as ``score`` writes it: relation, head, dependent
+    and any finite value, or NA (read as None) for a pair it could not score."""
     with open_input(path) as fh:
-        return _read_values(fh, str(path), gold=False)
+        return _unique(_parsed_rows(fh, path, 4, GoldFormatError, lambda f: (
+            _pair(f), None if f[3] == "NA" else _value(f[3], gold=False))), path)
 
 
-def _read_values(fh: TextIO, source: str, gold: bool) -> dict[SPPair, Optional[float]]:
-    values: dict[SPPair, Optional[float]] = {}
-    for lineno, fields in _rows(fh, source, 4, GoldFormatError):
-        _add_value(values, source, lineno, fields, gold)
+def _unique(rows: Iterable[tuple[int, tuple[SPPair, Any]]], source) -> dict[SPPair, Any]:
+    """pair -> value of located (pair, value) rows, each pair given once."""
+    values = {}
+    for lineno, (pair, value) in rows:
+        if pair in values:
+            raise DuplicatePairError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                                     f"{_clip(pair.head)} {_clip(pair.dependent)}")
+        values[pair] = value
     return values
-
-
-def _add_value(values: dict, source, lineno: int, fields: list[str], gold: bool) -> None:
-    """Parse one relation, head, dependent, value row into ``values``."""
-    rel_name, head, dep, text = fields
-    try:
-        pair = SPPair(parse_relation(rel_name), head, dep)
-        value = None if text == "NA" and not gold else _value(text, gold)
-    except SelPrefError as err:
-        raise GoldFormatError(f"{source}:{lineno}: {err}") from None
-    if pair in values:
-        raise DuplicatePairError(f"{source}:{lineno}: duplicate pair {pair.relation} "
-                                 f"{_clip(pair.head)} {_clip(pair.dependent)}")
-    values[pair] = value
 
 
 def _value(text: str, gold: bool) -> float:
@@ -142,9 +138,9 @@ def _value(text: str, gold: bool) -> float:
     return value
 
 
-def write_gold(gold: GoldSet, fh: TextIO) -> None:
-    fh.write(GOLD_HEADER + "\n")
-    for pair, value in gold.items():
+def write_gold(gold: GoldSet | Mapping[SPPair, float], fh: TextIO) -> None:
+    """Write the gold rows, sorted by pair, without a header."""
+    for pair, value in sorted(gold.items()):
         fh.write(f"{pair.relation.value}\t{pair.head}\t{pair.dependent}\t{value:.2f}\n")
 
 
@@ -157,8 +153,6 @@ def import_sp10k_directory(root) -> GoldSet:
     subdirectory) holding `head<TAB>dependent<TAB>score` lines with the
     score already on the 0-10 scale; surrounding whitespace is ignored.
     """
-    import pathlib
-
     root = pathlib.Path(root)
     values: dict[SPPair, float] = {}
     for rel in SPRelation:
@@ -180,8 +174,8 @@ def import_sp10k_directory(root) -> GoldSet:
             raise GoldFormatError(f"{root}: no annotation file found for {rel.value}")
         with open_input(path) as fh:
             lines = (line.strip() for line in fh)
-            for lineno, fields in _rows(lines, path, 3, GoldFormatError):
-                _add_value(values, path, lineno, [rel.value, *fields], gold=True)
+            values.update(_unique(_parsed_rows(lines, path, 3, GoldFormatError, lambda f: (
+                SPPair(rel, f[0], f[1]), _value(f[2], gold=True))), path))
     return GoldSet(values.items())
 
 
@@ -365,7 +359,7 @@ def pseudo_disambiguation(
     missing score 0.5, loss 0.
     """
     if not test_pairs:
-        raise ValueError("test_pairs is empty")
+        raise NoTestPairsError("no test pairs")
     positives = {(p.relation, p.head, p.dependent) for p in test_pairs}
     pools = {r: sorted(vocab.dependents_for(r)) for r in {p.relation for p in test_pairs}}
     rng = random.Random(seed)
@@ -376,7 +370,7 @@ def pseudo_disambiguation(
         if not usable:
             raise ConfounderPoolError(
                 f"no confounder available for {rel.value} head "
-                f"{head!r}: pool exhausted by attested pairs"
+                f"{_clip(head)}: pool exhausted by attested pairs"
             )
         confounder = rng.choice(usable)
         pos = model.score(pair)

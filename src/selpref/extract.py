@@ -8,7 +8,6 @@ verb to the adjective modifying its object (dobj_amod) or subject
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from collections import Counter
@@ -26,6 +25,8 @@ from .core import (
     UnknownRelationError,
     _check_lemma,
     _clip,
+    _pair,
+    _parsed_rows,
     _rows,
     _shown,
     parse_relation,
@@ -259,11 +260,8 @@ def _pair_keys(pairs: list[tuple[int, tuple, tuple]], lowered: dict[str, str],
 COUNTS_HEADER = "#sp-counts v1"
 
 
-def write_counts(table: CountTable, fh: TextIO, config: dict | None = None) -> None:
-    """Write the TSV counts format, sorted by (relation, head, count desc)."""
-    fh.write(COUNTS_HEADER + "\n")
-    if config is not None:
-        fh.write("#config " + json.dumps(config, sort_keys=True) + "\n")
+def write_counts(table: CountTable, fh: TextIO) -> None:
+    """Write the counts rows, sorted by (relation, head, count desc), without a header."""
     for rel in SPRelation:
         rows = sorted(table.items(rel), key=lambda r: (r[0], -r[2], r[1]))
         for head, dep, count in rows:
@@ -361,7 +359,7 @@ def generate_candidates(
         if len(available) < random_per_head:
             raise CandidatePoolError(
                 f"lexicon pool for {relation.value} too small: need {random_per_head} "
-                f"unchosen dependents for head {head!r}, have {len(available)}"
+                f"unchosen dependents for head {_clip(head)}, have {len(available)}"
             )
         out.extend(
             Candidate(SPPair(relation, head, d), "random")
@@ -373,10 +371,8 @@ def generate_candidates(
 CANDIDATES_HEADER = "#sp-candidates v1"
 
 
-def write_candidates(candidates: Iterable[Candidate], fh: TextIO, config: dict | None = None) -> None:
-    fh.write(CANDIDATES_HEADER + "\n")
-    if config is not None:
-        fh.write("#config " + json.dumps(config, sort_keys=True) + "\n")
+def write_candidates(candidates: Iterable[Candidate], fh: TextIO) -> None:
+    """Write the candidates rows, without a header."""
     for cand in candidates:
         p = cand.pair
         fh.write(f"{p.relation.value}\t{p.head}\t{p.dependent}\t{cand.source}\n")
@@ -385,10 +381,4 @@ def write_candidates(candidates: Iterable[Candidate], fh: TextIO, config: dict |
 def read_pairs(fh: TextIO, source: str = "<stream>") -> list[SPPair]:
     """Read a pair list: TSV with relation, head, dependent in the first
     three columns (extra columns ignored; # lines skipped)."""
-    pairs = []
-    for lineno, (rel_name, head, dep, *_) in _rows(fh, source, 3, CountTableError, extra=True):
-        try:
-            pairs.append(SPPair(parse_relation(rel_name), head, dep))
-        except SelPrefError as err:
-            raise CountTableError(f"{source}:{lineno}: {err}") from None
-    return pairs
+    return [pair for _, pair in _parsed_rows(fh, source, 3, CountTableError, _pair, extra=True)]

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Lexicon, SelPrefError, SPPair, SPRelation, parse_relation
+from .core import Lexicon, SelPrefError, SPPair, SPRelation, _clip, parse_relation
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +36,7 @@ class NegativePoolError(NNError):
     pass
 
 
-class UntrainedRelationError(NNError, KeyError):
+class UntrainedRelationError(NNError):
     pass
 
 
@@ -230,10 +230,10 @@ def nn_train(
         for p in pairs:
             if p.head not in head_pool:
                 raise VocabCoverageError(
-                    f"{rel.value}: head {p.head!r} not in the {rel.head_pos} pool")
+                    f"{rel.value}: head {_clip(p.head)} not in the {rel.head_pos} pool")
             if p.dependent not in dep_pool:
-                raise VocabCoverageError(
-                    f"{rel.value}: dependent {p.dependent!r} not in the {rel.dependent_pos} pool")
+                raise VocabCoverageError(f"{rel.value}: dependent {_clip(p.dependent)} "
+                                         f"not in the {rel.dependent_pos} pool")
 
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -255,7 +255,7 @@ def nn_train(
         for hi, seen in attested.items():
             if len(seen) == len(deps):
                 raise NegativePoolError(
-                    f"{rel.value}: every dependent attested for head {heads[hi]!r}, "
+                    f"{rel.value}: every dependent attested for head {_clip(heads[hi])}, "
                     "nothing left to corrupt with"
                 )
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gzip
+import inspect
 import io
 import json
 import logging
@@ -15,9 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selpref
-from selpref.cli import DEFAULTS, build_parser, main
+from selpref.annotate import aggregate
+from selpref.cli import CHOICES, DEFAULTS, build_parser, main
 from selpref.conllu import read_conllu
-from selpref.extract import build_counts, count_conllu, read_counts, write_counts
+from selpref.evaluation import MISSING_POLICIES, evaluate
+from selpref.extract import (
+    build_counts,
+    count_conllu,
+    generate_candidates,
+    read_counts,
+    write_counts,
+)
+from selpref.nn import NNConfig
+from test_golden import COMMANDS as GOLDEN_COMMANDS
+from test_golden import write_inputs as write_golden_inputs
 
 # the child interpreter finds the package the same way this one did
 SRC = str(Path(selpref.__file__).resolve().parent.parent)
@@ -994,7 +1006,9 @@ def fuzz_dir(tmp_path_factory):
     files = {"gold.tsv": GOLD,
              "pairs.tsv": "dobj\teat\tworm\nnsubj\teat\tfish\n",
              "counts.tsv": "#sp-counts v1\ndobj\teat\tworm\t2\nnsubj\teat\tfish\t1\n",
-             "survey_pairs.tsv": "".join(f"dobj\tverb{i}\tnoun{i}\n" for i in range(100))}
+             "survey_pairs.tsv": "".join(f"dobj\tverb{i}\tnoun{i}\n" for i in range(100)),
+             "checkpoints.tsv": "dobj\teat\tbread\t4|5\ndobj\teat\tstone\t1|2\n"
+                                "dobj\tdrink\twater\t4|5\n"}
     for name, text in files.items():
         (root / name).write_text(text, encoding="utf-8")
     return root
@@ -1010,6 +1024,8 @@ TSV_FAMILIES = {
                "relation"),
     "checkpoints": (["survey", "--pairs", "survey_pairs.tsv", "--checkpoints", "bad.tsv",
                      "--seed", "1"], "{"),
+    "survey-pairs": (["survey", "--pairs", "bad.tsv", "--checkpoints", "checkpoints.tsv",
+                      "--seed", "1"], "{"),
     "lexicon": (["candidates", "--counts", "counts.tsv", "--lexicon", "bad.tsv",
                  "--relation", "dobj", "--seed", "1", "--random-per-head", "0"],
                 "#sp-candidates v1\n"),
@@ -1047,11 +1063,15 @@ def test_any_bytes_exit_0_or_error_line(fuzz_dir, family, data):
         assert err.getvalue() == "" and out.getvalue().startswith(stdout)
         return
     assert rc == 1
-    # a survey needs three checkpoints: the one error that is not a row's
+    # a survey needs 3 checkpoints and 100 pairs: the errors that are not a row's
     row_error = rf"error: {re.escape(str(bad))}:\d+: .+\n"
-    file_error = rf"error: {re.escape(str(bad))}: need exactly 3 checkpoints, got \d+\n"
+    file_error = {"checkpoints": rf"error: {re.escape(str(bad))}: need exactly 3 checkpoints, "
+                                 rf"got \d+\n",
+                  "survey-pairs": rf"error: {re.escape(str(bad))}: need exactly 100 pairs, "
+                                  rf"got \d+\n"}
     assert (re.fullmatch(row_error, err.getvalue())
-            or family == "checkpoints" and re.fullmatch(file_error, err.getvalue())), err.getvalue()
+            or family in file_error and re.fullmatch(file_error[family], err.getvalue())), \
+        err.getvalue()
     assert len(err.getvalue()) < len(str(bad)) + 150
 
 
@@ -1203,3 +1223,145 @@ def test_iaa_overlap_error_names_the_file_and_clips_the_id(tmp_path, capsys, row
     err = capsys.readouterr().err
     assert err == f"error: {ratings}: {message}\n"
     assert len(err) < len(ratings) + 150
+
+
+LONG = "x" * 5000
+LONG_SHOWN = f"'{'x' * 40}'..."
+
+
+def long_lemma_inputs(tmp_path):
+    """A lexicon and counts whose one verb is 5,000 characters long and
+    attested with both nouns of the lexicon."""
+    return {"LEX": write(tmp_path / "lex.tsv", f"{LONG}\tverb\nfish\tnoun\nworm\tnoun\n"),
+            "SHORT_LEX": write(tmp_path / "short.tsv", "eat\tverb\nfish\tnoun\n"),
+            "COUNTS": write(tmp_path / "counts.tsv", f"dobj\t{LONG}\tfish\t2\n"
+                                                     f"dobj\t{LONG}\tworm\t1\n"),
+            "PAIRS": write(tmp_path / "pairs.tsv", f"dobj\t{LONG}\tfish\n"
+                                                   f"dobj\t{LONG}\tworm\n"),
+            "OUT": str(tmp_path / "model.npz")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["train-nn", "--counts", "COUNTS", "--lexicon", "SHORT_LEX", "--seed", "1",
+                  "--out", "OUT"], f"dobj: head {LONG_SHOWN} not in the verb pool",
+                 id="train-nn vocabulary"),
+    pytest.param(["train-nn", "--counts", "COUNTS", "--lexicon", "LEX", "--seed", "1",
+                  "--out", "OUT"],
+                 f"dobj: every dependent attested for head {LONG_SHOWN}, "
+                 "nothing left to corrupt with", id="train-nn negatives"),
+    pytest.param(["candidates", "--counts", "COUNTS", "--lexicon", "LEX", "--relation", "dobj",
+                  "--seed", "1"],
+                 f"lexicon pool for dobj too small: need 2 unchosen dependents for head "
+                 f"{LONG_SHOWN}, have 0", id="candidates pool"),
+    pytest.param(["pseudo", "--pairs", "PAIRS", "--lexicon", "LEX", "--seed", "1",
+                  "--counts", "COUNTS"],
+                 f"no confounder available for dobj head {LONG_SHOWN}: "
+                 "pool exhausted by attested pairs", id="pseudo confounders"),
+])
+def test_lemma_in_an_error_is_clipped(tmp_path, capsys, argv, message):
+    files = long_lemma_inputs(tmp_path)
+    assert main([files.get(arg, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+def test_untrained_relation_error_is_not_quoted(tmp_path, capsys):
+    lexicon = write(tmp_path / "lex.tsv", "eat\tverb\nfish\tnoun\nworm\tnoun\ncat\tnoun\n")
+    counts = write(tmp_path / "counts.tsv", "dobj\teat\tfish\t2\ndobj\teat\tworm\t1\n")
+    model = str(tmp_path / "model.npz")
+    assert main(["train-nn", "--counts", counts, "--lexicon", lexicon, "--seed", "1",
+                 "--epochs", "1", "--out", model]) == 0
+    assert main(["winograd", "--backend", "nn", "--model", model]) == 1
+    assert re.fullmatch(r"error: no network trained for relation [a-z_]+\n",
+                        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ["", "# pairs\n\n"], ids=["empty", "comments only"])
+def test_pseudo_without_test_pairs_names_the_file(tmp_path, capsys, corpus, text):
+    pairs = write(tmp_path / "pairs.tsv", text)
+    assert main(["pseudo", "--pairs", pairs, "--lexicon", make_lexicon(tmp_path),
+                 "--seed", "1", "--counts", str(make_counts(tmp_path, corpus))]) == 1
+    assert capsys.readouterr().err == f"error: {pairs}: no test pairs\n"
+
+
+SURVEY_PAIRS = "".join(f"dobj\tverb{i}\tnoun{i}\n" for i in range(99))
+
+
+@pytest.mark.parametrize("text, where, message", [
+    pytest.param(SURVEY_PAIRS + "nsubj\tsee\tbird\n", ":100",
+                 "pair relation nsubj, survey relation dobj", id="one nsubj row last"),
+    pytest.param("# pairs\nnsubj\tsee\tbird\n" + SURVEY_PAIRS, ":3",
+                 "pair relation dobj, survey relation nsubj", id="one nsubj row first"),
+    pytest.param("", "", "need exactly 100 pairs, got 0", id="empty"),
+    pytest.param(SURVEY_PAIRS, "", "need exactly 100 pairs, got 99", id="99 pairs"),
+])
+def test_bad_survey_pairs_exit_1_naming_the_file(tmp_path, capsys, text, where, message):
+    pairs = write(tmp_path / "pairs.tsv", text)
+    checkpoints = write(tmp_path / "cp.tsv", "dobj\teat\tmeal\t4|5\ndobj\teat\tsky\t1|2\n"
+                                             "dobj\tdrink\twater\t4|5\n")
+    assert main(["survey", "--pairs", pairs, "--checkpoints", checkpoints,
+                 "--seed", "5"]) == 1
+    assert capsys.readouterr().err == f"error: {pairs}{where}: {message}\n"
+
+
+def test_cli_defaults_match_the_library_defaults():
+    nn = NNConfig()
+    for key in ("embedding_dim", "hidden_dim", "margin", "epochs", "learning_rate"):
+        assert DEFAULTS[key] == getattr(nn, key), key
+    assert DEFAULTS["negatives"] == nn.negatives_per_positive
+    candidates = inspect.signature(generate_candidates).parameters
+    for key in ("heads_per_relation", "frequent_per_head", "random_per_head"):
+        assert DEFAULTS[key] == candidates[key].default, key
+    default = {fn: {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+               for fn in (aggregate, evaluate)}
+    assert DEFAULTS["min_ratings"] == default[aggregate]["min_ratings"]
+    assert DEFAULTS["missing"] == default[evaluate]["missing_policy"]
+    assert CHOICES["missing"] == list(MISSING_POLICIES)
+
+
+# the flags of the golden commands that name an input, and those that name an output
+INPUT_FLAGS = {"--in", "--counts", "--lexicon", "--embeddings", "--model", "--scores",
+               "--ratings", "--pairs", "--gold", "--checkpoints", "--omcs", "--questions"}
+OUTPUT_FLAGS = {"--out", "--report", "--json", "--predictions"}
+EMPTY_INPUT_CASES = [(name, flag) for name, argv in GOLDEN_COMMANDS
+                     for flag in argv if flag in INPUT_FLAGS]
+
+
+def golden_argv(argv, inputs, outputs, empty_flag=None, empty=None):
+    """argv with its input paths under ``inputs`` (the one after
+    ``empty_flag`` replaced by ``empty``) and its output paths under ``outputs``."""
+    out = []
+    for flag, arg in zip(["", *argv], argv):
+        if flag == empty_flag:
+            arg = str(empty)
+        elif flag in INPUT_FLAGS:
+            arg = str(inputs / arg)
+        elif flag in OUTPUT_FLAGS:
+            arg = str(outputs / arg)
+        out.append(arg)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    """The golden test's inputs with every artifact its commands write."""
+    root = tmp_path_factory.mktemp("golden")
+    write_golden_inputs(root)
+    for name, argv in GOLDEN_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(golden_argv(argv, root, root)) == 0, name
+    return root
+
+
+@pytest.mark.parametrize("name, flag", EMPTY_INPUT_CASES,
+                         ids=[f"{name} {flag}" for name, flag in EMPTY_INPUT_CASES])
+def test_empty_input_exit_0_or_one_error_line(golden_inputs, tmp_path, name, flag):
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    argv = golden_argv(dict(GOLDEN_COMMANDS)[name], golden_inputs, tmp_path, flag, empty)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 0 or rc == 1 and re.fullmatch(r"error: [^\n]+\n", err.getvalue()), \
+        (rc, err.getvalue())

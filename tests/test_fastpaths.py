@@ -8,19 +8,23 @@ pseudo-disambiguation loop that re-sorted the pool for every test pair,
 the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence``
 per sentence and an ``SPPair`` per extracted pair, the OMCS index that
 lemmatized every token occurrence, with its reader, the NN trainer that
-passed gradient dicts to an ``apply`` step, and the prediction, survey and
+passed gradient dicts to an ``apply`` step, the prediction, survey and
 gold-set records that stored derived fields beside the facts they derive
-from.
+from, and the pair-list, gold, score and checkpoint readers that located
+their own row faults, with the writers that wrote their own header and
+``#config`` line.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
 counting with the same error text and the same warnings in order; OMCS
 index tables, witnesses and matrices exactly, the reader's triplets and
 error text exactly; NN models byte for byte, with the same epoch losses;
 predictions, surveys and gold sets exactly, in order, with the same error
-text.
+text; the readers' results in order or the same error type and text; the
+written artifacts byte for byte.
 """
 
 import io
+import json
 import logging
 import random
 from collections import Counter, defaultdict
@@ -39,8 +43,12 @@ from selpref.annotate import (
     AnnotationError,
     MixedRelationError,
     generate_survey,
+    parse_rating_set,
+    read_checkpoints,
     render_question,
+    scale_rating_mean,
 )
+from selpref.cli import _config, _open_echoed, _open_out, _resolve, build_parser
 from selpref.commonsense import (
     GroupStats,
     MatchKind,
@@ -62,6 +70,8 @@ from selpref.core import (
     SelPrefError,
     SPPair,
     SPRelation,
+    _clip,
+    _rows,
     check_plausibility,
     parse_relation,
 )
@@ -72,18 +82,33 @@ from selpref.embeddings import (
     cosine,
     load_embeddings,
 )
-from selpref.evaluation import DuplicatePairError, GoldSet, pseudo_disambiguation
+from selpref.evaluation import (
+    GOLD_HEADER,
+    DuplicatePairError,
+    GoldFormatError,
+    GoldSet,
+    _value,
+    load_gold,
+    load_scores_file,
+    pseudo_disambiguation,
+    write_gold,
+)
 from selpref.extract import (
+    CANDIDATES_HEADER,
+    COUNTS_HEADER,
     NOUN_UPOS,
     OBJECT_DEPRELS,
     PASSIVE_SUBJECT_DEPRELS,
     SUBJECT_DEPRELS,
+    Candidate,
     CountTable,
     CountTableError,
     build_counts,
     count_conllu,
     extract_pairs,
     read_counts,
+    read_pairs,
+    write_candidates,
     write_counts,
 )
 from selpref.lemmatize import lemmatize
@@ -286,7 +311,7 @@ class TestCountTable:
 class TestReadCounts:
     def roundtrip(self, table):
         buf = io.StringIO()
-        write_counts(table, buf, config={"seed": 1})
+        write_counts(table, buf)
         return buf.getvalue()
 
     def test_fixture_table_matches_reference_in_order(self):
@@ -764,7 +789,7 @@ def old_count(text, source, skip_malformed, include_passive, lines_of):
 
 def written(table):
     buf = io.StringIO()
-    write_counts(table, buf, config={"seed": None})
+    write_counts(table, buf)
     return buf.getvalue()
 
 
@@ -1586,3 +1611,240 @@ class TestGoldSet:
                 if pair in old:
                     assert new.value(pair) == old.value(pair)
         assert min(seen.values()) > 20, seen
+
+
+# -- Readers that located their own row faults; writers of their own header --
+
+def old_read_pairs(fh, source="<stream>"):
+    """Read a pair list: TSV with relation, head, dependent in the first
+    three columns (extra columns ignored; # lines skipped)."""
+    pairs = []
+    for lineno, (rel_name, head, dep, *_) in _rows(fh, source, 3, CountTableError, extra=True):
+        try:
+            pairs.append(SPPair(parse_relation(rel_name), head, dep))
+        except SelPrefError as err:
+            raise CountTableError(f"{source}:{lineno}: {err}") from None
+    return pairs
+
+
+def old_read_values(fh, source, gold):
+    values = {}
+    for lineno, fields in _rows(fh, source, 4, GoldFormatError):
+        old_add_value(values, source, lineno, fields, gold)
+    return values
+
+
+def old_add_value(values, source, lineno, fields, gold):
+    """Parse one relation, head, dependent, value row into ``values``."""
+    rel_name, head, dep, text = fields
+    try:
+        pair = SPPair(parse_relation(rel_name), head, dep)
+        value = None if text == "NA" and not gold else _value(text, gold)
+    except SelPrefError as err:
+        raise GoldFormatError(f"{source}:{lineno}: {err}") from None
+    if pair in values:
+        raise DuplicatePairError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                                 f"{_clip(pair.head)} {_clip(pair.dependent)}")
+    values[pair] = value
+
+
+def old_load_gold(fh, source="<stream>"):
+    return GoldSet(old_read_values(fh, source, gold=True).items())
+
+
+def old_read_checkpoints(fh, source, relation):
+    """relation/head/dependent/expected rows, all of the survey's relation;
+    expected is |-joined ratings."""
+    out = []
+    for lineno, (rel_name, head, dep, text) in _rows(fh, source, 4, AnnotationError):
+        try:
+            pair = SPPair(parse_relation(rel_name), head, dep)
+            expected = parse_rating_set(text)
+        except SelPrefError as err:
+            raise AnnotationError(f"{source}:{lineno}: {err}") from None
+        if relation not in (None, pair.relation):
+            raise MixedRelationError(f"{source}:{lineno}: checkpoint relation "
+                                     f"{pair.relation}, survey relation {relation}")
+        out.append((pair, expected))
+    if len(out) != CHECKPOINTS_PER_SURVEY:
+        raise AnnotationError(f"{source}: need exactly {CHECKPOINTS_PER_SURVEY} "
+                              f"checkpoints, got {len(out)}")
+    return out
+
+
+def old_write_counts(table, fh, config=None):
+    """Write the TSV counts format, sorted by (relation, head, count desc)."""
+    fh.write(COUNTS_HEADER + "\n")
+    if config is not None:
+        fh.write("#config " + json.dumps(config, sort_keys=True) + "\n")
+    for rel in SPRelation:
+        rows = sorted(table.items(rel), key=lambda r: (r[0], -r[2], r[1]))
+        for head, dep, count in rows:
+            fh.write(f"{rel.value}\t{head}\t{dep}\t{count}\n")
+
+
+def old_write_candidates(candidates, fh, config=None):
+    fh.write(CANDIDATES_HEADER + "\n")
+    if config is not None:
+        fh.write("#config " + json.dumps(config, sort_keys=True) + "\n")
+    for cand in candidates:
+        p = cand.pair
+        fh.write(f"{p.relation.value}\t{p.head}\t{p.dependent}\t{cand.source}\n")
+
+
+def old_aggregate_rows(out, scores):
+    """cmd_aggregate's own row loop, after its header and #config line."""
+    for pair in sorted(scores, key=lambda p: (p.relation.value, p.head,
+                                              p.dependent)):
+        out.write(f"{pair.relation.value}\t{pair.head}\t"
+                  f"{pair.dependent}\t{scores[pair]:.2f}\n")
+
+
+GOOD_RELATIONS, BAD_RELATIONS = ["dobj", "dobj", " DOBJ", "nsubj"], ["bogus", "", "amod"]
+GOOD_LEMMAS = ["eat", "Eat", "fish", "worm", "see", "bird", "stone"]
+BAD_LEMMAS = ["", " ", "a\rb", "x" * 50]
+GOOD_VALUES = ["3", "0", "10", "2.5", "7.25"]
+BAD_VALUES = ["NA", "-1", "10.5", "nan", "inf", "1e400", "x" * 50, ""]
+GOOD_EXPECTED, BAD_EXPECTED = ["4|5", "1|2", "3", "5|4|3"], ["1|9", "low", "|", "", "0"]
+
+
+def random_rows(rng, n, good, bad):
+    """TSV text of ``n`` rows of relation, head, dependent and a last field
+    from ``good``, with a bad field now and then, comments, blank lines,
+    rows of the wrong width and, from the small lemma set, repeated pairs."""
+    def pick(ok, wrong):
+        return rng.choice(wrong if rng.random() < 0.04 else ok)
+
+    lines = []
+    for _ in range(n):
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "# comment"]))
+            continue
+        fields = [pick(GOOD_RELATIONS, BAD_RELATIONS), pick(GOOD_LEMMAS, BAD_LEMMAS),
+                  pick(GOOD_LEMMAS, BAD_LEMMAS), pick(good, bad)]
+        if rng.random() < 0.03:
+            fields = fields[:rng.randint(1, 3)] if rng.random() < 0.5 else fields + ["extra"]
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def read_outcome(reader, *args):
+    try:
+        return reader(*args)
+    except SelPrefError as err:
+        return (type(err), str(err))
+
+
+def first_relation(text):
+    """The relation of the first data row, or None if it has none."""
+    for _, fields in _rows(io.StringIO(text), "t.tsv", 1, SelPrefError, extra=True):
+        try:
+            return parse_relation(fields[0])
+        except SelPrefError:
+            return None
+    return None
+
+
+def echoed_bytes(path, write, header, args):
+    with _open_echoed(str(path), args, header) as out:
+        write(out)
+    return path.read_bytes()
+
+
+def opened_bytes(path, write):
+    with _open_out(str(path)) as out:
+        write(out)
+    return path.read_bytes()
+
+
+class TestRowReaders:
+    def test_pair_lists_match_reference(self):
+        rng = random.Random(1111)
+        seen = Counter()
+        for trial in range(400):
+            text = random_rows(rng, rng.randint(0, 12), GOOD_VALUES, BAD_VALUES)
+            old = read_outcome(old_read_pairs, io.StringIO(text), "t.tsv")
+            assert read_outcome(read_pairs, io.StringIO(text), "t.tsv") == old
+            seen[old[0].__name__ if isinstance(old, tuple) else "ok"] += 1
+        assert min(seen.values()) > 40, seen
+
+    def test_gold_and_scores_match_reference(self, tmp_path):
+        rng = random.Random(1212)
+        seen = Counter()
+        path = tmp_path / "t.tsv"
+        for trial in range(400):
+            text = random_rows(rng, rng.randint(0, 12), GOOD_VALUES, BAD_VALUES)
+            path.write_text(text, encoding="utf-8")
+            old = read_outcome(old_load_gold, io.StringIO(text), "t.tsv")
+            new = read_outcome(load_gold, io.StringIO(text), "t.tsv")
+            if isinstance(old, tuple):
+                assert new == old
+            else:
+                assert list(new.items()) == list(old.items())
+            with open(path, encoding="utf-8") as fh:
+                old_scores = read_outcome(old_read_values, fh, str(path), False)
+            new_scores = read_outcome(load_scores_file, path)
+            assert new_scores == old_scores
+            if isinstance(new_scores, dict):
+                assert list(new_scores.items()) == list(old_scores.items())
+            for outcome_ in (old, old_scores):
+                seen[outcome_[0].__name__ if isinstance(outcome_, tuple) else "ok"] += 1
+        assert {"ok", "GoldFormatError", "DuplicatePairError"} <= set(seen), seen
+        assert min(seen.values()) > 40, seen
+
+    def test_checkpoints_match_reference(self):
+        rng = random.Random(1313)
+        seen = Counter()
+        for trial in range(400):
+            text = random_rows(rng, rng.choice([3, 3, 3, rng.randint(0, 5)]), GOOD_EXPECTED,
+                               BAD_EXPECTED)
+            for relation in (SPRelation.DOBJ, SPRelation.NSUBJ):
+                old = read_outcome(old_read_checkpoints, io.StringIO(text), "t.tsv", relation)
+                assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv", relation) == old
+                seen[old[0].__name__ if isinstance(old, tuple) else "ok"] += 1
+            # without a relation, the rows must share the first row's
+            old = read_outcome(old_read_checkpoints, io.StringIO(text), "t.tsv",
+                               first_relation(text))
+            assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv") == old
+        assert {"ok", "AnnotationError", "MixedRelationError"} <= set(seen), seen
+        assert min(seen.values()) > 40, seen
+
+
+class TestEchoedWriters:
+    def args(self, argv):
+        args = build_parser().parse_args(argv)
+        _resolve(args)
+        return args
+
+    def test_counts_and_candidates_match_reference(self, tmp_path):
+        rng = random.Random(1414)
+        counts_args = self.args(["extract", "--in", "corpus.conllu"])
+        cand_args = self.args(["candidates", "--counts", "c.tsv", "--lexicon", "l.tsv",
+                               "--relation", "dobj", "--seed", "3"])
+        for trial in range(40):
+            table = CountTable.from_pairs(random_pairs(rng, rng.randint(0, 80)))
+            old = opened_bytes(tmp_path / "old.tsv", lambda out: old_write_counts(
+                table, out, config=_config(counts_args)))
+            new = echoed_bytes(tmp_path / "new.tsv", lambda out: write_counts(table, out),
+                               COUNTS_HEADER, counts_args)
+            assert new == old
+            cands = [Candidate(p, rng.choice(["frequent", "random"]))
+                     for p in random_pairs(rng, rng.randint(0, 30))]
+            old = opened_bytes(tmp_path / "old.tsv", lambda out: old_write_candidates(
+                cands, out, config=_config(cand_args)))
+            new = echoed_bytes(tmp_path / "new.tsv", lambda out: write_candidates(cands, out),
+                               CANDIDATES_HEADER, cand_args)
+            assert new == old
+
+    def test_aggregate_rows_match_reference(self, tmp_path):
+        rng = random.Random(1515)
+        args = self.args(["aggregate", "--ratings", "r.csv"])
+        for trial in range(40):
+            scores = {p: scale_rating_mean(rng.randint(10, 50) / 10)
+                      for p in random_pairs(rng, rng.randint(0, 60))}
+            old = echoed_bytes(tmp_path / "old.tsv", lambda out: old_aggregate_rows(out, scores),
+                               GOLD_HEADER, args)
+            new = echoed_bytes(tmp_path / "new.tsv", lambda out: write_gold(scores, out),
+                               GOLD_HEADER, args)
+            assert new == old
+            assert new.startswith(GOLD_HEADER.encode() + b"\n#config {")
