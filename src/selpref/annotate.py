@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
@@ -231,18 +232,19 @@ def scale_rating_mean(mean: float) -> float:
 
 
 def _leave_one_out(by_annotator: dict[str, dict[SPPair, float]]) -> list[float]:
+    """Each annotator's Spearman against the others' mean rating of the
+    pairs they share. The others' mean is taken off one sum per pair;
+    ratings are small integers, so the sums are exact."""
+    total: Counter[SPPair] = Counter()
+    count: Counter[SPPair] = Counter()
+    for table in by_annotator.values():
+        total.update(table)
+        count.update(table.keys())
     rhos = []
     for ann_id in sorted(by_annotator):
         mine = by_annotator[ann_id]
-        shared = []
-        for pair in sorted(mine):
-            others = [
-                table[pair]
-                for other, table in by_annotator.items()
-                if other != ann_id and pair in table
-            ]
-            if others:
-                shared.append((mine[pair], sum(others) / len(others)))
+        shared = [(mine[pair], (total[pair] - mine[pair]) / (count[pair] - 1))
+                  for pair in sorted(mine) if count[pair] > 1]
         if len(shared) < 2:
             raise InsufficientOverlapError(
                 f"annotator {_clip(ann_id)} shares fewer than 2 pairs with the rest"

@@ -11,6 +11,10 @@ Option precedence: command line flags beat the --config file, which
 beats built-in defaults. The only environment override is
 SELPREF_LOG_LEVEL. Subcommands that draw random numbers refuse to run
 without an explicit --seed.
+
+The numpy-backed modules (embeddings, nn) are imported where a handler
+builds their objects, so a run that computes nothing with numpy never
+loads it.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .commonsense import (
     relation_matrix,
 )
 from .core import (
+    EmptyPoolError,
     Lexicon,
     SelPrefError,
     SPPair,
@@ -55,7 +60,6 @@ from .core import (
     open_input,
     parse_relation,
 )
-from .embeddings import load_embeddings
 from .evaluation import (
     GOLD_HEADER,
     NoTestPairsError,
@@ -75,7 +79,6 @@ from .extract import (
     write_candidates,
     write_counts,
 )
-from .nn import NNConfig, NNModel, nn_train
 from .scorers import DSModel, LookupModel, PPModel, ScoreModel
 from .winograd import (
     SCHEMA_VERSION,
@@ -210,6 +213,16 @@ def _open_echoed(path: Optional[str], args: argparse.Namespace,
         yield out
 
 
+@contextmanager
+def _naming(path: str, error: type[SelPrefError]):
+    """Put ``path`` before an ``error`` raised in the block, for the
+    library calls that are handed an input's contents but not its name."""
+    try:
+        yield
+    except error as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
 def _read(reader, path: str, **kwargs):
     """reader's result on the opened input, its errors naming that path."""
     with open_input(path) as fh:
@@ -225,10 +238,14 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> S
     if backend == "ds":
         if not (args.counts and args.embeddings):
             parser.error("backend ds requires --counts and --embeddings")
+        from .embeddings import load_embeddings
+
         return DSModel(_read(read_counts, args.counts), load_embeddings(args.embeddings))
     if backend == "nn":
         if not args.model:
             parser.error("backend nn requires --model")
+        from .nn import NNModel
+
         return NNModel.load(args.model)
     if backend == "lookup":
         if not args.scores:
@@ -264,13 +281,14 @@ def cmd_candidates(args, parser) -> int:
     args.relation = relation.value  # echoed normalized
     counts = _read(read_counts, args.counts)
     lexicon = Lexicon.from_tsv(args.lexicon)
-    cands = generate_candidates(
-        counts, lexicon, relation,
-        heads_per_relation=args.heads_per_relation,
-        frequent_per_head=args.frequent_per_head,
-        random_per_head=args.random_per_head,
-        seed=args.seed,
-    )
+    with _naming(args.lexicon, EmptyPoolError):
+        cands = generate_candidates(
+            counts, lexicon, relation,
+            heads_per_relation=args.heads_per_relation,
+            frequent_per_head=args.frequent_per_head,
+            random_per_head=args.random_per_head,
+            seed=args.seed,
+        )
     with _open_echoed(args.out, args, CANDIDATES_HEADER) as out:
         write_candidates(cands, out)
     return 0
@@ -289,6 +307,8 @@ def cmd_score(args, parser) -> int:
 
 
 def cmd_train_nn(args, parser) -> int:
+    from .nn import NNConfig, nn_train
+
     nn_config = NNConfig(
         embedding_dim=args.embedding_dim,
         hidden_dim=args.hidden_dim,
@@ -307,7 +327,8 @@ def cmd_train_nn(args, parser) -> int:
                 for _ in range(count):
                     yield SPPair(rel, head, dep)
 
-    model = nn_train(instances(), nn_config, vocab)
+    with _naming(args.lexicon, EmptyPoolError):
+        model = nn_train(instances(), nn_config, vocab)
     model.save(args.out)
     for rel, losses in sorted(model.epoch_losses.items()):
         if losses:
@@ -329,10 +350,8 @@ def cmd_pseudo(args, parser) -> int:
     model = _build_model(args, parser)
     pairs = _read(read_pairs, args.pairs)
     vocab = Lexicon.from_tsv(args.lexicon)
-    try:
+    with _naming(args.pairs, NoTestPairsError), _naming(args.lexicon, EmptyPoolError):
         accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
-    except NoTestPairsError as err:
-        raise NoTestPairsError(f"{args.pairs}: {err}") from None
     _write_json(args.out, {"accuracy": accuracy, "n_pairs": len(pairs)}, args)
     return 0
 
@@ -358,10 +377,8 @@ def cmd_aggregate(args, parser) -> int:
 
 def cmd_iaa(args, parser) -> int:
     kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
-    try:
+    with _naming(args.ratings, InsufficientOverlapError):
         per_relation, overall = iaa(kept)
-    except InsufficientOverlapError as err:
-        raise InsufficientOverlapError(f"{args.ratings}: {err}") from None
     _write_json(args.out, {
         "per_relation": {r.value: v for r, v in sorted(per_relation.items())},
         "overall": overall,
@@ -375,10 +392,8 @@ def cmd_survey(args, parser) -> int:
     pairs = _read(read_survey_pairs, args.pairs)
     checkpoints = _read(read_checkpoints, args.checkpoints,
                         relation=pairs[0].relation if pairs else None)
-    try:
+    with _naming(args.pairs, AnnotationError):  # the readers checked all but the pair count
         survey = generate_survey(pairs, checkpoints, seed=args.seed)
-    except AnnotationError as err:  # the readers checked all but the pair count
-        raise AnnotationError(f"{args.pairs}: {err}") from None
     _write_json(args.out, survey.to_dict(), args)
     return 0
 

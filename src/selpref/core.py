@@ -173,6 +173,11 @@ class LexiconError(SelPrefError, ValueError):
     pass
 
 
+class EmptyPoolError(LexiconError):
+    """The lexicon has no word of the class a relation draws from. It
+    names no file: a caller that knows the lexicon's path puts it first."""
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Vocabulary partitioned into verbs, nouns, and adjectives.
@@ -204,8 +209,18 @@ class Lexicon:
         except KeyError:
             raise LexiconError(f"unknown POS class {pos!r}") from None
 
+    def heads_for(self, relation: SPRelation) -> frozenset[str]:
+        return self._drawn(relation, "head", relation.head_pos)
+
     def dependents_for(self, relation: SPRelation) -> frozenset[str]:
-        return self.pool(relation.dependent_pos)
+        return self._drawn(relation, "dependent", relation.dependent_pos)
+
+    def _drawn(self, relation: SPRelation, role: str, pos: str) -> frozenset[str]:
+        """The non-empty pool a relation's heads or dependents come from."""
+        words = self.pool(pos)
+        if not words:
+            raise EmptyPoolError(f"no {pos} entries, needed for {relation.value} {role}s")
+        return words
 
     @classmethod
     def from_tsv(cls, path) -> "Lexicon":

@@ -9,8 +9,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, TextIO
 
-import numpy as np
-
 from .core import (
     Lexicon,
     SelPrefError,
@@ -179,8 +177,11 @@ def import_sp10k_directory(root) -> GoldSet:
     return GoldSet(values.items())
 
 
-def _average_ranks(values) -> np.ndarray:
-    """Ranks 1..n with ties sharing the mean of their positions."""
+def _average_ranks(values):
+    """Ranks 1..n, as a float array, with ties sharing the mean of their
+    positions."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.float64)
     order = np.argsort(arr, kind="stable")
     # argsort puts NaN last, so any NaN or infinity sits at an end of the order
@@ -200,6 +201,8 @@ def _average_ranks(values) -> np.ndarray:
 def spearman(x, y) -> float:
     """Spearman rank correlation with average ranks for ties; NaN and
     infinities are rejected, since a rank cannot order them."""
+    import numpy as np
+
     x = list(x)
     y = list(y)
     if len(x) != len(y):
@@ -322,6 +325,8 @@ def significance(
     rho difference each time; p is the fraction of resamples where A
     fails to beat B (delta <= 0).
     """
+    import numpy as np
+
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     g = np.asarray(gold_values, dtype=np.float64)
@@ -361,7 +366,7 @@ def pseudo_disambiguation(
     if not test_pairs:
         raise NoTestPairsError("no test pairs")
     positives = {(p.relation, p.head, p.dependent) for p in test_pairs}
-    pools = {r: sorted(vocab.dependents_for(r)) for r in {p.relation for p in test_pairs}}
+    pools = {r: sorted(vocab.dependents_for(r)) for r in sorted({p.relation for p in test_pairs})}
     rng = random.Random(seed)
     total = 0.0
     for pair in test_pairs:

@@ -347,7 +347,8 @@ def generate_candidates(
         counts.heads(relation),
         key=lambda h: (-counts.marginal(relation, h), h),
     )[:heads_per_relation]
-    pool = sorted(lexicon.dependents_for(relation))
+    # only the random draws need a pool, so an empty one is no fault without them
+    pool = sorted(lexicon.dependents_for(relation)) if random_per_head else []
 
     out: list[Candidate] = []
     for head in ranked_heads:

@@ -225,8 +225,8 @@ def nn_train(
         raise NNError("empty training stream")
 
     for rel, pairs in by_rel.items():
-        head_pool = vocab.pool(rel.head_pos)
-        dep_pool = vocab.pool(rel.dependent_pos)
+        head_pool = vocab.heads_for(rel)
+        dep_pool = vocab.dependents_for(rel)
         for p in pairs:
             if p.head not in head_pool:
                 raise VocabCoverageError(
@@ -243,8 +243,8 @@ def nn_train(
         pairs = by_rel.get(rel)
         if not pairs:
             continue
-        heads = sorted(vocab.pool(rel.head_pos))
-        deps = sorted(vocab.pool(rel.dependent_pos))
+        heads = sorted(vocab.heads_for(rel))
+        deps = sorted(vocab.dependents_for(rel))
         net = _RelationNet(heads, deps, config, rng)
         attested: dict[int, set[int]] = {}
         instances = []

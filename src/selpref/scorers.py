@@ -8,13 +8,13 @@ the two apart.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from .core import SPPair
-from .embeddings import EmbeddingTable, ZeroVectorError
 from .extract import CountTable
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingTable
 
 
 class ScoreModel(Protocol):
@@ -43,6 +43,8 @@ def ds_score(
     attested has one. The cosines are one mat-vec over the attested rows
     (Erk 2007), each clamped to [-1, 1] as ``cosine`` does.
     """
+    import numpy as np
+
     target = emb.index.get(pair.dependent)
     if target is None:
         return None
@@ -59,6 +61,8 @@ def ds_score(
     norms = emb.norms[rows]
     target_norm = emb.norms[target]
     if target_norm == 0.0 or not norms.all():
+        from .embeddings import ZeroVectorError
+
         raise ZeroVectorError("cosine of a zero-norm vector is undefined")
     dots = emb.matrix[rows] @ emb.matrix[target]
     sims = np.clip(dots / (norms * target_norm), -1.0, 1.0)

@@ -28,6 +28,7 @@ from selpref.extract import (
     write_counts,
 )
 from selpref.nn import NNConfig
+from test_golden import BACKEND_FLAGS
 from test_golden import COMMANDS as GOLDEN_COMMANDS
 from test_golden import write_inputs as write_golden_inputs
 
@@ -1365,3 +1366,43 @@ def test_empty_input_exit_0_or_one_error_line(golden_inputs, tmp_path, name, fla
         rc = main(argv)
     assert rc == 0 or rc == 1 and re.fullmatch(r"error: [^\n]+\n", err.getvalue()), \
         (rc, err.getvalue())
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["candidates", "--counts", "counts.tsv", "--lexicon", "EMPTY",
+                  "--relation", "dobj", "--seed", "3"],
+                 "no noun entries, needed for dobj dependents", id="candidates"),
+    pytest.param(["pseudo", "--pairs", "candidates.tsv", "--lexicon", "EMPTY", "--seed", "9",
+                  *BACKEND_FLAGS["pp"]],
+                 "no noun entries, needed for dobj dependents", id="pseudo"),
+    pytest.param(["train-nn", "--counts", "counts.tsv", "--lexicon", "EMPTY", "--seed", "5",
+                  "--out", "model.npz"],
+                 "no verb entries, needed for dobj heads", id="train-nn"),
+])
+def test_an_empty_lexicon_pool_is_blamed_on_the_lexicon(golden_inputs, tmp_path, capsys,
+                                                        argv, message):
+    empty = write(tmp_path / "empty.tsv", "# lemma\tpos\n")
+    argv = golden_argv(argv, golden_inputs, tmp_path, "--lexicon", empty)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {empty}: {message}\n"
+
+
+# the golden commands that compute with numpy: train-nn, the ds and nn
+# backends, and every rank correlation; no other command may load it
+NUMPY_COMMANDS = {"train-nn", "iaa", "score-ds", "score-nn", *(f"eval-{b}" for b in BACKEND_FLAGS)}
+NUMPY_PROBE = """\
+import sys
+from selpref.cli import main
+assert main(sys.argv[1:]) == 0
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_COMMANDS, ids=[name for name, _ in GOLDEN_COMMANDS])
+def test_numpy_is_loaded_only_where_numbers_are_crunched(golden_inputs, tmp_path, name, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *golden_argv(argv, golden_inputs, tmp_path)],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(name in NUMPY_COMMANDS)

@@ -6,6 +6,7 @@ import pytest
 import selpref
 from selpref.core import (
     BadLemmaError,
+    EmptyPoolError,
     Lexicon,
     LexiconError,
     PlausibilityRangeError,
@@ -97,6 +98,21 @@ class TestLexicon:
         assert lex.dependents_for(SPRelation.AMOD) == frozenset({"fresh", "heavy"})
         assert lex.dependents_for(SPRelation.NSUBJ_AMOD) == frozenset({"fresh", "heavy"})
 
+    def test_heads_for(self):
+        lex = self.make()
+        assert lex.heads_for(SPRelation.DOBJ) == frozenset({"eat", "run"})
+        assert lex.heads_for(SPRelation.AMOD) == frozenset({"fish", "rock"})
+
+    def test_empty_pool_names_its_class_and_role(self):
+        lex = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset(), adjectives=frozenset())
+        assert lex.heads_for(SPRelation.DOBJ_AMOD) == frozenset({"eat"})
+        with pytest.raises(EmptyPoolError) as exc:
+            lex.dependents_for(SPRelation.DOBJ_AMOD)
+        assert str(exc.value) == "no adj entries, needed for dobj_amod dependents"
+        with pytest.raises(EmptyPoolError) as exc:
+            lex.heads_for(SPRelation.AMOD)
+        assert str(exc.value) == "no noun entries, needed for amod heads"
+
     def test_overlap_rejected(self):
         with pytest.raises(LexiconError):
             Lexicon(
@@ -151,6 +167,52 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8"))
               for p in sorted(src.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def load_time_imports(source: str) -> set[str]:
+    """Modules a module imports as it is loaded, relative ones with their
+    leading dots: imports inside functions and under ``if TYPE_CHECKING:``
+    are left out."""
+    names = set()
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add("." * node.level + node.module.split(".")[0])
+            elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                visit(node.orelse)
+            else:
+                visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return names
+
+
+# the modules that compute with numpy at every call, and so load it with themselves
+NUMPY_MODULES = {"embeddings", "nn"}
+
+
+def test_only_the_numeric_modules_load_numpy_with_themselves():
+    src = Path(selpref.__file__).parent
+    loaders = {"numpy", *("." + m for m in NUMPY_MODULES)}
+    loading = {p.stem: sorted(load_time_imports(p.read_text(encoding="utf-8")) & loaders)
+               for p in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in loading.items() if found} == {
+        "embeddings": ["numpy"], "nn": ["numpy"]}
+
+
+def test_load_time_imports_skip_functions_and_type_checking():
+    assert load_time_imports(
+        "import os.path\nfrom typing import TYPE_CHECKING\nfrom .core import SPPair\n"
+        "if TYPE_CHECKING:\n    import numpy\nelse:\n    import json\n"
+        "try:\n    import gzip\nexcept ImportError:\n    pass\n"
+        "class A:\n    from .nn import NNModel\n"
+        "def f():\n    import numpy as np\n    from .embeddings import cosine\n"
+    ) == {"os", "typing", ".core", "json", "gzip", ".nn"}
 
 
 def test_unused_imports_sees_imports_annotations_and_all():

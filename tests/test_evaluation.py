@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from selpref.core import Lexicon, SPPair, SPRelation
+from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
 from selpref.evaluation import (
     ConfounderPoolError,
     ConstantInputError,
@@ -395,6 +395,13 @@ class TestPseudoDisambiguation:
             pseudo_disambiguation(
                 LookupModel({}), [SPPair(R, "eat", "meal")], vocab, seed=1
             )
+
+    def test_empty_pool_is_told_from_an_exhausted_one(self):
+        vocab = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset(), adjectives=frozenset())
+        pairs = [SPPair(R, "eat", "meal"), SPPair(SPRelation.AMOD, "meal", "hot")]
+        # the relations' pools are checked in name order, amod first
+        with pytest.raises(EmptyPoolError, match="^no adj entries, needed for amod dependents$"):
+            pseudo_disambiguation(LookupModel({}), pairs, vocab, seed=1)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from selpref.conllu import Sentence, Token, read_conllu_file
-from selpref.core import Lexicon, SPPair, SPRelation
+from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
 from selpref.extract import (
     CandidatePoolError,
     CountTable,
@@ -270,6 +270,14 @@ class TestCandidates:
         )
         with pytest.raises(CandidatePoolError):
             generate_candidates(self.table(), small, SPRelation.DOBJ, seed=1)
+
+    def test_empty_pool_is_told_from_an_exhausted_one(self):
+        empty = Lexicon(verbs=frozenset({"v0"}), nouns=frozenset(), adjectives=frozenset())
+        with pytest.raises(EmptyPoolError, match="^no noun entries, needed for dobj dependents$"):
+            generate_candidates(self.table(), empty, SPRelation.DOBJ, seed=1)
+        cands = generate_candidates(self.table(), empty, SPRelation.DOBJ, random_per_head=0,
+                                    seed=1)
+        assert cands and {c.source for c in cands} == {"frequent"}
 
     def test_empty_relation_rejected(self):
         with pytest.raises(CandidatePoolError):

@@ -12,7 +12,8 @@ passed gradient dicts to an ``apply`` step, the prediction, survey and
 gold-set records that stored derived fields beside the facts they derive
 from, and the pair-list, gold, score and checkpoint readers that located
 their own row faults, with the writers that wrote their own header and
-``#config`` line.
+``#config`` line, and the leave-one-out agreement that walked every other
+annotator for each pair.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
 counting with the same error text and the same warnings in order; OMCS
@@ -20,7 +21,8 @@ index tables, witnesses and matrices exactly, the reader's triplets and
 error text exactly; NN models byte for byte, with the same epoch losses;
 predictions, surveys and gold sets exactly, in order, with the same error
 text; the readers' results in order or the same error type and text; the
-written artifacts byte for byte.
+written artifacts byte for byte; leave-one-out rhos exactly, or the same
+error text.
 """
 
 import io
@@ -41,7 +43,9 @@ from selpref.annotate import (
     RATING_MIN,
     RATING_OPTIONS,
     AnnotationError,
+    InsufficientOverlapError,
     MixedRelationError,
+    _leave_one_out,
     generate_survey,
     parse_rating_set,
     read_checkpoints,
@@ -84,6 +88,7 @@ from selpref.embeddings import (
 )
 from selpref.evaluation import (
     GOLD_HEADER,
+    ConstantInputError,
     DuplicatePairError,
     GoldFormatError,
     GoldSet,
@@ -91,6 +96,7 @@ from selpref.evaluation import (
     load_gold,
     load_scores_file,
     pseudo_disambiguation,
+    spearman,
     write_gold,
 )
 from selpref.extract import (
@@ -1848,3 +1854,67 @@ class TestEchoedWriters:
                                GOLD_HEADER, args)
             assert new == old
             assert new.startswith(GOLD_HEADER.encode() + b"\n#config {")
+
+
+# -- Leave-one-out agreement that walked every other annotator per pair ----------
+
+def old_leave_one_out(by_annotator: dict[str, dict[SPPair, float]]) -> list[float]:
+    rhos = []
+    for ann_id in sorted(by_annotator):
+        mine = by_annotator[ann_id]
+        shared = []
+        for pair in sorted(mine):
+            others = [
+                table[pair]
+                for other, table in by_annotator.items()
+                if other != ann_id and pair in table
+            ]
+            if others:
+                shared.append((mine[pair], sum(others) / len(others)))
+        if len(shared) < 2:
+            raise InsufficientOverlapError(
+                f"annotator {_clip(ann_id)} shares fewer than 2 pairs with the rest"
+            )
+        try:
+            rhos.append(spearman([a for a, _ in shared], [b for _, b in shared]))
+        except ConstantInputError as err:
+            raise InsufficientOverlapError(f"annotator {_clip(ann_id)}: {err}") from None
+    return rhos
+
+
+def random_ratings(rng):
+    """annotator -> pair -> float rating, with random overlap between annotators."""
+    pairs = random_pairs(rng, rng.randint(2, 30), relations=[SPRelation.DOBJ])
+    coverage = rng.choice([0.2, 0.5, 0.9, 1.0])
+    by_annotator = {}
+    for _ in range(rng.randint(2, 9)):
+        table = {p: float(rng.randint(RATING_MIN, RATING_MAX)) for p in pairs
+                 if rng.random() < coverage}
+        by_annotator[f"a{rng.randint(0, 99):02d}"] = table
+    return by_annotator
+
+
+class TestLeaveOneOut:
+    def test_matches_reference(self):
+        rng = random.Random(1616)
+        seen = Counter()
+        for trial in range(600):
+            by_annotator = random_ratings(rng)
+            old = read_outcome(old_leave_one_out, by_annotator)
+            assert read_outcome(_leave_one_out, by_annotator) == old, trial
+            seen["ok" if isinstance(old, list) else
+                 "constant" if "variance" in old[1] else "overlap"] += 1
+        assert min(seen.values()) > 20 and len(seen) == 3, seen
+
+    @pytest.mark.parametrize("by_annotator, message", [
+        ({"a": {"p1": 1.0, "p2": 2.0}, "b": {"p1": 3.0, "p3": 4.0}},
+         "annotator 'a' shares fewer than 2 pairs with the rest"),
+        ({"a": {"p1": 3.0, "p2": 3.0, "p3": 3.0}, "b": {"p1": 1.0, "p2": 4.0, "p3": 5.0}},
+         "annotator 'a': rank variance is zero (constant input)"),
+    ], ids=["too few shared", "constant ranks"])
+    def test_errors_match_reference(self, by_annotator, message):
+        by_annotator = {ann: {SPPair(SPRelation.DOBJ, "eat", p): r for p, r in table.items()}
+                        for ann, table in by_annotator.items()}
+        expected = (InsufficientOverlapError, message)
+        assert read_outcome(old_leave_one_out, by_annotator) == expected
+        assert read_outcome(_leave_one_out, by_annotator) == expected

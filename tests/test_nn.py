@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import selpref
-from selpref.core import Lexicon, SPPair, SPRelation
+from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
 from selpref.nn import (
     NegativePoolError,
     NNConfig,
@@ -132,6 +132,12 @@ def test_negative_pool_exhaustion():
         adjectives=frozenset(),
     )
     with pytest.raises(NegativePoolError):
+        nn_train([SPPair(R, "a", "x")], NNConfig(embedding_dim=4, hidden_dim=4), vocab)
+
+
+def test_empty_pool_is_blamed_on_the_lexicon():
+    vocab = Lexicon(verbs=frozenset(), nouns=frozenset({"x"}), adjectives=frozenset())
+    with pytest.raises(EmptyPoolError, match="^no verb entries, needed for dobj heads$"):
         nn_train([SPPair(R, "a", "x")], NNConfig(embedding_dim=4, hidden_dim=4), vocab)
 
 
