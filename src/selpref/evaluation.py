@@ -17,6 +17,7 @@ from .core import (
     _clip,
     _pair,
     _parsed_rows,
+    _shown,
     check_plausibility,
     open_input,
 )
@@ -325,6 +326,8 @@ def significance(
     rho difference each time; p is the fraction of resamples where A
     fails to beat B (delta <= 0).
     """
+    if resamples < 1:
+        raise SignificanceError(f"resamples must be >= 1, got {_shown(str(resamples))}")
     import numpy as np
 
     a = np.asarray(scores_a, dtype=np.float64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, TextIO
 
-from .conllu import CorpusFormatError, Sentence, sentence_rows
+from .conllu import CorpusFormatError, read_conllu
 from .core import (
     BadLemmaError,
     Lexicon,
@@ -63,7 +63,11 @@ def _rule_pairs(rows: list[tuple], include_passive: bool) -> list[tuple[int, tup
     A row is ``(index, lemma, upos, head, deprel, ...)`` with contiguous
     indices from 1.  Returns ``(relation position, head row, dependent
     row)`` per pair: each verb argument in token order, followed by its
-    two-hop adjectives, then the amod pairs by noun index.
+    two-hop adjectives, then the amod pairs by noun index.  A passive
+    subject is semantically an object, so nsubjpass/nsubj:pass edges are
+    dropped unless ``include_passive`` is set.  Dependents are restricted
+    to NOUN/PROPN (pronouns excluded) for the verb relations and to ADJ
+    for the modifier relations.
     """
     arguments = _ARGUMENT_RELATIONS[include_passive]
     amods: dict[int, list[tuple]] = {}  # noun index -> its ADJ rows, in token order
@@ -89,19 +93,6 @@ def _rule_pairs(rows: list[tuple], include_passive: bool) -> list[tuple[int, tup
         for adj in amods[noun_index]:
             pairs.append((_AMOD, noun, adj))
     return pairs
-
-
-def extract_pairs(sentence: Sentence, include_passive: bool = False) -> list[SPPair]:
-    """Apply the five extraction rules to one parsed sentence.
-
-    A passive subject is semantically an object, so nsubjpass/nsubj:pass
-    edges are dropped unless ``include_passive`` is set.  Dependents are
-    restricted to NOUN/PROPN (pronouns excluded) for the verb relations
-    and to ADJ for the modifier relations.
-    """
-    rows = [(t.index, t.lemma, t.upos, t.head_index, t.deprel) for t in sentence]
-    return [SPPair(_RELATION_ORDER[rel], head[1], dep[1])
-            for rel, head, dep in _rule_pairs(rows, include_passive)]
 
 
 class CountTableError(SelPrefError, ValueError):
@@ -186,32 +177,22 @@ class CountTable:
 _NO_DEPENDENTS: Mapping[str, int] = MappingProxyType({})
 
 
-def build_counts(corpus: Iterable[Sentence], include_passive: bool = False) -> CountTable:
-    """Accumulate a CountTable over a sentence stream (bounded memory)."""
-    table = CountTable()
-    for sentence in corpus:
-        for pair in extract_pairs(sentence, include_passive=include_passive):
-            table._add(pair)
-    return table
-
-
 def count_conllu(fh: TextIO, source: str = "<stream>", skip_malformed: bool = False,
                  include_passive: bool = False) -> CountTable:
     """Count the pairs of a CoNLL-U stream in one pass.
 
-    The table, the errors and the warnings are those of
-    ``build_counts(read_conllu(fh, source, skip_malformed), include_passive)``,
-    but no ``Token``, ``Sentence`` or ``SPPair`` is built.  A lemma that
-    would enter a pair gets ``SPPair``'s check, and a failing one names its
-    token's line: it raises ``CorpusFormatError`` or, with
-    ``skip_malformed``, drops its sentence like any other malformed one.
+    Sentences come from ``read_conllu`` and pairs from ``_rule_pairs``;
+    no ``SPPair`` is built.  A lemma that would enter a pair gets
+    ``SPPair``'s check, and a failing one names its token's line: it raises
+    ``CorpusFormatError`` or, with ``skip_malformed``, drops its sentence
+    like any other malformed one.
     Logs one summary line at info level.
     """
     table = CountTable()
     stores = [table._heads[rel] for rel in _RELATION_ORDER]
     lowered: dict[str, str] = {}  # lemmas that passed the check -> lowercased
     read = skipped = tokens = 0
-    for rows in sentence_rows(fh, source, skip_malformed):
+    for rows in read_conllu(fh, source, skip_malformed):
         read += 1
         if rows is None:
             skipped += 1

@@ -103,8 +103,3 @@ def lemmatize(word: str) -> str:
     if w.endswith("ed") and len(w) >= 5:
         return _dedup(w[:-2])
     return w
-
-
-def lemmatize_phrase(phrase: str) -> list[str]:
-    """Lowercase, split on whitespace, lemmatize each token."""
-    return [lemmatize(tok) for tok in phrase.lower().split()]

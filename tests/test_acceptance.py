@@ -13,7 +13,7 @@ import math
 import os
 import random
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from selpref.commonsense import (
     import_conceptnet_csv,
     relation_matrix,
 )
-from selpref.conllu import read_conllu_file
+from selpref.conllu import read_conllu
 from selpref.core import Lexicon, SPPair, SPRelation
 from selpref.annotate import RawRating, iaa, scale_rating_mean
 from selpref.embeddings import EmbeddingTable
@@ -38,7 +38,7 @@ from selpref.evaluation import (
     pseudo_disambiguation,
     spearman,
 )
-from selpref.extract import CountTable, build_counts
+from selpref.extract import CountTable, count_conllu
 from selpref.nn import NNConfig, nn_train
 from selpref.scorers import LookupModel, ds_score, pp_score
 from selpref.winograd import (
@@ -67,9 +67,12 @@ NEEDS_CONCEPTNET = pytest.mark.skipif(
 
 # ---- criterion 1: extraction equals a naive recount ----
 
+Row = namedtuple("Row", "index lemma upos head_index deprel")
+
+
 def naive_recount(sentences, include_passive=False):
     """Brute-force re-derivation of all five pair types, written against
-    the raw token lists rather than the library's extraction pass."""
+    the raw token rows rather than the library's extraction pass."""
     object_labels = {"dobj", "obj"}
     subject_labels = {"nsubj"}
     if include_passive:
@@ -77,7 +80,7 @@ def naive_recount(sentences, include_passive=False):
     noun_tags = {"NOUN", "PROPN"}
     out = Counter()
     for sent in sentences:
-        toks = list(sent)
+        toks = [Row(*row[:5]) for row in sent]
         by_index = {t.index: t for t in toks}
         for t in toks:
             head = by_index.get(t.head_index)
@@ -110,12 +113,18 @@ def table_as_counter(table: CountTable) -> Counter:
     return out
 
 
+def count_fixture(include_passive=False):
+    with FIXTURE.open(encoding="utf-8") as fh:
+        return count_conllu(fh, str(FIXTURE), include_passive=include_passive)
+
+
 def test_c01_extraction_matches_naive_recount_on_big_fixture():
     t0 = time.monotonic()
-    sentences = list(read_conllu_file(FIXTURE))
+    with FIXTURE.open(encoding="utf-8") as fh:
+        sentences = list(read_conllu(fh, str(FIXTURE)))
     assert len(sentences) >= 100
     for include_passive in (False, True):
-        table = build_counts(sentences, include_passive=include_passive)
+        table = count_fixture(include_passive)
         assert table_as_counter(table) == naive_recount(
             sentences, include_passive=include_passive)
         table.validate()
@@ -125,7 +134,7 @@ def test_c01_extraction_matches_naive_recount_on_big_fixture():
 # ---- criterion 2: relative-frequency scores normalize ----
 
 def test_c02_pp_scores_sum_to_one_and_match_worked_example():
-    counts = build_counts(read_conllu_file(FIXTURE))
+    counts = count_fixture()
     checked = 0
     for rel in SPRelation:
         for head in counts.heads(rel):
@@ -166,7 +175,7 @@ def test_c03_ds_hand_example_bounds_and_identity():
     assert abs(got - (3 * 0.8 + 1 * 0.4) / 4.0) <= 1e-12
 
     # every defined score on the corpus fixture is a valid cosine average
-    fixture_counts = build_counts(read_conllu_file(FIXTURE))
+    fixture_counts = count_fixture()
     rng = np.random.default_rng(20260819)
     words = set()
     for rel in SPRelation:

@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 import selpref
 from selpref.annotate import aggregate
 from selpref.cli import CHOICES, DEFAULTS, build_parser, main
-from selpref.conllu import read_conllu
 from selpref.evaluation import MISSING_POLICIES, evaluate
 from selpref.extract import (
-    build_counts,
     count_conllu,
     generate_candidates,
     read_counts,
@@ -200,7 +198,7 @@ def test_extract_info_summary_line(tmp_path):
 
 
 def test_library_entry_points_agree_with_cli(tmp_path):
-    """build_counts over read_conllu, count_conllu and the CLI give one table."""
+    """count_conllu and the CLI give one table."""
     def written(table):
         buf = io.StringIO()
         write_counts(table, buf)
@@ -208,16 +206,14 @@ def test_library_entry_points_agree_with_cli(tmp_path):
 
     for passive in (False, True):
         with open(FIXTURE, encoding="utf-8") as fh:
-            layered = written(build_counts(read_conllu(fh, str(FIXTURE)), passive))
-        with open(FIXTURE, encoding="utf-8") as fh:
             one_pass = written(count_conllu(fh, str(FIXTURE), include_passive=passive))
         out = tmp_path / "counts.tsv"
         flag = "--include-passive" if passive else "--no-include-passive"
         assert main(["extract", "--in", str(FIXTURE), flag, "--out", str(out)]) == 0
         with open(out, encoding="utf-8") as fh:
             cli = written(read_counts(fh))
-        assert layered == one_pass == cli
-        assert layered.count("\n") > 100
+        assert one_pass == cli
+        assert one_pass.count("\n") > 100
 
 
 def test_version_names_formats():

@@ -21,7 +21,7 @@ from selpref.commonsense import (
 )
 from selpref.core import SPPair, SPRelation
 from selpref.evaluation import GoldSet
-from selpref.lemmatize import lemmatize, lemmatize_phrase
+from selpref.lemmatize import lemmatize
 
 R = SPRelation.DOBJ
 
@@ -69,9 +69,6 @@ class TestLemmatize:
     def test_case_folding(self):
         assert lemmatize("Eating") == "eat"
         assert lemmatize("CATS") == "cat"
-
-    def test_phrase(self):
-        assert lemmatize_phrase("Eating fresh Apples") == ["eat", "fresh", "apple"]
 
 
 class TestMatching:

@@ -342,6 +342,12 @@ class TestSignificance:
         with pytest.raises(SignificanceError):
             significance(list(range(5)), list(range(5)), list(range(5)))
 
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_fewer_than_one_resample_rejected(self, resamples):
+        values = list(range(12))
+        with pytest.raises(SignificanceError, match=f"^resamples must be >= 1, got {resamples}$"):
+            significance(values, values, values, resamples=resamples)
+
 
 class TestPseudoDisambiguation:
     def vocab(self):

@@ -1,18 +1,19 @@
 import io
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
 
-from selpref.conllu import Sentence, Token, read_conllu_file
+from selpref.conllu import read_conllu
 from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
 from selpref.extract import (
+    _RELATION_ORDER,
     CandidatePoolError,
     CountTable,
     CountTableError,
-    build_counts,
-    extract_pairs,
+    _rule_pairs,
+    count_conllu,
     generate_candidates,
     read_counts,
     write_counts,
@@ -21,10 +22,13 @@ from selpref.extract import (
 FIXTURE = Path(__file__).parent / "data" / "fixture.conllu"
 
 
-def oracle_pairs(sentence, include_passive=False):
+Row = namedtuple("Row", "index lemma upos head_index deprel")
+
+
+def oracle_pairs(rows, include_passive=False):
     """Brute-force re-derivation of the five patterns, written independently
-    of extract_pairs: scan every token triple instead of indexing edges."""
-    toks = list(sentence)
+    of _rule_pairs: scan every token triple instead of indexing edges."""
+    toks = [Row(*row[:5]) for row in rows]
     by_index = {t.index: t for t in toks}
     out = []
     subj_labels = {"nsubj"} | ({"nsubjpass", "nsubj:pass"} if include_passive else set())
@@ -56,12 +60,23 @@ def oracle_pairs(sentence, include_passive=False):
     return out
 
 
+def rule_pairs(rows, include_passive=False):
+    """The pairs _rule_pairs finds in one sentence's rows, as SPPairs."""
+    return [SPPair(_RELATION_ORDER[rel], head[1], dep[1])
+            for rel, head, dep in _rule_pairs(rows, include_passive)]
+
+
 def sent(*rows):
-    return Sentence(Token(*row) for row in rows)
+    return list(rows)
+
+
+def fixture_table(include_passive=False):
+    with FIXTURE.open(encoding="utf-8") as fh:
+        return count_conllu(fh, str(FIXTURE), include_passive=include_passive)
 
 
 def test_empty_sentence():
-    assert extract_pairs(Sentence([])) == []
+    assert rule_pairs([]) == []
 
 
 def test_fish_worm_example():
@@ -74,7 +89,7 @@ def test_fish_worm_example():
         (6, "tasty", "ADJ", 7, "amod"),
         (7, "worm", "NOUN", 4, "dobj"),
     )
-    got = set(extract_pairs(s))
+    got = set(rule_pairs(s))
     assert got == {
         SPPair(SPRelation.NSUBJ, "eat", "fish"),
         SPPair(SPRelation.DOBJ, "eat", "worm"),
@@ -91,7 +106,7 @@ def test_clausal_object_yields_nothing():
         (2, "say", "VERB", 0, "root"),
         (3, "go", "VERB", 2, "ccomp"),
     )
-    assert extract_pairs(s) == []
+    assert rule_pairs(s) == []
 
 
 def test_multiple_amod_children_yield_multiple_two_hop_pairs():
@@ -101,7 +116,7 @@ def test_multiple_amod_children_yield_multiple_two_hop_pairs():
         (3, "red", "ADJ", 4, "amod"),
         (4, "car", "NOUN", 1, "obj"),
     )
-    c = Counter(extract_pairs(s))
+    c = Counter(rule_pairs(s))
     assert c[SPPair(SPRelation.DOBJ_AMOD, "buy", "big")] == 1
     assert c[SPPair(SPRelation.DOBJ_AMOD, "buy", "red")] == 1
     assert c[SPPair(SPRelation.DOBJ, "buy", "car")] == 1
@@ -112,8 +127,8 @@ def test_passive_subject_excluded_by_default():
         (1, "fish", "NOUN", 2, "nsubjpass"),
         (2, "eat", "VERB", 0, "root"),
     )
-    assert extract_pairs(s) == []
-    assert extract_pairs(s, include_passive=True) == [
+    assert rule_pairs(s) == []
+    assert rule_pairs(s, include_passive=True) == [
         SPPair(SPRelation.NSUBJ, "eat", "fish")
     ]
 
@@ -124,23 +139,24 @@ def test_pronoun_dependent_excluded():
         (2, "eat", "VERB", 0, "root"),
         (3, "it", "PRON", 2, "dobj"),
     )
-    assert extract_pairs(s) == []
+    assert rule_pairs(s) == []
 
 
 def test_fixture_matches_oracle_per_sentence():
-    sentences = list(read_conllu_file(FIXTURE))
+    with FIXTURE.open(encoding="utf-8") as fh:
+        sentences = list(read_conllu(fh, str(FIXTURE)))
     assert len(sentences) >= 100
     for s in sentences:
-        assert Counter(extract_pairs(s)) == Counter(oracle_pairs(s)), s.tokens
+        assert Counter(rule_pairs(s)) == Counter(oracle_pairs(s)), s
     # and the passive-inclusive variant differs only where expected
     for s in sentences:
-        assert Counter(extract_pairs(s, include_passive=True)) == Counter(
+        assert Counter(rule_pairs(s, include_passive=True)) == Counter(
             oracle_pairs(s, include_passive=True)
         )
 
 
 def test_fixture_exercises_every_relation():
-    table = build_counts(read_conllu_file(FIXTURE))
+    table = fixture_table()
     for rel in SPRelation:
         assert table.total(rel) > 0, rel
 
@@ -157,10 +173,9 @@ def test_random_trees_match_oracle():
         rows = []
         for i in range(1, n + 1):
             head = rng.choice([h for h in range(0, n + 1) if h != i])
-            rows.append(Token(i, rng.choice(lemmas), rng.choice(upos_pool),
-                              head, rng.choice(deprel_pool)))
-        s = Sentence(rows)
-        assert Counter(extract_pairs(s)) == Counter(oracle_pairs(s)), rows
+            rows.append((i, rng.choice(lemmas), rng.choice(upos_pool),
+                         head, rng.choice(deprel_pool)))
+        assert Counter(rule_pairs(rows)) == Counter(oracle_pairs(rows)), rows
 
 
 class TestCountTable:
@@ -198,7 +213,7 @@ class TestCountTable:
             merged.validate()
 
     def test_roundtrip_tsv(self):
-        t = build_counts(read_conllu_file(FIXTURE))
+        t = fixture_table()
         buf = io.StringIO()
         write_counts(t, buf)
         buf.seek(0)

@@ -5,24 +5,27 @@ test-only code: a count table with one flat ``(head, dependent)`` counter
 per relation plus parallel marginal and total counters, the counts reader
 that built an ``SPPair`` per row, the scalar ``ds`` loop, the
 pseudo-disambiguation loop that re-sorted the pool for every test pair,
-the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence``
-per sentence and an ``SPPair`` per extracted pair, the OMCS index that
-lemmatized every token occurrence, with its reader, the NN trainer that
-passed gradient dicts to an ``apply`` step, the prediction, survey and
-gold-set records that stored derived fields beside the facts they derive
-from, and the pair-list, gold, score and checkpoint readers that located
-their own row faults, with the writers that wrote their own header and
-``#config`` line, and the leave-one-out agreement that walked every other
-annotator for each pair.
+the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence`` per
+sentence and an ``SPPair`` per extracted pair (replaced by the rows of
+``read_conllu``, the rules of ``_rule_pairs`` and the one pass of
+``count_conllu``), the OMCS index that lemmatized every token
+occurrence, with its reader, the NN trainer that passed gradient dicts
+to an ``apply`` step, the prediction, survey and gold-set records that
+stored derived fields beside the facts they derive from, and the
+pair-list, gold, score and checkpoint readers that located their own
+row faults, with the writers that wrote their own header and
+``#config`` line, and the leave-one-out agreement that walked every
+other annotator for each pair.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
-counting with the same error text and the same warnings in order; OMCS
-index tables, witnesses and matrices exactly, the reader's triplets and
-error text exactly; NN models byte for byte, with the same epoch losses;
-predictions, surveys and gold sets exactly, in order, with the same error
-text; the readers' results in order or the same error type and text; the
-written artifacts byte for byte; leave-one-out rhos exactly, or the same
-error text.
+counting with the same error text and the same warnings in order, the
+reader's rows as the old tokens and the rules' pairs as the old pairs
+or the same lemma error; OMCS index tables, witnesses and matrices
+exactly, the reader's triplets and error text exactly; NN models byte
+for byte, with the same epoch losses; predictions, surveys and gold sets
+exactly, in order, with the same error text; the readers' results in
+order or the same error type and text; the written artifacts byte for
+byte; leave-one-out rhos exactly, or the same error text.
 """
 
 import io
@@ -67,7 +70,7 @@ from selpref.commonsense import (
     read_omcs,
     relation_matrix,
 )
-from selpref.conllu import CorpusFormatError, read_conllu, read_conllu_file
+from selpref.conllu import CorpusFormatError, read_conllu
 from selpref.core import (
     BadLemmaError,
     Lexicon,
@@ -106,12 +109,12 @@ from selpref.extract import (
     OBJECT_DEPRELS,
     PASSIVE_SUBJECT_DEPRELS,
     SUBJECT_DEPRELS,
+    _RELATION_ORDER,
     Candidate,
     CountTable,
     CountTableError,
-    build_counts,
+    _rule_pairs,
     count_conllu,
-    extract_pairs,
     read_counts,
     read_pairs,
     write_candidates,
@@ -321,7 +324,7 @@ class TestReadCounts:
         return buf.getvalue()
 
     def test_fixture_table_matches_reference_in_order(self):
-        text = self.roundtrip(build_counts(read_conllu_file(FIXTURE)))
+        text = self.roundtrip(count_conllu(io.StringIO(FIXTURE.read_text(encoding="utf-8"))))
         new = read_counts(io.StringIO(text))
         old = flat_read_counts(io.StringIO(text))
         # the order items() yields is what train-nn sees
@@ -841,43 +844,39 @@ class TestCountConllu:
         assert min(seen.values()) > 20, seen
 
     def test_readers_and_rules_match_reference(self, caplog):
+        """read_conllu's rows (their first five fields, skipped sentences
+        left out) are the old reader's tokens, and _rule_pairs finds the
+        old extract_pairs' pairs, or the same lemma error."""
+        def old_sentences():
+            return [[(t.index, t.lemma, t.upos, t.head_index, t.deprel) for t in s]
+                    for s in old_read_conllu(io.StringIO(text), "c.conllu", skip)]
+
+        def new_sentences():
+            return [[row[:5] for row in rows]
+                    for rows in read_conllu(io.StringIO(text), "c.conllu", skip)
+                    if rows is not None]
+
         rng = random.Random(808)
         for trial in range(100):
             text, _ = random_corpus(rng, rng.randint(1, 12))
             for skip in (False, True):
-                def sentences(reader):
-                    return lambda: [
-                        [(t.index, t.lemma, t.upos, t.head_index, t.deprel) for t in s]
-                        for s in reader(io.StringIO(text), "c.conllu", skip)]
-                want = run_logged(caplog, sentences(old_read_conllu))
-                got = run_logged(caplog, sentences(read_conllu))
+                want = run_logged(caplog, old_sentences)
+                got = run_logged(caplog, new_sentences)
                 assert got == want, (trial, skip, text)
                 if isinstance(want[0], tuple):
                     continue
-                for old, new in zip(old_read_conllu(io.StringIO(text), "c", skip),
-                                    read_conllu(io.StringIO(text), "c", skip)):
+                for old, new in zip(old_read_conllu(io.StringIO(text), "c", skip), got[0]):
                     for passive in (False, True):
                         try:
                             want_pairs = old_extract_pairs(old, passive)
                         except BadLemmaError as err:
-                            with pytest.raises(BadLemmaError) as new_err:
-                                extract_pairs(new, passive)
-                            assert str(new_err.value) == str(err)
-                        else:
-                            assert extract_pairs(new, passive) == want_pairs
-
-    def test_build_counts_over_read_conllu_matches_reference(self):
-        rng = random.Random(909)
-        for trial in range(60):
-            text, _ = random_corpus(rng, rng.randint(1, 12))
-            outcomes = []
-            for reader, build in ((old_read_conllu, old_build_counts),
-                                  (read_conllu, build_counts)):
-                try:
-                    outcomes.append(written(build(reader(io.StringIO(text), "c", True))))
-                except BadLemmaError as err:
-                    outcomes.append(("lemma", str(err)))
-            assert outcomes[0] == outcomes[1], (trial, text)
+                            want_pairs = ("lemma", str(err))
+                        try:
+                            got_pairs = [SPPair(_RELATION_ORDER[rel], head[1], dep[1])
+                                         for rel, head, dep in _rule_pairs(new, passive)]
+                        except BadLemmaError as err:
+                            got_pairs = ("lemma", str(err))
+                        assert got_pairs == want_pairs, (trial, skip, passive, text)
 
 
 # OMCS index and reader ------------------------------------------------------
