@@ -8,7 +8,7 @@ import csv
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Optional, TextIO
 
 from .core import SelPrefError, SPPair, SPRelation, _clip, _pair, _parsed_rows, _shown
 from .evaluation import ConstantInputError, spearman
@@ -151,16 +151,15 @@ class RawRating:
     annotator_id: str
     pair: SPPair
     rating: int
-    is_checkpoint: bool = False
-    expected: Optional[frozenset[int]] = None
+    expected: Optional[frozenset[int]] = None  # accepted checkpoint answers
 
     def __post_init__(self):
         if not (RATING_MIN <= self.rating <= RATING_MAX):
             raise AnnotationError(f"rating {_shown(str(self.rating))} outside [1,5]")
-        if self.is_checkpoint and not self.expected:
-            raise AnnotationError("checkpoint rating without expected answers")
-        if not self.is_checkpoint and self.expected:
-            raise AnnotationError("expected answers on a non-checkpoint rating")
+
+    @property
+    def is_checkpoint(self) -> bool:
+        return self.expected is not None
 
 
 @dataclass
@@ -288,21 +287,6 @@ RATINGS_COLUMNS = [
 ]
 
 
-def write_ratings(ratings: Iterable[RawRating], fh: TextIO) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(RATINGS_COLUMNS)
-    for r in ratings:
-        writer.writerow([
-            r.annotator_id,
-            r.pair.relation.value,
-            r.pair.head,
-            r.pair.dependent,
-            r.rating,
-            "1" if r.is_checkpoint else "0",
-            "|".join(str(e) for e in sorted(r.expected)) if r.expected else "",
-        ])
-
-
 def parse_rating_set(text: str) -> frozenset[int]:
     """A |-joined set of ratings, as a checkpoint's expected answers."""
     try:
@@ -344,7 +328,10 @@ def _of_relation(rows, source, relation, kind: str, need: Optional[int] = None) 
 
 
 def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
-    """Read write_ratings' CSV; an error names the line its row ends on."""
+    """Read a ratings CSV: a RATINGS_COLUMNS header, then one row per
+    rating, whose is_checkpoint field is 1 exactly when its |-joined
+    expected answers are given, else 0.  An error names the line its row
+    ends on."""
     reader = csv.reader(fh)
     out = []
     try:
@@ -361,13 +348,19 @@ def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
                 )
             ann_id, _, _, _, rating, is_cp, expected = row
             try:
-                out.append(RawRating(
+                r = RawRating(
                     annotator_id=ann_id,
                     pair=_pair(row[1:4]),
                     rating=int(rating),
-                    is_checkpoint=is_cp == "1",
                     expected=parse_rating_set(expected) if expected else None,
-                ))
+                )
+                if is_cp not in ("0", "1"):
+                    raise AnnotationError(f"bad is_checkpoint {_clip(is_cp)}")
+                if r.is_checkpoint != (is_cp == "1"):
+                    raise AnnotationError("expected answers on a non-checkpoint rating"
+                                          if r.is_checkpoint else
+                                          "checkpoint rating without expected answers")
+                out.append(r)
             except SelPrefError as err:
                 raise AnnotationError(f"{source}:{reader.line_num}: {err}") from None
             except ValueError:  # only int() raises a bare one

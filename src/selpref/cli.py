@@ -429,11 +429,7 @@ def cmd_omcs_matrix(args, parser) -> int:
 
 
 def cmd_winograd(args, parser) -> int:
-    if args.gold:  # a score TSV used directly, echoed as backend lookup
-        args.backend = "lookup"
-        model = LookupModel(load_scores_file(args.gold))
-    else:
-        model = _build_model(args, parser)
+    model = _build_model(args, parser)
     if args.questions:
         questions = _read(load_questions, args.questions)
     else:
@@ -603,8 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("winograd",
                         help="resolve bundled or custom schema questions")
     p.add_argument("--questions", help="questions JSON (default: bundled set)")
-    p.add_argument("--gold",
-                   help="pair score TSV used directly as a lookup backend")
     p.add_argument("--predictions", help="per-question CSV path")
     p.add_argument("--out", help="JSON summary path")
     _add_backend_flags(p)

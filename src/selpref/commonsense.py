@@ -44,17 +44,6 @@ class MatchKind(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    pair: SPPair
-    kind: MatchKind
-    witness: Optional[OMCSTriplet] = None
-
-    def __post_init__(self):
-        if (self.kind is MatchKind.NONE) != (self.witness is None):
-            raise ValueError("witness present iff kind is not NONE")
-
-
 class OMCSIndex:
     """Inverted token index over lemmatized triplet phrases.
 
@@ -136,12 +125,6 @@ def _witnesses(pair: SPPair, index: OMCSIndex) -> tuple[MatchKind, list[OMCSTrip
         return MatchKind.EXACT, exact
     partial = index.partial_witnesses(pair)
     return (MatchKind.PARTIAL if partial else MatchKind.NONE), partial
-
-
-def match_pair(pair: SPPair, index: OMCSIndex) -> MatchResult:
-    """The pair's match kind with its lowest-numbered witness."""
-    kind, witnesses = _witnesses(pair, index)
-    return MatchResult(pair, kind, witnesses[0] if witnesses else None)
 
 
 class PlausibilityGroup(enum.Enum):
@@ -240,12 +223,6 @@ class RelationMatrix:
         table = self.exact if kind is MatchKind.EXACT else self.partial
         return table.get(sp, {}).get(omcs, 0)
 
-    def total(self) -> int:
-        return sum(
-            c for table in (self.exact, self.partial)
-            for row in table.values() for c in row.values()
-        )
-
     def to_csv(self, kind: MatchKind) -> str:
         labels = self.omcs_relations()
         lines = ["sp_relation," + ",".join(labels)]
@@ -284,11 +261,6 @@ def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:
         tuple(f[0].split()), f[1], tuple(f[2].split())))]
 
 
-def write_omcs(triplets: Iterable[OMCSTriplet], fh: TextIO) -> None:
-    for t in triplets:
-        fh.write(f"{' '.join(t.start)}\t{t.relation}\t{' '.join(t.end)}\n")
-
-
 def _concept_phrase(uri: str) -> Optional[str]:
     # /c/en/take_a_nap[/...] -> "take a nap"
     parts = uri.split("/")
@@ -297,15 +269,13 @@ def _concept_phrase(uri: str) -> Optional[str]:
     return parts[3].replace("_", " ").strip()
 
 
-def import_conceptnet_csv(
-    fh: TextIO, require_omcs: bool = True
-) -> list[OMCSTriplet]:
+def import_conceptnet_csv(fh: TextIO) -> list[OMCSTriplet]:
     """Filter a ConceptNet 5 assertion CSV down to English OMCS triplets.
 
     Expects the tab-separated dump format: assertion URI, relation URI,
     start URI, end URI, JSON metadata. Keeps rows whose concepts are both
     English and whose metadata mentions an OMCS source (sources list or
-    dataset field), unless require_omcs is off.
+    dataset field).
     """
     out = []
     for line in fh:
@@ -319,7 +289,7 @@ def import_conceptnet_csv(
         end = _concept_phrase(end_uri)
         if not start or not end:
             continue
-        if require_omcs and "omcs" not in meta:
+        if "omcs" not in meta:
             continue
         relation = rel_uri.split("/")[2]
         try:

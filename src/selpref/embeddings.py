@@ -28,34 +28,18 @@ class ZeroVectorError(EmbeddingError, ArithmeticError):
 class EmbeddingTable:
     """lemma -> fixed-dimension vector, loaded once and then read-only.
 
-    The vectors are the rows of one ``(n, d)`` float64 ``matrix``;
+    Row i of the ``(n, d)`` float64 ``matrix`` is the vector of
+    ``words[i]``; the matrix is wrapped without a copy and made read-only.
     ``index`` maps a word to its row and ``norms`` holds the row norms.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        if not vectors:
-            raise EmptyEmbeddingFile("no embedding vectors")
-        dims = {v.shape for v in vectors.values()}
-        if len(dims) != 1:
-            raise EmbeddingError(f"mixed embedding dimensions: {sorted(dims)}")
-        self._set_rows(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
-
-    @classmethod
-    def from_rows(cls, words: list[str], matrix: np.ndarray) -> "EmbeddingTable":
-        """Wrap a float64 matrix whose row i is the vector of ``words[i]``,
-        without copying it."""
-        table = cls.__new__(cls)
-        table._set_rows(words, matrix)
-        return table
-
-    def _set_rows(self, words: list[str], matrix: np.ndarray) -> None:
+    def __init__(self, words: list[str], matrix: np.ndarray):
         if not np.isfinite(matrix).all():
             row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
             raise EmbeddingError(f"non-finite components in vector for {words[row]!r}")
         self.index = {w: i for i, w in enumerate(words)}
         self.matrix = matrix
         self.matrix.flags.writeable = False
-        self.dim = matrix.shape[1]
         # row-wise dot products, without an (n, d) temporary of squares
         self.norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         self.norms.flags.writeable = False
@@ -108,7 +92,7 @@ def load_embeddings(path) -> EmbeddingTable:
     if dupes:
         log.warning("%s: %d duplicate words ignored (first kept)", path, dupes)
     try:
-        return EmbeddingTable.from_rows(list(words), np.frombuffer(buf).reshape(len(words), dim))
+        return EmbeddingTable(list(words), np.frombuffer(buf).reshape(len(words), dim))
     except EmbeddingError:  # the one check it makes: every component finite
         raise EmbeddingError(_non_finite_line(path)) from None
 

@@ -111,20 +111,16 @@ class CountTable:
     def __init__(self):
         self._heads: dict[SPRelation, dict[str, Counter]] = {r: {} for r in SPRelation}
 
-    def _add(self, pair: SPPair, count: int = 1) -> None:
-        if count < 1:
-            raise CountTableError(f"count must be >= 1, got {count}")
-        heads = self._heads[pair.relation]
-        deps = heads.get(pair.head)
-        if deps is None:
-            deps = heads[pair.head] = Counter()
-        deps[pair.dependent] += count
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[SPPair]) -> "CountTable":
+        """A table counting each occurrence of a pair once."""
         table = cls()
         for pair in pairs:
-            table._add(pair)
+            heads = table._heads[pair.relation]
+            deps = heads.get(pair.head)
+            if deps is None:
+                deps = heads[pair.head] = Counter()
+            deps[pair.dependent] += 1
         return table
 
     def count(self, relation: SPRelation, head: str, dependent: str) -> int:
@@ -137,9 +133,6 @@ class CountTable:
 
     def total(self, relation: SPRelation) -> int:
         return sum(deps.total() for deps in self._heads[relation].values())
-
-    def unique_pairs(self, relation: SPRelation) -> int:
-        return sum(len(deps) for deps in self._heads[relation].values())
 
     def dependents_of(self, relation: SPRelation, head: str) -> Mapping[str, int]:
         """Attested dependents of a head with their counts (a read-only view)."""
@@ -154,24 +147,6 @@ class CountTable:
         for head, deps in self._heads[relation].items():
             for dep, count in deps.items():
                 yield head, dep, count
-
-    def merge(self, other: "CountTable") -> "CountTable":
-        """Combine two tables; counting is associative over corpus splits."""
-        out = CountTable()
-        for table in (self, other):
-            for rel, heads in table._heads.items():
-                store = out._heads[rel]
-                for head, deps in heads.items():
-                    store.setdefault(head, Counter()).update(deps)
-        return out
-
-    def validate(self) -> None:
-        for rel, heads in self._heads.items():
-            for head, deps in heads.items():
-                if not deps:
-                    raise CountTableError(f"{rel}: empty entry for head {head!r}")
-                if min(deps.values()) < 1:
-                    raise CountTableError(f"{rel}: stored count < 1")
 
 
 _NO_DEPENDENTS: Mapping[str, int] = MappingProxyType({})

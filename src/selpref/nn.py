@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Lexicon, SelPrefError, SPPair, SPRelation, _clip, parse_relation
+from .core import Lexicon, SelPrefError, SPPair, SPRelation, _clip, _shown, parse_relation
 
 log = logging.getLogger(__name__)
 
@@ -186,6 +186,9 @@ class NNModel:
                 config = NNConfig.from_dict(json.loads(str(z["meta__config"])))
                 model = cls(config)
                 for name in json.loads(str(z["meta__relations"])):
+                    if not isinstance(name, str):
+                        raise ValueError(f"relation name {_shown(json.dumps(name))} "
+                                         "is not a string")
                     rel = parse_relation(name)
                     p = rel.value
                     net = _RelationNet.__new__(_RelationNet)

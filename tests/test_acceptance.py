@@ -31,7 +31,6 @@ from selpref.commonsense import (
 from selpref.conllu import read_conllu
 from selpref.core import Lexicon, SPPair, SPRelation
 from selpref.annotate import RawRating, iaa, scale_rating_mean
-from selpref.embeddings import EmbeddingTable
 from selpref.evaluation import (
     GoldSet,
     import_sp10k_directory,
@@ -47,6 +46,7 @@ from selpref.winograd import (
     resolve,
     score_accuracy,
 )
+from test_scorers import embedding_table
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.conllu"
 
@@ -127,7 +127,9 @@ def test_c01_extraction_matches_naive_recount_on_big_fixture():
         table = count_fixture(include_passive)
         assert table_as_counter(table) == naive_recount(
             sentences, include_passive=include_passive)
-        table.validate()
+        # Counter equality ignores zero counts and empty heads: none is stored
+        assert all(min(table.dependents_of(rel, head).values(), default=0) >= 1
+                   for rel in SPRelation for head in table.heads(rel))
     assert time.monotonic() - t0 < 5.0
 
 
@@ -166,7 +168,7 @@ def test_c03_ds_hand_example_bounds_and_identity():
         [SPPair(SPRelation.DOBJ, "eat", "worm")] * 3
         + [SPPair(SPRelation.DOBJ, "eat", "bread")]
     )
-    emb = EmbeddingTable({
+    emb = embedding_table({
         "apple": unit_vector_at(0.0),
         "worm": unit_vector_at(math.acos(0.8)),
         "bread": unit_vector_at(math.acos(0.4)),
@@ -182,7 +184,7 @@ def test_c03_ds_hand_example_bounds_and_identity():
         for head, dep, _ in fixture_counts.items(rel):
             words.add(head)
             words.add(dep)
-    table = EmbeddingTable(
+    table = embedding_table(
         {w: rng.standard_normal(10) for w in sorted(words)}
     )
     scored = 0
@@ -197,7 +199,7 @@ def test_c03_ds_hand_example_bounds_and_identity():
     # head attested with exactly one dependent, queried with that
     # dependent: the weighted average collapses to cos(v, v)
     single = CountTable.from_pairs([SPPair(SPRelation.DOBJ, "eat", "worm")])
-    basis = EmbeddingTable({"worm": np.array([0.0, 2.5, 0.0])})
+    basis = embedding_table({"worm": np.array([0.0, 2.5, 0.0])})
     assert ds_score(single, basis, SPPair(SPRelation.DOBJ, "eat", "worm")) == 1.0
 
 

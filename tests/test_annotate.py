@@ -17,20 +17,18 @@ from selpref.annotate import (
     read_ratings,
     render_question,
     scale_rating_mean,
-    write_ratings,
 )
 from selpref.core import SPPair, SPRelation
 
 R = SPRelation.DOBJ
 
 
-def rating(ann, rel, head, dep, value, cp=False, expected=None):
+def rating(ann, rel, head, dep, value, expected=None):
     return RawRating(
         annotator_id=ann,
         pair=SPPair(rel, head, dep),
         rating=value,
-        is_checkpoint=cp,
-        expected=frozenset(expected) if expected else None,
+        expected=None if expected is None else frozenset(expected),
     )
 
 
@@ -107,9 +105,9 @@ class TestGenerateSurvey:
 class TestFilter:
     def test_checkpoint_failure_drops_annotator(self):
         rows = [
-            rating("a1", R, "eat", "meal", 5, cp=True, expected={4, 5}),
+            rating("a1", R, "eat", "meal", 5, expected={4, 5}),
             rating("a1", R, "v1", "n1", 3),
-            rating("a2", R, "eat", "meal", 2, cp=True, expected={4, 5}),
+            rating("a2", R, "eat", "meal", 2, expected={4, 5}),
             rating("a2", R, "v1", "n1", 4),
         ]
         kept, rejected = filter_annotations(rows)
@@ -142,7 +140,7 @@ class TestFilter:
         for a in range(6):
             ok_cp = rng.random() < 0.7
             rows.append(rating(f"a{a}", R, "eat", "meal",
-                               5 if ok_cp else 1, cp=True, expected={4, 5}))
+                               5 if ok_cp else 1, expected={4, 5}))
             for i in range(8):
                 rows.append(rating(f"a{a}", R, f"v{i}", f"n{i}", rng.randint(1, 5)))
         once, rej1 = filter_annotations(rows)
@@ -178,7 +176,7 @@ class TestAggregate:
         assert under[SPPair(R, "eat", "soup")] == 9
 
     def test_checkpoints_excluded(self):
-        rows = [rating(f"a{i}", R, "eat", "meal", 5, cp=True, expected={4, 5})
+        rows = [rating(f"a{i}", R, "eat", "meal", 5, expected={4, 5})
                 for i in range(10)]
         scores, under = aggregate(rows)
         assert not scores and not under
@@ -316,15 +314,15 @@ class TestIAA:
 class TestRatingsIO:
     def test_roundtrip(self):
         rows = [
-            rating("a1", R, "eat", "meal", 5, cp=True, expected={4, 5}),
+            rating("a1", R, "eat", "meal", 5, expected={4, 5}),
             rating("a1", R, "v1", "n1", 3),
             rating("a2", SPRelation.NSUBJ_AMOD, "smile", "friendly", 4),
         ]
-        buf = io.StringIO()
-        write_ratings(rows, buf)
-        buf.seek(0)
-        back = read_ratings(buf)
-        assert back == rows
+        text = "annotator_id,relation,head,dependent,rating,is_checkpoint,expected\n" + "".join(
+            f"{r.annotator_id},{r.pair.relation},{r.pair.head},{r.pair.dependent},{r.rating},"
+            f"{int(r.is_checkpoint)},{'|'.join(map(str, sorted(r.expected or ())))}\n"
+            for r in rows)
+        assert read_ratings(io.StringIO(text)) == rows
 
     def test_bad_header(self):
         with pytest.raises(AnnotationError):
@@ -343,7 +341,6 @@ class TestRatingsIO:
 def test_rawrating_validation():
     with pytest.raises(AnnotationError):
         rating("a", R, "x", "y", 6)
-    with pytest.raises(AnnotationError):
-        rating("a", R, "x", "y", 3, cp=True)  # checkpoint without expected
-    with pytest.raises(AnnotationError):
-        RawRating("a", SPPair(R, "x", "y"), 3, False, frozenset({3}))
+    # a rating is a checkpoint exactly when it has expected answers
+    assert rating("a", R, "x", "y", 3, expected={3}).is_checkpoint
+    assert not rating("a", R, "x", "y", 3).is_checkpoint

@@ -590,7 +590,7 @@ def test_winograd_gold_lookup_summary(tmp_path):
     ))
     out = tmp_path / "summary.json"
     preds = tmp_path / "preds.csv"
-    rc = main(["winograd", "--gold", gold, "--questions", qfile,
+    rc = main(["winograd", "--backend", "lookup", "--scores", gold, "--questions", qfile,
                "--out", str(out), "--predictions", str(preds)])
     assert rc == 0
     doc = json.loads(out.read_text())
@@ -605,10 +605,18 @@ def test_winograd_gold_lookup_summary(tmp_path):
     assert len(pred_lines) == 3
 
 
+def test_winograd_gold_flag_is_a_usage_error(tmp_path, capsys):
+    gold = write(tmp_path / "gold.tsv", GOLD)
+    with pytest.raises(SystemExit) as exc:
+        main(["winograd", "--gold", gold])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gold" in capsys.readouterr().err
+
+
 def test_winograd_bundled_default(tmp_path):
     gold = write(tmp_path / "empty.tsv", "#sp10k v1\n")
     out = tmp_path / "summary.json"
-    rc = main(["winograd", "--gold", gold, "--out", str(out)])
+    rc = main(["winograd", "--backend", "lookup", "--scores", gold, "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["total"] == 72
@@ -649,6 +657,14 @@ RATINGS_HEAD = "annotator_id,relation,head,dependent,rating,is_checkpoint,expect
                  id="row after a field spanning two lines"),
     pytest.param("a,dobj,eat,worm," + "1" * 131073 + ",0,\n", ":2",
                  "field larger than field limit (131072)", id="field over the csv limit"),
+    pytest.param("a,dobj,eat,meal,5,1,\n", ":2", "checkpoint rating without expected answers",
+                 id="checkpoint without expected answers"),
+    pytest.param("a,dobj,eat,meal,5,yes,\n", ":2", "bad is_checkpoint 'yes'",
+                 id="is_checkpoint yes"),
+    pytest.param("a,dobj,eat,meal,5,0,\na,dobj,eat,meal,5,true,4|5\n", ":3",
+                 "bad is_checkpoint 'true'", id="is_checkpoint true"),
+    pytest.param("a,dobj,eat,meal,5,2,\n", ":2", "bad is_checkpoint '2'",
+                 id="is_checkpoint 2"),
 ])
 def test_bad_ratings_exit_1_with_coordinates(tmp_path, capsys, rows, where, message):
     ratings = write(tmp_path / "r.csv", RATINGS_HEAD + rows)
@@ -912,7 +928,7 @@ READER_FAMILIES = {
                 "--relation", "dobj", "--seed", "1"],
     "embeddings": ["score", "--backend", "ds", "--counts", "COUNTS",
                    "--embeddings", "BAD", "--pairs", "PAIRS"],
-    "questions": ["winograd", "--gold", "GOLD", "--questions", "BAD"],
+    "questions": ["winograd", "--backend", "lookup", "--scores", "GOLD", "--questions", "BAD"],
     "ratings": ["iaa", "--ratings", "BAD"],
     "checkpoints": ["survey", "--pairs", "PAIRS", "--checkpoints", "BAD",
                     "--seed", "1"],
@@ -1161,7 +1177,8 @@ INPUT_FAMILIES = {
     "ratings": (["aggregate", "--ratings", "bad.tsv", "--min-ratings", "1"], "#sp10k v1\n",
                 rows_of(RATINGS, RATING_FIELDS, b",", [7, 7, 6, 8]).map(
                     lambda rows: RATINGS_HEADER + rows), None),
-    "questions": (["winograd", "--gold", "gold.tsv", "--questions", "bad.tsv"], "{",
+    "questions": (["winograd", "--backend", "lookup", "--scores", "gold.tsv",
+                   "--questions", "bad.tsv"], "{",
                   QUESTION_DOCS.map(lambda doc: json.dumps(doc).encode()), "{bad}: .+"),
     "embeddings": (["score", "--backend", "ds", "--counts", "counts.tsv",
                     "--embeddings", "bad.tsv", "--pairs", "pairs.tsv"], "#sp-scores v1\n",
@@ -1198,7 +1215,8 @@ def test_questions_schema_version_must_be_the_int_1(tmp_path, capsys, version, s
     gold = write(tmp_path / "gold.tsv", GOLD)
     questions = write(tmp_path / "q.json", json.dumps(
         {"schema_version": version, "questions": [GOOD_QUESTION]}))
-    assert main(["winograd", "--gold", gold, "--questions", questions]) == 1
+    assert main(["winograd", "--backend", "lookup", "--scores", gold,
+                 "--questions", questions]) == 1
     assert capsys.readouterr().err == (
         f"error: {questions}: unsupported schema_version {shown}\n")
 

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,68 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8"))
               for p in sorted(src.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def public_definitions(source: str) -> list[str]:
+    """A module's public top-level functions and classes, as ``name``,
+    and the public methods of its classes, as ``Class.method``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return names
+
+
+def named_identifiers(source: str) -> set[str]:
+    """Every identifier a module reads or imports, plus the parts of each
+    string constant that is a dotted identifier (a span name such as
+    ``"nn.NNModel.save"``); a ``def`` or ``class`` does not name itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+# public symbols that neither a subcommand nor a perfbench stage names
+NAMED_NOWHERE_ON_PURPOSE = {
+    "evaluation.import_sp10k_directory": "the SP10K_DIR acceptance adapter",
+    "extract.CountTable.from_pairs": "the in-memory constructor for tests",
+    "embeddings.cosine": "the scalar cosine that the ds fast path is checked against",
+}
+
+
+def test_every_public_symbol_is_named_in_the_package_or_perfbench():
+    src = Path(selpref.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    named = set()
+    for path in [*src.glob("*.py"), *bench.rglob("*.py")]:
+        named |= named_identifiers(path.read_text(encoding="utf-8"))
+    unnamed = [f"{p.stem}.{name}" for p in sorted(src.glob("*.py"))
+               for name in public_definitions(p.read_text(encoding="utf-8"))
+               if name.rsplit(".", 1)[-1] not in named]
+    assert sorted(set(unnamed) - NAMED_NOWHERE_ON_PURPOSE.keys()) == []
+    assert sorted(NAMED_NOWHERE_ON_PURPOSE.keys() - set(unnamed)) == []
+
+
+def test_public_definitions_and_named_identifiers():
+    source = ("import os.path\nfrom .core import SPPair as P\nclass A:\n"
+              "    def run(self): return os.path.join(P, self.go, 'nn.NNModel.save', 'a b')\n"
+              "    def _hidden(self): pass\n"
+              "def f(): pass\ndef _g(): pass\n")
+    assert public_definitions(source) == ["A", "A.run", "f"]
+    assert named_identifiers(source) == {"os", "path", "SPPair", "join", "P", "self", "go",
+                                         "nn", "NNModel", "save"}
 
 
 def load_time_imports(source: str) -> set[str]:

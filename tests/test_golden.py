@@ -153,7 +153,7 @@ COMMANDS = [
                     "--out", "omcs-match.json"]),
     ("omcs-matrix", ["omcs-matrix", "--gold", "gold.tsv", "--omcs", "omcs.tsv",
                      "--out", "omcs-matrix.csv", "--json", "omcs-matrix.json"]),
-    ("winograd-gold", ["winograd", "--gold", "gold.tsv", "--questions", "questions.json",
+    ("winograd-gold", ["winograd", *BACKEND_FLAGS["lookup"], "--questions", "questions.json",
                        "--out", "winograd-gold.json", "--predictions", "winograd-gold.csv"]),
     ("winograd-pp", ["winograd", *BACKEND_FLAGS["pp"], "--out", "winograd-pp.json",
                      "--predictions", "winograd-pp.csv"]),
@@ -235,13 +235,13 @@ GOLDEN = {
     "winograd-gold.csv":
         "5cf0f5b80a46b0b1d633b41b9b19da2ff00a6e1096a780ac136b579234bc3f7e",
     "winograd-gold.json":
-        "9178b01b72f0cd250bb691e12be641ad88ea9865daca24a7ab7a9d6dc3317a6f",
+        "310a801fec668e106c6ea7816928cfb26d087c36054a504ad56aec5e2b10f96a",
     "winograd-gold.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "winograd-pp.csv":
         "a5379f1e4fb96ae6280b8483fe8758941c7934ddf8b45ab9fd5d2709ecf2150f",
     "winograd-pp.json":
-        "bc673c15a0222866f4990554435cb93994315c0e9d51d8e60c97898413a27d5e",
+        "1ecc7e624171aa5b59ab259ac71dc8c9318d80d68fec7442bb2c09fa758c8be4",
     "winograd-pp.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }

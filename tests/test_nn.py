@@ -215,3 +215,14 @@ def test_load_names_path_of_npz_missing_a_key(tmp_path):
         NNModel.load(path)
     assert str(path) in str(exc.value)
     assert "meta__relations" in str(exc.value)
+
+
+@pytest.mark.parametrize("relations, shown", [("[1]", "1"), ("[null]", "null"),
+                                               ('[["dobj"]]', '["dobj"]')])
+def test_load_names_path_of_npz_with_a_relation_name_not_a_string(tmp_path, relations, shown):
+    path = tmp_path / "bad.npz"
+    np.savez(path, meta__config=np.array("{}"), meta__relations=np.array(relations))
+    with pytest.raises(NNError) as exc:
+        NNModel.load(path)
+    assert str(exc.value) == (
+        f"{path}: not a readable model file: relation name {shown} is not a string")

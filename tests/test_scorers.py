@@ -19,6 +19,11 @@ from selpref.scorers import DSModel, LookupModel, PPModel, ds_score, pp_score
 R = SPRelation.DOBJ
 
 
+def embedding_table(vectors: dict) -> EmbeddingTable:
+    """The table of a word -> vector dict, rows in its order."""
+    return EmbeddingTable(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
+
+
 def table(*entries):
     pairs = []
     for head, dep, k in entries:
@@ -66,7 +71,7 @@ class TestDS:
         def at(theta):
             return np.array([math.cos(theta), math.sin(theta)])
 
-        return EmbeddingTable({
+        return embedding_table({
             "query": at(0.0),
             "close": at(math.acos(0.8)),
             "far": at(math.acos(0.4)),
@@ -106,7 +111,7 @@ class TestDS:
         vecs = {
             w: np.array([rng.gauss(0, 1) for _ in range(5)]) for w in words
         }
-        emb = EmbeddingTable(vecs)
+        emb = embedding_table(vecs)
         entries = [("eat", w, rng.randint(1, 9)) for w in words[:20]]
         t = table(*entries)
         for w in words:
@@ -115,7 +120,7 @@ class TestDS:
             assert -1.0 - 1e-12 <= got <= 1.0 + 1e-12
 
     def test_zero_vector_is_an_error(self):
-        emb = EmbeddingTable({"a": np.zeros(3), "b": np.ones(3)})
+        emb = embedding_table({"a": np.zeros(3), "b": np.ones(3)})
         t = table(("eat", "a", 1))
         with pytest.raises(ZeroVectorError):
             ds_score(t, emb, SPPair(R, "eat", "b"))
@@ -138,7 +143,7 @@ class TestLoadEmbeddings:
         p = tmp_path / "emb.txt"
         p.write_text("air 0.1 0.2\nwater -1 2.5\n")
         emb = load_embeddings(p)
-        assert emb.dim == 2
+        assert emb.matrix.shape == (2, 2)
         assert len(emb) == 2
         assert np.allclose(emb.get("water"), [-1.0, 2.5])
 
@@ -170,6 +175,6 @@ class TestLoadEmbeddings:
 
 def test_models_share_missing_semantics():
     t = table(("eat", "worm", 1))
-    emb = EmbeddingTable({"worm": np.ones(2), "rock": np.ones(2) * 2})
+    emb = embedding_table({"worm": np.ones(2), "rock": np.ones(2) * 2})
     for model in [PPModel(t), DSModel(t, emb), LookupModel({})]:
         assert model.score(SPPair(R, "nonexistent", "worm")) is None
