@@ -52,8 +52,6 @@ from .core import (
     EmptyPoolError,
     Lexicon,
     SelPrefError,
-    SPPair,
-    SPRelation,
     _clip,
     _load_json,
     _shown,
@@ -320,19 +318,12 @@ def cmd_train_nn(args, parser) -> int:
     )
     counts = _read(read_counts, args.counts)
     vocab = Lexicon.from_tsv(args.lexicon)
-
-    def instances():
-        for rel in SPRelation:
-            for head, dep, count in counts.items(rel):
-                for _ in range(count):
-                    yield SPPair(rel, head, dep)
-
     with _naming(args.lexicon, EmptyPoolError):
-        model = nn_train(instances(), nn_config, vocab)
+        model = nn_train(counts, nn_config, vocab)
     model.save(args.out)
-    for rel, losses in sorted(model.epoch_losses.items()):
-        if losses:
-            log.info("train-nn %s: loss %.4f -> %.4f", rel, losses[0], losses[-1])
+    for rel, net in sorted(model.nets.items()):
+        if net.losses:
+            log.info("train-nn %s: loss %.4f -> %.4f", rel, net.losses[0], net.losses[-1])
     return 0
 
 

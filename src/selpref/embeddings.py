@@ -1,4 +1,4 @@
-"""Word embedding table: GloVe-style text files plus cosine similarity."""
+"""Word embedding table, read from GloVe-style text files."""
 
 from __future__ import annotations
 
@@ -108,12 +108,3 @@ def _non_finite_line(path) -> str:
             seen.add(word)
     return f"{path}: non-finite component"
 
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine of a zero-norm vector is undefined")
-    # rounding can push dot/(na*nb) an ulp past +-1 for (anti)parallel
-    # vectors; clamp so downstream averages stay inside [-1, 1]
-    return max(-1.0, min(1.0, float(np.dot(a, b) / (na * nb))))

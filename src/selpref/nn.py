@@ -15,11 +15,14 @@ import math
 import time
 import zipfile
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .core import Lexicon, SelPrefError, SPPair, SPRelation, _clip, _shown, parse_relation
+
+if TYPE_CHECKING:
+    from .extract import CountTable
 
 log = logging.getLogger(__name__)
 
@@ -62,40 +65,51 @@ class NNConfig:
         if not 0 < self.learning_rate < math.inf:
             raise NNError("learning_rate must be positive and finite")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NNConfig":
-        return cls(**d)
+# the weight arrays of a _RelationNet, each stored in model.npz as <relation>__<name>
+_ARRAYS = ("emb_head", "emb_dep", "w1", "b1", "w2")
 
 
 class _RelationNet:
-    """Parameters, forward pass and SGD step for one relation."""
+    """Parameters, forward pass and SGD step for one relation, with the
+    mean loss of each epoch it was trained for."""
 
-    def __init__(self, heads: list[str], deps: list[str], config: NNConfig,
-                 rng: np.random.Generator):
+    def __init__(self, config: NNConfig, heads, deps, emb_head: np.ndarray,
+                 emb_dep: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                 b2: float, losses: list[float]):
         e, h = config.embedding_dim, config.hidden_dim
+        for name, array, shape in (("emb_head", emb_head, (len(heads), e)),
+                                   ("emb_dep", emb_dep, (len(deps), e)),
+                                   ("w1", w1, (h, 2 * e)), ("b1", b1, (h,)), ("w2", w2, (h,))):
+            if array.shape != shape:
+                raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+            if array.dtype != np.float64:
+                raise ValueError(f"{name} has dtype {array.dtype}, expected float64")
         self.head_index = {w: i for i, w in enumerate(heads)}
         self.dep_index = {w: i for i, w in enumerate(deps)}
+        self.emb_head, self.emb_dep = emb_head, emb_dep
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+        self.losses = losses
+
+    @classmethod
+    def random(cls, config: NNConfig, heads: list[str], deps: list[str],
+               rng: np.random.Generator) -> "_RelationNet":
+        """An untrained net, its weights drawn from ``rng`` in a fixed order."""
+        e, h = config.embedding_dim, config.hidden_dim
         bound = 0.5 / e
-        self.emb_head = rng.uniform(-bound, bound, size=(len(heads), e))
-        self.emb_dep = rng.uniform(-bound, bound, size=(len(deps), e))
         a1 = np.sqrt(6.0 / (2 * e + h))
-        self.w1 = rng.uniform(-a1, a1, size=(h, 2 * e))
-        self.b1 = np.zeros(h)
         a2 = np.sqrt(6.0 / (h + 1))
-        self.w2 = rng.uniform(-a2, a2, size=h)
-        self.b2 = 0.0
+        return cls(config, heads, deps,
+                   emb_head=rng.uniform(-bound, bound, size=(len(heads), e)),
+                   emb_dep=rng.uniform(-bound, bound, size=(len(deps), e)),
+                   w1=rng.uniform(-a1, a1, size=(h, 2 * e)), b1=np.zeros(h),
+                   w2=rng.uniform(-a2, a2, size=h), b2=0.0, losses=[])
 
     def forward(self, hi: int, di: int):
         x = np.concatenate([self.emb_head[hi], self.emb_dep[di]])
         hidden = np.tanh(self.w1 @ x + self.b1)
         score = float(self.w2 @ hidden + self.b2)
         return score, (x, hidden)
-
-    def score(self, hi: int, di: int) -> float:
-        return self.forward(hi, di)[0]
 
     def sgd_step(self, hi: int, di: int, pos, negatives, lr: float, outer) -> None:
         """SGD step for the positive ``(hi, di)`` against the margin-violating
@@ -133,7 +147,6 @@ class NNModel:
     def __init__(self, config: NNConfig):
         self.config = config
         self.nets: dict[SPRelation, _RelationNet] = {}
-        self.epoch_losses: dict[SPRelation, list[float]] = {}
 
     def score(self, pair: SPPair) -> Optional[float]:
         net = self.nets.get(pair.relation)
@@ -145,11 +158,11 @@ class NNModel:
         di = net.dep_index.get(pair.dependent)
         if hi is None or di is None:
             return None
-        return net.score(hi, di)
+        return net.forward(hi, di)[0]
 
     def save(self, path) -> None:
         arrays = {
-            "meta__config": np.array(json.dumps(self.config.to_dict())),
+            "meta__config": np.array(json.dumps(asdict(self.config))),
             "meta__relations": np.array(
                 json.dumps([r.value for r in self.nets])
             ),
@@ -158,13 +171,10 @@ class NNModel:
             p = rel.value
             arrays[f"{p}__heads"] = np.array(sorted(net.head_index, key=net.head_index.get))
             arrays[f"{p}__deps"] = np.array(sorted(net.dep_index, key=net.dep_index.get))
-            arrays[f"{p}__emb_head"] = net.emb_head
-            arrays[f"{p}__emb_dep"] = net.emb_dep
-            arrays[f"{p}__w1"] = net.w1
-            arrays[f"{p}__b1"] = net.b1
-            arrays[f"{p}__w2"] = net.w2
+            for k in _ARRAYS:
+                arrays[f"{p}__{k}"] = getattr(net, k)
             arrays[f"{p}__b2"] = np.array(net.b2)
-            arrays[f"{p}__losses"] = np.array(self.epoch_losses.get(rel, []))
+            arrays[f"{p}__losses"] = np.array(net.losses)
         # np.savez stamps zip entries with the current time; write the
         # archive by hand with a fixed date so identical models produce
         # identical bytes
@@ -183,7 +193,7 @@ class NNModel:
         file ends in an ``NNError`` naming the path."""
         try:
             with np.load(path, allow_pickle=False) as z:
-                config = NNConfig.from_dict(json.loads(str(z["meta__config"])))
+                config = NNConfig(**json.loads(str(z["meta__config"])))
                 model = cls(config)
                 for name in json.loads(str(z["meta__relations"])):
                     if not isinstance(name, str):
@@ -191,69 +201,57 @@ class NNModel:
                                          "is not a string")
                     rel = parse_relation(name)
                     p = rel.value
-                    net = _RelationNet.__new__(_RelationNet)
-                    net.head_index = {w: i for i, w in enumerate(z[f"{p}__heads"])}
-                    net.dep_index = {w: i for i, w in enumerate(z[f"{p}__deps"])}
-                    net.emb_head = z[f"{p}__emb_head"]
-                    net.emb_dep = z[f"{p}__emb_dep"]
-                    net.w1 = z[f"{p}__w1"]
-                    net.b1 = z[f"{p}__b1"]
-                    net.w2 = z[f"{p}__w2"]
-                    net.b2 = float(z[f"{p}__b2"])
-                    model.nets[rel] = net
-                    model.epoch_losses[rel] = list(z[f"{p}__losses"])
+                    arrays = {k: z[f"{p}__{k}"] for k in _ARRAYS}
+                    b2, losses = float(z[f"{p}__b2"]), list(z[f"{p}__losses"])
+                    try:
+                        model.nets[rel] = _RelationNet(config, z[f"{p}__heads"], z[f"{p}__deps"],
+                                                       **arrays, b2=b2, losses=losses)
+                    except ValueError as err:  # a misfit array: name it as the file does
+                        raise ValueError(f"{p}__{err}") from None
         except (OSError, EOFError, ValueError, KeyError, TypeError,
                 zipfile.BadZipFile) as err:
             raise NNError(f"{path}: not a readable model file: {err}") from None
         return model
 
 
-def nn_train(
-    corpus_pairs: Iterable[SPPair],
-    config: NNConfig,
-    vocab: Lexicon,
-) -> NNModel:
-    """Train one ranking network per relation present in the stream.
+def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
+    """Train one ranking network per relation the table counts.
 
-    For every positive (h, d) the dependent is corrupted: d' is drawn
+    Each counted occurrence of a pair is one training instance. For every
+    positive (h, d) the dependent is corrupted: d' is drawn
     uniformly from the relation's vocabulary pool, resampling while it
     collides with a dependent attested for h. Loss per negative is
     max(0, margin - s(h,d) + s(h,d')). A head attested with the whole
     pool leaves nothing to corrupt with, which is an error.
     """
-    by_rel: dict[SPRelation, list[SPPair]] = {}
-    for pair in corpus_pairs:
-        by_rel.setdefault(pair.relation, []).append(pair)
-    if not by_rel:
+    sizes = {rel: n for rel in SPRelation if (n := counts.total(rel))}
+    if not sizes:
         raise NNError("empty training stream")
 
-    for rel, pairs in by_rel.items():
+    for rel in sizes:
         head_pool = vocab.heads_for(rel)
         dep_pool = vocab.dependents_for(rel)
-        for p in pairs:
-            if p.head not in head_pool:
+        for head, dep, _ in counts.items(rel):
+            if head not in head_pool:
                 raise VocabCoverageError(
-                    f"{rel.value}: head {_clip(p.head)} not in the {rel.head_pos} pool")
-            if p.dependent not in dep_pool:
-                raise VocabCoverageError(f"{rel.value}: dependent {_clip(p.dependent)} "
+                    f"{rel.value}: head {_clip(head)} not in the {rel.head_pos} pool")
+            if dep not in dep_pool:
+                raise VocabCoverageError(f"{rel.value}: dependent {_clip(dep)} "
                                          f"not in the {rel.dependent_pos} pool")
 
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     model = NNModel(config)
     outer = np.empty((config.hidden_dim, 2 * config.embedding_dim))  # for sgd_step
-    for rel in SPRelation:  # fixed order keeps the RNG stream stable
-        pairs = by_rel.get(rel)
-        if not pairs:
-            continue
+    for rel in sizes:  # SPRelation order keeps the RNG stream stable
         heads = sorted(vocab.heads_for(rel))
         deps = sorted(vocab.dependents_for(rel))
-        net = _RelationNet(heads, deps, config, rng)
+        net = _RelationNet.random(config, heads, deps, rng)
         attested: dict[int, set[int]] = {}
         instances = []
-        for p in pairs:
-            hi, di = net.head_index[p.head], net.dep_index[p.dependent]
-            instances.append((hi, di))
+        for head, dep, count in counts.items(rel):
+            hi, di = net.head_index[head], net.dep_index[dep]
+            instances += [(hi, di)] * count
             attested.setdefault(hi, set()).add(di)
         for hi, seen in attested.items():
             if len(seen) == len(deps):
@@ -262,7 +260,6 @@ def nn_train(
                     "nothing left to corrupt with"
                 )
 
-        losses = []
         order = np.arange(len(instances))
         n_neg, n_deps = config.negatives_per_positive, len(deps)
         forward, integers = net.forward, rng.integers
@@ -285,11 +282,10 @@ def nn_train(
                         violated.append((ni, neg))
                 if violated:
                     net.sgd_step(hi, di, pos, violated, config.learning_rate, outer)
-            losses.append(total / (len(instances) * n_neg))
+            net.losses.append(total / (len(instances) * n_neg))
         model.nets[rel] = net
-        model.epoch_losses[rel] = losses
     seconds = time.perf_counter() - start
     log.info("instances %s; %d epochs in %.2f s, %.0f instances/s",
-             " ".join(f"{rel.value}={len(by_rel[rel])}" for rel in model.nets), config.epochs,
-             seconds, sum(map(len, by_rel.values())) * config.epochs / seconds)
+             " ".join(f"{rel.value}={n}" for rel, n in sizes.items()), config.epochs,
+             seconds, sum(sizes.values()) * config.epochs / seconds)
     return model

@@ -41,7 +41,8 @@ def ds_score(
     the normalizer, so the weights still form a convex combination. None
     when the head is unseen, the candidate has no vector, or nothing
     attested has one. The cosines are one mat-vec over the attested rows
-    (Erk 2007), each clamped to [-1, 1] as ``cosine`` does.
+    (Erk 2007), each clamped to [-1, 1], which rounding can pass by an ulp
+    for (anti)parallel vectors.
     """
     import numpy as np
 

@@ -273,17 +273,18 @@ def test_c05_nn_planted_preference_and_reproducibility():
     # larger step budget than this fixture grants
     cfg = NNConfig(embedding_dim=16, hidden_dim=32, epochs=10, seed=0)
 
-    untrained = nn_train(corpus, NNConfig(embedding_dim=16, hidden_dim=32,
-                                          epochs=0, seed=0), vocab)
+    table = CountTable.from_pairs(corpus)
+    untrained = nn_train(table, NNConfig(embedding_dim=16, hidden_dim=32,
+                                         epochs=0, seed=0), vocab)
     acc_untrained = pseudo_disambiguation(untrained, corpus, vocab, seed=0)
     assert 0.45 <= acc_untrained <= 0.55
 
-    model = nn_train(corpus, cfg, vocab)
+    model = nn_train(table, cfg, vocab)
     acc_trained = pseudo_disambiguation(model, corpus, vocab, seed=0)
     assert acc_trained >= 0.90
 
     # bitwise reproducibility: same seed, same scores, same bytes
-    again = nn_train(planted_corpus(), cfg, vocab)
+    again = nn_train(CountTable.from_pairs(planted_corpus()), cfg, vocab)
     for h in ("a", "b"):
         for d in ("x", "y", "u", "v"):
             pair = SPPair(SPRelation.DOBJ, h, d)

@@ -11,6 +11,7 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1399,6 +1400,24 @@ def test_an_empty_lexicon_pool_is_blamed_on_the_lexicon(golden_inputs, tmp_path,
     argv = golden_argv(argv, golden_inputs, tmp_path, "--lexicon", empty)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {empty}: {message}\n"
+
+
+@pytest.mark.parametrize("name, bad, fault", [
+    ("w1", np.zeros((3, 3)), "shape (3, 3), expected (6, 8)"),
+    ("emb_head", np.zeros((1, 4)), "shape (1, 4), expected (27, 4)"),
+    ("b1", np.zeros(2), "shape (2,), expected (6,)"),
+    ("b1", np.array(["x"] * 6), "dtype <U1, expected float64"),
+], ids=["w1 shape", "emb_head rows", "b1 length", "b1 dtype"])
+def test_nn_model_with_a_misfit_array_exit_1(golden_inputs, tmp_path, capsys, name, bad, fault):
+    with np.load(golden_inputs / "model.npz") as z:
+        arrays = dict(z)
+    arrays[f"dobj__{name}"] = bad
+    model = tmp_path / "model.npz"
+    np.savez(model, **arrays)
+    assert main(["score", "--backend", "nn", "--model", str(model),
+                 "--pairs", str(golden_inputs / "candidates.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: not a readable model file: dobj__{name} has {fault}\n")
 
 
 # the golden commands that compute with numpy: train-nn, the ds and nn

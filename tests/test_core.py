@@ -170,6 +170,17 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def test_no_module_builds_an_object_around_its_constructor():
+    """Every object is built by its class's one constructor, which checks
+    what it is given: no module names ``__new__``."""
+    src = Path(selpref.__file__).parent
+    found = [f"{p.name}:{node.lineno}" for p in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if "__new__" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None))]
+    assert found == []
+
+
 def public_definitions(source: str) -> list[str]:
     """A module's public top-level functions and classes, as ``name``,
     and the public methods of its classes, as ``Class.method``."""
@@ -205,7 +216,6 @@ def named_identifiers(source: str) -> set[str]:
 NAMED_NOWHERE_ON_PURPOSE = {
     "evaluation.import_sp10k_directory": "the SP10K_DIR acceptance adapter",
     "extract.CountTable.from_pairs": "the in-memory constructor for tests",
-    "embeddings.cosine": "the scalar cosine that the ds fast path is checked against",
 }
 
 
@@ -274,7 +284,7 @@ def test_load_time_imports_skip_functions_and_type_checking():
         "if TYPE_CHECKING:\n    import numpy\nelse:\n    import json\n"
         "try:\n    import gzip\nexcept ImportError:\n    pass\n"
         "class A:\n    from .nn import NNModel\n"
-        "def f():\n    import numpy as np\n    from .embeddings import cosine\n"
+        "def f():\n    import numpy as np\n    from .embeddings import EmbeddingTable\n"
     ) == {"os", "typing", ".core", "json", "gzip", ".nn"}
 
 

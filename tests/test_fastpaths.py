@@ -3,14 +3,16 @@
 The references below are the earlier implementations, kept verbatim as
 test-only code: a count table with one flat ``(head, dependent)`` counter
 per relation plus parallel marginal and total counters, the counts reader
-that built an ``SPPair`` per row, the scalar ``ds`` loop, the
+that built an ``SPPair`` per row, the scalar ``ds`` loop with its scalar
+``cosine``, the
 pseudo-disambiguation loop that re-sorted the pool for every test pair,
 the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence`` per
 sentence and an ``SPPair`` per extracted pair (replaced by the rows of
 ``read_conllu``, the rules of ``_rule_pairs`` and the one pass of
 ``count_conllu``), the OMCS index that lemmatized every token
 occurrence, with its reader, the NN trainer that passed gradient dicts
-to an ``apply`` step, the prediction, survey and gold-set records that
+to an ``apply`` step and took the CLI's pair-by-pair expansion of a count
+table, the prediction, survey and gold-set records that
 stored derived fields beside the facts they derive from, and the
 pair-list, gold, score and checkpoint readers that located their own
 row faults, with the writers that wrote their own header and
@@ -86,7 +88,6 @@ from selpref.embeddings import (
     EmbeddingError,
     EmbeddingTable,
     ZeroVectorError,
-    cosine,
     load_embeddings,
 )
 from selpref.evaluation import (
@@ -198,6 +199,16 @@ def flat_read_counts(fh, source="<stream>"):
             raise CountTableError(f"{source}:{lineno}: count must be >= 1, got {count}")
         table._add(SPPair(parse_relation(rel_name), head, dep), count)
     return table
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVectorError("cosine of a zero-norm vector is undefined")
+    # rounding can push dot/(na*nb) an ulp past +-1 for (anti)parallel
+    # vectors; clamp so downstream averages stay inside [-1, 1]
+    return max(-1.0, min(1.0, float(np.dot(a, b) / (na * nb))))
 
 
 def scalar_ds_score(counts, emb, pair):
@@ -449,6 +460,18 @@ class TestDS:
             load_embeddings(path)
         with pytest.raises(EmbeddingError, match="'c'"):
             EmbeddingTable(["a", "c"], np.array([[1.0, 1.0], [np.nan, 1.0]]))
+
+
+class TestCosine:
+    def test_parallel(self):
+        assert cosine(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == pytest.approx(1.0)
+
+    def test_orthogonal(self):
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == pytest.approx(0.0)
+
+    def test_zero_norm_rejected(self):
+        with pytest.raises(ZeroVectorError):
+            cosine(np.zeros(2), np.ones(2))
 
 
 class TestPseudoDisambiguation:
@@ -1231,8 +1254,21 @@ def old_nn_train(corpus_pairs, config, vocab):
                 net.apply(updates, config.learning_rate)
             losses.append(total / max(n_terms, 1))
         model.nets[rel] = net
-        model.epoch_losses[rel] = losses
+        net.losses = losses  # NNModel.save reads each net's losses
     return model
+
+
+def instances(counts):
+    """The training stream ``train-nn`` built from a count table: one
+    ``SPPair`` per counted occurrence, relations in ``SPRelation`` order."""
+    for rel in SPRelation:
+        for head, dep, count in counts.items(rel):
+            for _ in range(count):
+                yield SPPair(rel, head, dep)
+
+
+def losses(model):
+    return {rel: net.losses for rel, net in model.nets.items()}
 
 
 def model_bytes(model):
@@ -1242,7 +1278,7 @@ def model_bytes(model):
 
 
 def random_nn_case(rng):
-    """A random config and training stream over a small random lexicon.
+    """A random config and count table over a small random lexicon.
 
     Some heads are attested with every dependent but one, so the
     negative sampler has a single free dependent to find. Learning rates
@@ -1262,12 +1298,13 @@ def random_nn_case(rng):
             for dep in rng.sample(deps, k):
                 pairs += [SPPair(rel, head, dep)] * rng.randint(1, 2)
     rng.shuffle(pairs)
+    table = CountTable.from_pairs(pairs)
     config = NNConfig(
         embedding_dim=rng.randint(1, 8), hidden_dim=rng.randint(1, 16),
         margin=rng.choice([0.5, 1.0, 4.0]), negatives_per_positive=rng.randint(1, 3),
         epochs=rng.randint(0, 3), learning_rate=rng.choice([0.01, 0.1, 1.0, 2]),
         seed=rng.randrange(10_000))
-    return pairs, config, vocab
+    return table, config, vocab
 
 
 class TestNNTrainer:
@@ -1275,10 +1312,11 @@ class TestNNTrainer:
         rng = random.Random(2014)
         seen = Counter()
         for trial in range(48):
-            pairs, config, vocab = random_nn_case(rng)
-            old, new = old_nn_train(pairs, config, vocab), nn_train(pairs, config, vocab)
+            table, config, vocab = random_nn_case(rng)
+            old = old_nn_train(instances(table), config, vocab)
+            new = nn_train(table, config, vocab)
             assert model_bytes(new) == model_bytes(old), (trial, config)
-            assert new.epoch_losses == old.epoch_losses, (trial, config)
+            assert losses(new) == losses(old), (trial, config)
             seen[f"negatives={config.negatives_per_positive}"] += 1
             seen[f"epochs={config.epochs}"] += 1
             seen["several relations"] += len(new.nets) > 1
@@ -1291,13 +1329,15 @@ class TestNNTrainer:
         vocab = Lexicon(verbs=frozenset(words[:2]), nouns=frozenset(words[2:]),
                         adjectives=frozenset())
         rng = random.Random(7)
-        pairs = [SPPair(SPRelation.DOBJ, rng.choice(words[:2]), rng.choice(words[2:5]))
-                 for _ in range(150)]
+        table = CountTable.from_pairs(
+            SPPair(SPRelation.DOBJ, rng.choice(words[:2]), rng.choice(words[2:5]))
+            for _ in range(150))
         for negatives in (1, 3):
             config = NNConfig(negatives_per_positive=negatives, epochs=2, seed=negatives)
-            old, new = old_nn_train(pairs, config, vocab), nn_train(pairs, config, vocab)
+            old = old_nn_train(instances(table), config, vocab)
+            new = nn_train(table, config, vocab)
             assert model_bytes(new) == model_bytes(old)
-            assert new.epoch_losses == old.epoch_losses
+            assert losses(new) == losses(old)
 
     def test_errors_match_reference(self):
         vocab = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset({"fish", "worm"}),
@@ -1306,10 +1346,11 @@ class TestNNTrainer:
                  [SPPair(SPRelation.DOBJ, "eat", "cat")],
                  [SPPair(SPRelation.DOBJ, "eat", "fish"), SPPair(SPRelation.DOBJ, "eat", "worm")]]
         for pairs in cases:
+            table = CountTable.from_pairs(pairs)
             errors = []
-            for train in (old_nn_train, nn_train):
+            for train, data in ((old_nn_train, instances(table)), (nn_train, table)):
                 with pytest.raises(NNError) as exc:
-                    train(pairs, NNConfig(), vocab)
+                    train(data, NNConfig(), vocab)
                 errors.append((exc.type, str(exc.value)))
             assert errors[0] == errors[1]
 

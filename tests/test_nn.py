@@ -9,6 +9,7 @@ import pytest
 
 import selpref
 from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
+from selpref.extract import CountTable
 from selpref.nn import (
     NegativePoolError,
     NNConfig,
@@ -33,7 +34,7 @@ def planted_corpus(n=400, seed=5):
             pairs.append(SPPair(R, "a", rng.choice(["x", "y"])))
         else:
             pairs.append(SPPair(R, "b", rng.choice(["u", "v"])))
-    return pairs
+    return CountTable.from_pairs(pairs)
 
 
 VOCAB = Lexicon(
@@ -66,7 +67,7 @@ def test_planted_preference_learned():
 
 def test_loss_decreases_on_separable_corpus():
     model = nn_train(planted_corpus(), SMALL, VOCAB)
-    losses = model.epoch_losses[R]
+    losses = model.nets[R].losses
     assert len(losses) == SMALL.epochs
     assert all(l >= 0 for l in losses)
     assert losses[-1] < losses[0]
@@ -80,7 +81,7 @@ def test_seeded_determinism_is_bitwise():
         for name in ["emb_head", "emb_dep", "w1", "b1", "w2"]:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.b2 == b.b2
-    assert m1.epoch_losses == m2.epoch_losses
+        assert a.losses == b.losses
 
 
 def test_different_seed_differs():
@@ -111,7 +112,7 @@ def test_untrained_relation_raises():
 def test_zero_epochs_still_scores():
     cfg = NNConfig(embedding_dim=8, hidden_dim=16, epochs=0, seed=3)
     model = nn_train(planted_corpus(n=50), cfg, VOCAB)
-    assert model.epoch_losses[R] == []
+    assert model.nets[R].losses == []
     assert isinstance(model.score(SPPair(R, "a", "x")), float)
 
 
@@ -132,18 +133,20 @@ def test_negative_pool_exhaustion():
         adjectives=frozenset(),
     )
     with pytest.raises(NegativePoolError):
-        nn_train([SPPair(R, "a", "x")], NNConfig(embedding_dim=4, hidden_dim=4), vocab)
+        nn_train(CountTable.from_pairs([SPPair(R, "a", "x")]),
+                 NNConfig(embedding_dim=4, hidden_dim=4), vocab)
 
 
 def test_empty_pool_is_blamed_on_the_lexicon():
     vocab = Lexicon(verbs=frozenset(), nouns=frozenset({"x"}), adjectives=frozenset())
     with pytest.raises(EmptyPoolError, match="^no verb entries, needed for dobj heads$"):
-        nn_train([SPPair(R, "a", "x")], NNConfig(embedding_dim=4, hidden_dim=4), vocab)
+        nn_train(CountTable.from_pairs([SPPair(R, "a", "x")]),
+                 NNConfig(embedding_dim=4, hidden_dim=4), vocab)
 
 
 def test_empty_stream_rejected():
-    with pytest.raises(NNError):
-        nn_train([], SMALL, VOCAB)
+    with pytest.raises(NNError, match="^empty training stream$"):
+        nn_train(CountTable(), SMALL, VOCAB)
 
 
 def test_config_validation():
@@ -193,6 +196,7 @@ def test_npz_roundtrip_is_exact(tmp_path):
         for name in ["emb_head", "emb_dep", "w1", "b1", "w2"]:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.b2 == b.b2
+        assert a.losses == b.losses
     # scores agree bitwise
     for head in ["a", "b"]:
         for dep in ["x", "y", "u", "v"]:
@@ -201,7 +205,7 @@ def test_npz_roundtrip_is_exact(tmp_path):
 
 
 def test_multiple_negatives_per_positive():
-    cfg = NNConfig(embedding_dim=8, hidden_dim=16, epochs=6,
+    cfg = NNConfig(embedding_dim=8, hidden_dim=16, epochs=10,
                    negatives_per_positive=2, seed=3)
     model = nn_train(planted_corpus(), cfg, VOCAB)
     wins = comparisons(model)

@@ -10,7 +10,6 @@ from selpref.embeddings import (
     EmbeddingTable,
     EmptyEmbeddingFile,
     ZeroVectorError,
-    cosine,
     load_embeddings,
 )
 from selpref.extract import CountTable
@@ -124,18 +123,6 @@ class TestDS:
         t = table(("eat", "a", 1))
         with pytest.raises(ZeroVectorError):
             ds_score(t, emb, SPPair(R, "eat", "b"))
-
-
-class TestCosine:
-    def test_parallel(self):
-        assert cosine(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == pytest.approx(0.0)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            cosine(np.zeros(2), np.ones(2))
 
 
 class TestLoadEmbeddings:
