@@ -1,9 +1,9 @@
 """Matching SP pairs against OMCS commonsense triplets.
 
-A pair (h, d) exact-matches a triplet when the triplet's start and end
-are each a single token equal to h and d (either orientation). It
-partial-matches when one phrase contains h as a token and the other
-contains d. Exact wins: a pair with any exact witness is never also
+A triplet witnesses a pair (h, d) when one of its phrases contains h as
+a token and the other contains d (either orientation). It is an exact
+witness when its start and end are one token each, and a partial one
+otherwise. Exact wins: a pair with any exact witness is never also
 counted as partial.
 """
 
@@ -45,7 +45,10 @@ class MatchKind(enum.Enum):
 
 
 class OMCSIndex:
-    """Inverted token index over lemmatized triplet phrases.
+    """Token postings over lemmatized triplet phrases: the ids of the
+    triplets whose start phrase, and whose end phrase, holds each lemma.
+    Exact witnesses need no index of their own: they are the token
+    witnesses whose two phrases are one token each.
 
     The lemmatizer is applied to triplet tokens at build time and to
     query words at match time, so both sides are normalized identically.
@@ -62,7 +65,6 @@ class OMCSIndex:
         self._lemmatizer = lemmatizer
         self._lemmas: dict[str, str] = {}
         self.triplets: list[OMCSTriplet] = list(triplets)
-        exact: dict[tuple[str, str], list[int]] = {}
         starts: dict[str, set[int]] = {}
         ends: dict[str, set[int]] = {}
         lemma = self._lemma
@@ -81,14 +83,6 @@ class OMCSIndex:
                     ends[end] = {i}
                 else:
                     ids.add(i)
-            # a one-token phrase leaves its only lemma in start / end
-            if len(t.start) == 1 and len(t.end) == 1:
-                ids = exact.get((start, end))
-                if ids is None:
-                    exact[(start, end)] = [i]
-                else:
-                    ids.append(i)
-        self._exact = exact
         self._start_tokens = starts
         self._end_tokens = ends
         self.distinct_tokens = len(self._lemmas)
@@ -102,29 +96,22 @@ class OMCSIndex:
     def __len__(self) -> int:
         return len(self.triplets)
 
-    def exact_witnesses(self, pair: SPPair) -> list[OMCSTriplet]:
-        h = self._lemma(pair.head)
-        d = self._lemma(pair.dependent)
-        ids = sorted(set(self._exact.get((h, d), [])) | set(self._exact.get((d, h), [])))
-        return [self.triplets[i] for i in ids]
-
-    def partial_witnesses(self, pair: SPPair) -> list[OMCSTriplet]:
-        h = self._lemma(pair.head)
-        d = self._lemma(pair.dependent)
-        ids = (self._start_tokens.get(h, set()) & self._end_tokens.get(d, set())) | (
-            self._start_tokens.get(d, set()) & self._end_tokens.get(h, set())
-        )
-        return [self.triplets[i] for i in sorted(ids)]
-
 
 def _witnesses(pair: SPPair, index: OMCSIndex) -> tuple[MatchKind, list[OMCSTriplet]]:
-    """Exact wins: the partial witnesses are looked up only when the pair
-    has no exact one. NONE comes with no witnesses."""
-    exact = index.exact_witnesses(pair)
+    """The pair's witnesses in id order. Exact wins: EXACT comes with the
+    exact witnesses alone, PARTIAL with every token witness, and NONE
+    with no witnesses."""
+    h = index._lemma(pair.head)
+    d = index._lemma(pair.dependent)
+    starts, ends = index._start_tokens, index._end_tokens
+    ids = (starts.get(h, set()) & ends.get(d, set())) | (starts.get(d, set()) & ends.get(h, set()))
+    if not ids:
+        return MatchKind.NONE, []
+    witnesses = [index.triplets[i] for i in sorted(ids)]
+    exact = [t for t in witnesses if len(t.start) == 1 == len(t.end)]
     if exact:
         return MatchKind.EXACT, exact
-    partial = index.partial_witnesses(pair)
-    return (MatchKind.PARTIAL if partial else MatchKind.NONE), partial
+    return MatchKind.PARTIAL, witnesses
 
 
 class PlausibilityGroup(enum.Enum):

@@ -71,10 +71,12 @@ def parse_relation(name: str) -> SPRelation:
 
 
 def _check_lemma(role: str, lemma: str) -> str:
+    """The lowercased lemma; an error names its ``role``, if one is given."""
+    what = f"{role} lemma".lstrip()
     if not lemma or not lemma.strip():
-        raise BadLemmaError(f"{role} lemma is empty")
+        raise BadLemmaError(f"{what} is empty")
     if "\t" in lemma or "\n" in lemma or "\r" in lemma:
-        raise BadLemmaError(f"{role} lemma contains tab/newline: {_clip(lemma)}")
+        raise BadLemmaError(f"{what} contains tab/newline: {_clip(lemma)}")
     return lemma.lower()
 
 
@@ -227,10 +229,7 @@ class Lexicon:
         """Load a `lemma<TAB>pos` file with pos in {verb, noun, adj}."""
         pos_of: dict[str, str] = {}
         with open_input(path) as fh:
-            for lineno, (lemma, pos) in _rows(fh, path, 2, LexiconError):
-                if pos not in _POS_CLASSES:
-                    raise LexiconError(f"{path}:{lineno}: unknown POS {_clip(pos)}")
-                lemma = lemma.lower()
+            for lineno, (lemma, pos) in _parsed_rows(fh, path, 2, LexiconError, _lexicon_row):
                 if pos_of.setdefault(lemma, pos) != pos:
                     raise LexiconError(f"{path}:{lineno}: {_clip(lemma)} is both "
                                        f"{pos_of[lemma]} and {pos}")
@@ -239,6 +238,13 @@ class Lexicon:
 
 
 _POS_CLASSES = ("verb", "noun", "adj")  # in Lexicon's field order
+
+
+def _lexicon_row(fields: list[str]) -> tuple[str, str]:
+    lemma, pos = fields
+    if pos not in _POS_CLASSES:
+        raise LexiconError(f"unknown POS {_clip(pos)}")
+    return _check_lemma("", lemma), pos
 
 
 def _rows(fh: Iterable[str], source, ncols: int, error: type[SelPrefError],

@@ -70,6 +70,15 @@ class NNConfig:
 _ARRAYS = ("emb_head", "emb_dep", "w1", "b1", "w2")
 
 
+def _vocabulary_index(name: str, words) -> dict[str, int]:
+    """word -> embedding row; a repeated word would score with another's row."""
+    index: dict[str, int] = {}
+    for i, w in enumerate(words):
+        if index.setdefault(w, i) != i:
+            raise ValueError(f"{name} has {_clip(str(w))} more than once")
+    return index
+
+
 class _RelationNet:
     """Parameters, forward pass and SGD step for one relation, with the
     mean loss of each epoch it was trained for."""
@@ -85,8 +94,8 @@ class _RelationNet:
                 raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
             if array.dtype != np.float64:
                 raise ValueError(f"{name} has dtype {array.dtype}, expected float64")
-        self.head_index = {w: i for i, w in enumerate(heads)}
-        self.dep_index = {w: i for i, w in enumerate(deps)}
+        self.head_index = _vocabulary_index("heads", heads)
+        self.dep_index = _vocabulary_index("deps", deps)
         self.emb_head, self.emb_dep = emb_head, emb_dep
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
         self.losses = losses

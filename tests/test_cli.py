@@ -27,7 +27,7 @@ from selpref.extract import (
     write_counts,
 )
 from selpref.nn import NNConfig
-from test_golden import BACKEND_FLAGS
+from test_golden import BACKEND_FLAGS, NOUNS, VERBS
 from test_golden import COMMANDS as GOLDEN_COMMANDS
 from test_golden import write_inputs as write_golden_inputs
 
@@ -1407,7 +1407,10 @@ def test_an_empty_lexicon_pool_is_blamed_on_the_lexicon(golden_inputs, tmp_path,
     ("emb_head", np.zeros((1, 4)), "shape (1, 4), expected (27, 4)"),
     ("b1", np.zeros(2), "shape (2,), expected (6,)"),
     ("b1", np.array(["x"] * 6), "dtype <U1, expected float64"),
-], ids=["w1 shape", "emb_head rows", "b1 length", "b1 dtype"])
+    # the first word written again over the second, as the sorted pools give them
+    ("heads", np.array(VERBS[:1] + VERBS[:-1]), "'break' more than once"),
+    ("deps", np.array(sorted(NOUNS)[:1] + sorted(NOUNS)[:-1]), "'alice' more than once"),
+], ids=["w1 shape", "emb_head rows", "b1 length", "b1 dtype", "heads repeat", "deps repeat"])
 def test_nn_model_with_a_misfit_array_exit_1(golden_inputs, tmp_path, capsys, name, bad, fault):
     with np.load(golden_inputs / "model.npz") as z:
         arrays = dict(z)
@@ -1418,6 +1421,33 @@ def test_nn_model_with_a_misfit_array_exit_1(golden_inputs, tmp_path, capsys, na
                  "--pairs", str(golden_inputs / "candidates.tsv")]) == 1
     assert capsys.readouterr().err == (
         f"error: {model}: not a readable model file: dobj__{name} has {fault}\n")
+
+
+# the column of a lemma in each lemma-bearing TSV or CSV input of the golden commands
+LEMMA_COLUMNS = {"--counts": 1, "--pairs": 1, "--gold": 1, "--scores": 1, "--lexicon": 0,
+                 "--checkpoints": 1, "--ratings": 2, "--omcs": 0}
+BLANK_LEMMA_CASES = [(name, flag, blank) for name, argv in GOLDEN_COMMANDS
+                     for flag in argv if flag in LEMMA_COLUMNS for blank in ("", " ")]
+
+
+@pytest.mark.parametrize("name, flag, blank", BLANK_LEMMA_CASES,
+                         ids=[f"{name} {flag} {blank!r}" for name, flag, blank in BLANK_LEMMA_CASES])
+def test_a_blank_lemma_is_one_located_error(golden_inputs, tmp_path, name, flag, blank):
+    argv = dict(GOLDEN_COMMANDS)[name]
+    source = golden_inputs / argv[argv.index(flag) + 1]
+    text = source.read_text(encoding="utf-8")
+    sep = "," if flag == "--ratings" else "\t"
+    fields = text.splitlines()[-1].split(sep)  # the last line is a data row
+    fields[LEMMA_COLUMNS[flag]] = blank
+    bad = tmp_path / f"blank-{source.name}"
+    bad.write_text(text + sep.join(fields) + "\n", encoding="utf-8")
+    argv = golden_argv(argv, golden_inputs, tmp_path, flag, bad)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lineno = text.count("\n") + 1
+    assert rc == 1 and re.fullmatch(rf"error: {re.escape(str(bad))}:{lineno}: [^\n]*empty\n",
+                                    err.getvalue()), (rc, err.getvalue())
 
 
 # the golden commands that compute with numpy: train-nn, the ds and nn

@@ -137,6 +137,14 @@ class TestLexicon:
             Lexicon.from_tsv(path)
         assert str(exc.value) == f"{path}:4: 'fish' is both noun and verb"
 
+    @pytest.mark.parametrize("blank", ["", " "])
+    def test_from_tsv_blank_lemma_names_its_line(self, tmp_path, blank):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"eat\tverb\n{blank}\tnoun\n")
+        with pytest.raises(LexiconError) as exc:
+            Lexicon.from_tsv(path)
+        assert str(exc.value) == f"{path}:2: lemma is empty"
+
     def test_from_tsv_bad_pos(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("eat\tVB\n")

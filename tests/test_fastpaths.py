@@ -1022,15 +1022,12 @@ class TestOMCSIndex:
         new = OMCSIndex(triplets, lemmatizer)
         old = OldOMCSIndex(triplets, lemmatizer)
         assert new.triplets == old.triplets and len(new) == len(old)
-        assert new._exact == dict(old._exact)
         assert new._start_tokens == dict(old._start_tokens)
         assert new._end_tokens == dict(old._end_tokens)
         for pair, _ in gold.items():
             (want_kind, want), (got_kind, got) = old_witnesses(pair, old), _witnesses(pair, new)
             # the same triplet objects, not just equal ones
             assert got_kind is want_kind and list(map(id, got)) == list(map(id, want)), pair
-            assert new.exact_witnesses(pair) == old.exact_witnesses(pair)
-            assert new.partial_witnesses(pair) == old.partial_witnesses(pair)
         assert coverage_by_group(gold, new) == old_coverage_by_group(gold, old)
         got, want = relation_matrix(gold, new), old_relation_matrix(gold, old)
         for kind in (MatchKind.EXACT, MatchKind.PARTIAL):
@@ -1045,7 +1042,12 @@ class TestOMCSIndex:
             triplets = random_triplets(rng, rng.randint(0, 80))
             gold = random_gold(rng, 40)
             index = self.check_against_reference(triplets, gold)
-            kinds.update(_witnesses(p, index)[0] for p, _ in gold.items())
+            for pair, _ in gold.items():
+                kind, witnesses = _witnesses(pair, index)
+                kinds[kind] += 1
+                # a triplet with one-token phrases that witnesses a pair is exact
+                assert kind is not MatchKind.PARTIAL or all(
+                    len(t.start) > 1 or len(t.end) > 1 for t in witnesses), (pair, witnesses)
         assert min(kinds[k] for k in MatchKind) > 100, kinds
 
     def test_empty_index_matches_reference(self):
