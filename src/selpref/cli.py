@@ -106,6 +106,7 @@ DEFAULTS = {
     "negatives": 1,
     "epochs": 10,
     "learning_rate": 0.01,
+    "batch_size": 64,
     "backend": "pp",
     "kind": "exact",
 }
@@ -315,6 +316,7 @@ def cmd_train_nn(args, parser) -> int:
         epochs=args.epochs,
         learning_rate=args.learning_rate,
         seed=args.seed,
+        batch_size=args.batch_size,
     )
     counts = _read(read_counts, args.counts)
     vocab = Lexicon.from_tsv(args.lexicon)
@@ -522,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=_int)
     p.add_argument("--epochs", type=_int)
     p.add_argument("--learning-rate", dest="learning_rate", type=_float)
+    p.add_argument("--batch-size", dest="batch_size", type=_int)
     _add_common(p)
     p.set_defaults(func=cmd_train_nn)
 

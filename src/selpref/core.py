@@ -77,6 +77,8 @@ def _check_lemma(role: str, lemma: str) -> str:
         raise BadLemmaError(f"{what} is empty")
     if "\t" in lemma or "\n" in lemma or "\r" in lemma:
         raise BadLemmaError(f"{what} contains tab/newline: {_clip(lemma)}")
+    if lemma.strip() != lemma:
+        raise BadLemmaError(f"{what} has surrounding spaces")
     return lemma.lower()
 
 
@@ -86,7 +88,8 @@ class SPPair:
 
     Heads are verbs (nouns for amod); dependents are nouns for dobj/nsubj
     and adjectives otherwise.  Lemmas are lowercased at construction and
-    may not contain tabs or newlines.  Pairs sort by relation, head, dependent.
+    may not contain tabs or newlines, nor start or end with whitespace.
+    Pairs sort by relation, head, dependent.
     """
 
     relation: SPRelation

@@ -249,7 +249,7 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
                 relation = parse_relation(rel_name)
             except UnknownRelationError as err:
                 raise CountTableError(f"{source}:{lineno}: {err}") from None
-        if (not head.strip() or not dep.strip()
+        if (not head or head.strip() != head or not dep or dep.strip() != dep
                 or "\r" in head or "\r" in dep or "\n" in head or "\n" in dep):
             try:
                 _check_lemma("head", head)

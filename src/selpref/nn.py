@@ -1,9 +1,11 @@
 """Neural plausibility scorer.
 
-One small network per relation: score = W2 @ tanh(W1 @ [v_head, v_dep] + b1)
-+ b2, trained with a margin ranking loss against randomly corrupted
-dependents. Embeddings and weights update jointly. Plain SGD, single
-thread, fully deterministic under the config seed.
+One small network per relation (Van de Cruys 2014): score = W2 @ tanh(W1 @
+[v_head, v_dep] + b1) + b2, trained with a margin ranking loss against
+randomly corrupted dependents. Embeddings and weights update jointly, by
+minibatch SGD that sums each batch's gradients at one learning rate. A
+single process, deterministic under the config seed, with the same bytes
+at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import logging
 import math
 import time
 import zipfile
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -52,6 +55,7 @@ class NNConfig:
     epochs: int = 10
     learning_rate: float = 0.01
     seed: int = 0
+    batch_size: int = 64
 
     def __post_init__(self):
         if self.embedding_dim < 1 or self.hidden_dim < 1:
@@ -64,6 +68,8 @@ class NNConfig:
             raise NNError("epochs must be >= 0")
         if not 0 < self.learning_rate < math.inf:
             raise NNError("learning_rate must be positive and finite")
+        if self.batch_size < 1:
+            raise NNError("batch_size must be positive")
 
 
 # the weight arrays of a _RelationNet, each stored in model.npz as <relation>__<name>
@@ -114,40 +120,48 @@ class _RelationNet:
                    w1=rng.uniform(-a1, a1, size=(h, 2 * e)), b1=np.zeros(h),
                    w2=rng.uniform(-a2, a2, size=h), b2=0.0, losses=[])
 
-    def forward(self, hi: int, di: int):
+    def score(self, hi: int, di: int) -> float:
         x = np.concatenate([self.emb_head[hi], self.emb_dep[di]])
-        hidden = np.tanh(self.w1 @ x + self.b1)
-        score = float(self.w2 @ hidden + self.b2)
-        return score, (x, hidden)
+        return float(self.w2 @ np.tanh(self.w1 @ x + self.b1) + self.b2)
 
-    def sgd_step(self, hi: int, di: int, pos, negatives, lr: float, outer) -> None:
-        """SGD step for the positive ``(hi, di)`` against the margin-violating
-        negatives ``(ni, cache)``, with gradients from the parameters before
-        the step. Per negative, the positive gradient (+lr) then the
-        negative's (-lr) goes to w1, b1, w2, the head row, the dependent
-        row. b2's gradient is 1 for both, so they cancel and b2 stays 0.0.
-        The rank-1 product dpre x^T is one BLAS call (k = 1) into the
-        scratch array ``outer``, shaped like w1. It has np.outer's bits except
-        that an exact zero may be +0.0 where np.outer gives -0.0. Adding
-        either to a weight differs only if the weight is -0.0, and none is:
-        none starts there, and a sum is -0.0 only when both terms are."""
-        w1, b1, w2 = self.w1, self.b1, self.w2
-        emb_head, emb_dep = self.emb_head, self.emb_dep
-        e = emb_head.shape[1]
-        grads = []
-        for dep, (x, hidden) in [(di, pos), *negatives]:
-            dpre = w2 * (1.0 - hidden ** 2)
-            grads.append((dep, x, hidden, dpre, w1.T @ dpre))
-        for neg in grads[1:]:
-            for step, (dep, x, hidden, dpre, dx) in ((lr, grads[0]), (-lr, neg)):
-                np.dot(dpre[:, None], x[None, :], out=outer)
-                outer *= step
-                w1 += outer
-                b1 += step * dpre
-                w2 += step * hidden
-                dx = step * dx
-                emb_head[hi] += dx[:e]
-                emb_dep[dep] += dx[e:]
+    def sgd_step(self, heads: np.ndarray, deps: np.ndarray, negatives: np.ndarray,
+                 margin: float, lr: float) -> float:
+        """One SGD step on a batch: the positive ``(heads[i], deps[i])``
+        against each negative ``(heads[i], negatives[j, i])``. Returns the
+        summed hinge loss of the batch.
+
+        Scores and gradients come from the parameters before the step.
+        Each margin-violating negative adds +lr times its positive's score
+        gradient and -lr times its own. b2's gradient is 1 in both, so they
+        cancel: b2 stays 0.0 and is left out of the scores. Every product
+        is a stack of vector-matrix products, one BLAS gemv per row, and
+        never a gemm, whose blocking (and so whose bits) changes with the
+        BLAS thread count; rows add into the embeddings with np.add.at.
+        """
+        b = len(heads)
+        rows_h = np.tile(heads, len(negatives) + 1)
+        rows_d = np.concatenate([deps, negatives.ravel()])
+        x = np.concatenate([self.emb_head[rows_h], self.emb_dep[rows_d]], axis=1)
+        hidden = np.tanh(np.matmul(x[:, None, :], self.w1.T)[:, 0] + self.b1)
+        scores = np.matmul(hidden[:, None, :], self.w2)[:, 0]
+        loss = margin - scores[:b] + scores[b:].reshape(-1, b)
+        violated = loss > 0
+        # each row's step: a positive's is lr per violated negative of it, a
+        # violated negative's -lr, any other row's 0
+        step = np.concatenate([lr * violated.sum(axis=0), np.where(violated.ravel(), -lr, 0.0)])
+        rows = np.flatnonzero(step)
+        if not len(rows):
+            return 0.0
+        step, x, hidden = step[rows], x[rows], hidden[rows]
+        grad = step[:, None] * (self.w2 * (1.0 - hidden ** 2))
+        dx = np.matmul(grad[:, None, :], self.w1)[:, 0]
+        self.w1 += np.matmul(grad.T[:, None, :], x)[:, 0]
+        self.b1 += grad.sum(axis=0)
+        self.w2 += step @ hidden
+        e = self.emb_head.shape[1]
+        np.add.at(self.emb_head, rows_h[rows], dx[:, :e])
+        np.add.at(self.emb_dep, rows_d[rows], dx[:, e:])
+        return float(loss[violated].sum())
 
 
 class NNModel:
@@ -167,7 +181,7 @@ class NNModel:
         di = net.dep_index.get(pair.dependent)
         if hi is None or di is None:
             return None
-        return net.forward(hi, di)[0]
+        return net.score(hi, di)
 
     def save(self, path) -> None:
         arrays = {
@@ -226,8 +240,9 @@ class NNModel:
 def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
     """Train one ranking network per relation the table counts.
 
-    Each counted occurrence of a pair is one training instance. For every
-    positive (h, d) the dependent is corrupted: d' is drawn
+    Each counted occurrence of a pair is one training instance; an epoch
+    shuffles them and steps once per ``config.batch_size`` of them. For
+    every positive (h, d) the dependent is corrupted: d' is drawn
     uniformly from the relation's vocabulary pool, resampling while it
     collides with a dependent attested for h. Loss per negative is
     max(0, margin - s(h,d) + s(h,d')). A head attested with the whole
@@ -251,50 +266,50 @@ def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     model = NNModel(config)
-    outer = np.empty((config.hidden_dim, 2 * config.embedding_dim))  # for sgd_step
+    n_neg, batch = config.negatives_per_positive, config.batch_size
     for rel in sizes:  # SPRelation order keeps the RNG stream stable
         heads = sorted(vocab.heads_for(rel))
         deps = sorted(vocab.dependents_for(rel))
         net = _RelationNet.random(config, heads, deps, rng)
-        attested: dict[int, set[int]] = {}
-        instances = []
-        for head, dep, count in counts.items(rel):
-            hi, di = net.head_index[head], net.dep_index[dep]
-            instances += [(hi, di)] * count
-            attested.setdefault(hi, set()).add(di)
-        for hi, seen in attested.items():
-            if len(seen) == len(deps):
+        n_deps = len(deps)
+        rows = [(net.head_index[head], net.dep_index[dep], count)
+                for head, dep, count in counts.items(rel)]
+        degree = Counter(hi for hi, _, _ in rows)
+        for hi, n in degree.items():
+            if n == n_deps:
                 raise NegativePoolError(
                     f"{rel.value}: every dependent attested for head {_clip(heads[hi])}, "
                     "nothing left to corrupt with"
                 )
+        table_heads, table_deps, repeats = np.array(rows, dtype=np.int64).T
+        attested = np.sort(table_heads * n_deps + table_deps)
+        instance_heads = np.repeat(table_heads, repeats)
+        instance_deps = np.repeat(table_deps, repeats)
 
-        order = np.arange(len(instances))
-        n_neg, n_deps = config.negatives_per_positive, len(deps)
-        forward, integers = net.forward, rng.integers
+        def is_attested(hs: np.ndarray, ds: np.ndarray) -> np.ndarray:
+            keys = hs * n_deps + ds
+            return attested.take(np.searchsorted(attested, keys), mode="clip") == keys
+
+        order = np.arange(len(instance_heads))
         for epoch in range(config.epochs):
             rng.shuffle(order)
             total = 0.0
-            for k in order:
-                hi, di = instances[k]
-                seen = attested[hi]
-                pos_score, pos = forward(hi, di)
-                violated = []
-                for _ in range(n_neg):
-                    ni = int(integers(n_deps))
-                    while ni in seen:
-                        ni = int(integers(n_deps))
-                    neg_score, neg = forward(hi, ni)
-                    loss = config.margin - pos_score + neg_score
-                    if loss > 0:
-                        total += loss
-                        violated.append((ni, neg))
-                if violated:
-                    net.sgd_step(hi, di, pos, violated, config.learning_rate, outer)
-            net.losses.append(total / (len(instances) * n_neg))
+            for first in range(0, len(order), batch):
+                picked = order[first:first + batch]
+                hs = instance_heads[picked]
+                negatives = np.empty((n_neg, len(hs)), dtype=np.int64)
+                for slot in negatives:  # one draw per instance, then redraws of the attested
+                    slot[:] = rng.integers(n_deps, size=len(hs))
+                    redraw = np.flatnonzero(is_attested(hs, slot))
+                    while len(redraw):
+                        slot[redraw] = rng.integers(n_deps, size=len(redraw))
+                        redraw = redraw[is_attested(hs[redraw], slot[redraw])]
+                total += net.sgd_step(hs, instance_deps[picked], negatives,
+                                      config.margin, config.learning_rate)
+            net.losses.append(total / (len(order) * n_neg))
         model.nets[rel] = net
     seconds = time.perf_counter() - start
-    log.info("instances %s; %d epochs in %.2f s, %.0f instances/s",
-             " ".join(f"{rel.value}={n}" for rel, n in sizes.items()), config.epochs,
+    log.info("instances %s; batch %d; %d epochs in %.2f s, %.0f instances/s",
+             " ".join(f"{rel.value}={n}" for rel, n in sizes.items()), batch, config.epochs,
              seconds, sum(sizes.values()) * config.epochs / seconds)
     return model

@@ -319,6 +319,7 @@ def test_config_file_unknown_key_exit_1(tmp_path, corpus, capsys):
      "key 'log_level' must be one of debug, info, warning, error, got \"verbose\""),
     ("eval", {"missing": "x" * 100},
      "key 'missing' must be one of drop, floor, got \"" + "x" * 39 + "..."),
+    ("train-nn", {"batch_size": 1.5}, "key 'batch_size' must be an integer, got 1.5"),
 ])
 def test_config_file_bad_value_exit_1(tmp_path, corpus, capsys, sub, doc, message):
     counts, lex = str(make_counts(tmp_path, corpus)), make_lexicon(tmp_path)
@@ -433,6 +434,16 @@ def test_train_nn_non_finite_setting_exit_1(tmp_path, corpus, capsys, flag, valu
     assert not out.exists()
 
 
+def test_train_nn_batch_size_0_exit_1(tmp_path, corpus, capsys):
+    counts = make_counts(tmp_path, corpus)
+    out = tmp_path / "model.npz"
+    rc = main(["train-nn", "--counts", str(counts), "--lexicon", make_lexicon(tmp_path),
+               "--seed", "1", "--out", str(out), "--batch-size", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: batch_size must be positive\n"
+    assert not out.exists()
+
+
 def test_train_nn_info_summary_line(tmp_path, corpus):
     counts = make_counts(tmp_path, corpus)
     argv = [sys.executable, "-m", "selpref.cli", "train-nn", "--counts", str(counts),
@@ -448,7 +459,7 @@ def test_train_nn_info_summary_line(tmp_path, corpus):
         summary, *losses = proc.stderr.splitlines()
         assert re.fullmatch(
             r"INFO selpref\.nn: instances dobj=1 nsubj=1 amod=2 dobj_amod=1 nsubj_amod=1; "
-            r"2 epochs in \d+\.\d\d s, \d+ instances/s", summary), summary
+            r"batch 64; 2 epochs in \d+\.\d\d s, \d+ instances/s", summary), summary
         assert [line.split(":")[1] for line in losses] == [
             f" train-nn {rel}" for rel in ("amod", "dobj", "dobj_amod", "nsubj", "nsubj_amod")]
     assert b"instances" not in (tmp_path / "model.npz").read_bytes()
@@ -1323,7 +1334,8 @@ def test_bad_survey_pairs_exit_1_naming_the_file(tmp_path, capsys, text, where, 
 
 def test_cli_defaults_match_the_library_defaults():
     nn = NNConfig()
-    for key in ("embedding_dim", "hidden_dim", "margin", "epochs", "learning_rate"):
+    for key in ("embedding_dim", "hidden_dim", "margin", "epochs", "learning_rate",
+                "batch_size"):
         assert DEFAULTS[key] == getattr(nn, key), key
     assert DEFAULTS["negatives"] == nn.negatives_per_positive
     candidates = inspect.signature(generate_candidates).parameters
@@ -1426,8 +1438,11 @@ def test_nn_model_with_a_misfit_array_exit_1(golden_inputs, tmp_path, capsys, na
 # the column of a lemma in each lemma-bearing TSV or CSV input of the golden commands
 LEMMA_COLUMNS = {"--counts": 1, "--pairs": 1, "--gold": 1, "--scores": 1, "--lexicon": 0,
                  "--checkpoints": 1, "--ratings": 2, "--omcs": 0}
+# a blank lemma is empty; a padded one has surrounding spaces, except in an
+# OMCS phrase, which is free text split into tokens on whitespace
 BLANK_LEMMA_CASES = [(name, flag, blank) for name, argv in GOLDEN_COMMANDS
-                     for flag in argv if flag in LEMMA_COLUMNS for blank in ("", " ")]
+                     for flag in argv if flag in LEMMA_COLUMNS
+                     for blank in ("", " ") + ((" rock",) if flag != "--omcs" else ())]
 
 
 @pytest.mark.parametrize("name, flag, blank", BLANK_LEMMA_CASES,
@@ -1446,7 +1461,8 @@ def test_a_blank_lemma_is_one_located_error(golden_inputs, tmp_path, name, flag,
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     lineno = text.count("\n") + 1
-    assert rc == 1 and re.fullmatch(rf"error: {re.escape(str(bad))}:{lineno}: [^\n]*empty\n",
+    fault = "lemma has surrounding spaces" if blank.strip() else "empty"
+    assert rc == 1 and re.fullmatch(rf"error: {re.escape(str(bad))}:{lineno}: [^\n]*{fault}\n",
                                     err.getvalue()), (rc, err.getvalue())
 
 

@@ -1123,7 +1123,7 @@ class TestOMCSIndex:
             t.relation = "CapableOf"
 
 
-# -- NN trainer: the gradient-dict step it replaced ---------------------------
+# -- NN trainer: the per-instance SGD it replaced -----------------------------
 
 class OldRelationNet:
     """Parameters and forward/backward passes for one relation."""
@@ -1269,23 +1269,13 @@ def instances(counts):
                 yield SPPair(rel, head, dep)
 
 
-def losses(model):
-    return {rel: net.losses for rel, net in model.nets.items()}
-
-
-def model_bytes(model):
-    buf = io.BytesIO()
-    model.save(buf)
-    return buf.getvalue()
-
-
 def random_nn_case(rng):
-    """A random config and count table over a small random lexicon.
+    """A random config at batch size 1 and a count table over a small
+    random lexicon.
 
     Some heads are attested with every dependent but one, so the
     negative sampler has a single free dependent to find. Learning rates
-    of 1 and 2 saturate tanh, so some rank-1 products are exact zeros that
-    np.outer gives as -0.0 and BLAS as +0.0.
+    of 1 and 2 saturate tanh, so some gradients are exact zeros.
     """
     words = {"verb": [f"v{i}" for i in range(rng.randint(1, 4))],
              "noun": [f"n{i}" for i in range(rng.randint(2, 6))],
@@ -1305,8 +1295,30 @@ def random_nn_case(rng):
         embedding_dim=rng.randint(1, 8), hidden_dim=rng.randint(1, 16),
         margin=rng.choice([0.5, 1.0, 4.0]), negatives_per_positive=rng.randint(1, 3),
         epochs=rng.randint(0, 3), learning_rate=rng.choice([0.01, 0.1, 1.0, 2]),
-        seed=rng.randrange(10_000))
+        seed=rng.randrange(10_000), batch_size=1)
     return table, config, vocab
+
+
+# At batch size 1 the minibatch step draws the reference's random stream,
+# but it sums an instance's gradients before adding them and computes its
+# products row-wise, so weights and losses agree only up to rounding. Over
+# the 48 random configs the largest gaps were about 1e-9 (weights) and
+# 1e-12 (losses).
+WEIGHT_ATOL, LOSS_ATOL = 1e-8, 1e-11
+
+
+def assert_matches_reference(new, old, context):
+    assert list(new.nets) == list(old.nets), context
+    for rel, net in new.nets.items():
+        ref = old.nets[rel]
+        assert (net.head_index, net.dep_index) == (ref.head_index, ref.dep_index), context
+        for name in ("emb_head", "emb_dep", "w1", "b1", "w2"):
+            np.testing.assert_allclose(getattr(net, name), getattr(ref, name), rtol=0,
+                                       atol=WEIGHT_ATOL, err_msg=f"{context} {rel} {name}")
+        assert net.b2 == ref.b2 == 0.0, context
+        assert len(net.losses) == len(ref.losses), context
+        np.testing.assert_allclose(net.losses, ref.losses, rtol=0, atol=LOSS_ATOL,
+                                   err_msg=f"{context} {rel} losses")
 
 
 class TestNNTrainer:
@@ -1317,8 +1329,7 @@ class TestNNTrainer:
             table, config, vocab = random_nn_case(rng)
             old = old_nn_train(instances(table), config, vocab)
             new = nn_train(table, config, vocab)
-            assert model_bytes(new) == model_bytes(old), (trial, config)
-            assert losses(new) == losses(old), (trial, config)
+            assert_matches_reference(new, old, (trial, config))
             seen[f"negatives={config.negatives_per_positive}"] += 1
             seen[f"epochs={config.epochs}"] += 1
             seen["several relations"] += len(new.nets) > 1
@@ -1326,7 +1337,7 @@ class TestNNTrainer:
         assert min(seen.values()) >= 6, seen
 
     def test_release_dims_match_reference(self):
-        # the default 50/100 dims send the rank-1 product down BLAS gemm
+        # the default 50/100 dims, where the row products run in BLAS kernels
         words = ["eat", "see", "fish", "worm", "bird", "stone", "bread", "cat"]
         vocab = Lexicon(verbs=frozenset(words[:2]), nouns=frozenset(words[2:]),
                         adjectives=frozenset())
@@ -1335,11 +1346,11 @@ class TestNNTrainer:
             SPPair(SPRelation.DOBJ, rng.choice(words[:2]), rng.choice(words[2:5]))
             for _ in range(150))
         for negatives in (1, 3):
-            config = NNConfig(negatives_per_positive=negatives, epochs=2, seed=negatives)
+            config = NNConfig(negatives_per_positive=negatives, epochs=2, seed=negatives,
+                              batch_size=1)
             old = old_nn_train(instances(table), config, vocab)
             new = nn_train(table, config, vocab)
-            assert model_bytes(new) == model_bytes(old)
-            assert losses(new) == losses(old)
+            assert_matches_reference(new, old, config)
 
     def test_errors_match_reference(self):
         vocab = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset({"fish", "worm"}),

@@ -179,9 +179,9 @@ GOLDEN = {
     "eval-lookup.stdout":
         "8830361938465127514b8ec2cd6985480da480f2552e49324acda1d5438d5e43",
     "eval-nn.json":
-        "c8c910e083c52681916a1833ab0ece8e6d5000a374223eade6ccf5bccfcd1568",
+        "7dc134c6871bfffc23b3f2ffd012cf90636e731629ab751dbe689c88791826cf",
     "eval-nn.stdout":
-        "1a1f7e0bccbac127200c84559a17c494a34fef7011da56c621ba888c39922bc9",
+        "8777eeb5f49a4bb9a7c3f2887f78c49a686b6cf9f32977e319c439ddf95a528e",
     "eval-pp.json":
         "81ac0c8a5be8889da199fa113cde4f4573d2afd4760746e3571d5ff157c70181",
     "eval-pp.stdout":
@@ -195,7 +195,7 @@ GOLDEN = {
     "iaa.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "model.npz":
-        "470d7cac9bee693ea454365673f6ff9881244e91246a4b95e34bfa5d9a9c21bd",
+        "67632c414949a5e145bc1e1916b9a9789f638fc95b34af62dffac4f59a728324",
     "omcs-match.json":
         "d8ab97d8278e41603af9daa6e2f10cd95a82a2eb04d72c78b11dcc27f98d2429",
     "omcs-match.stdout":
@@ -223,7 +223,7 @@ GOLDEN = {
     "scores-lookup.tsv":
         "c48509efb4291bdbcf22c6b1e1dc025fbd30a891b97db7e07c5e67ecb0098e1d",
     "scores-nn.tsv":
-        "7c2824eb19222c1233787728a9ab14c53e2731763a0e0cfe9dc14fed9c21daa1",
+        "9ac5d0c495d0008e1e96802fb439fdadedfcffe839299959dba142d7f41bfe68",
     "scores-pp.tsv":
         "27f1de6272597b9f11fb508d3d7c01dbba9083cb2ecf759b1cdc4e65172c32b3",
     "survey.json":

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from selpref.nn import (
     NNModel,
     UntrainedRelationError,
     VocabCoverageError,
+    _RelationNet,
     nn_train,
 )
 
@@ -156,6 +159,8 @@ def test_config_validation():
         NNConfig(learning_rate=-1)
     with pytest.raises(NNError):
         NNConfig(negatives_per_positive=0)
+    with pytest.raises(NNError, match="^batch_size must be positive$"):
+        NNConfig(batch_size=0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NNError, match="margin must be positive and finite"):
             NNConfig(margin=bad)
@@ -163,15 +168,20 @@ def test_config_validation():
             NNConfig(learning_rate=bad)
 
 
-def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The weight update is a BLAS product; one BLAS thread must give the
+@pytest.mark.parametrize("settings", [
+    {"negatives_per_positive": 2},
+    # rows enough that a gemm over the batch would run on several threads
+    {"negatives_per_positive": 2, "batch_size": 256},
+], ids=["default batch", "batch 256"])
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path, settings):
+    """The step's products go through BLAS; one BLAS thread must give the
     bytes of the default thread count."""
-    cfg = NNConfig(epochs=2, negatives_per_positive=2, seed=3)     # release dims
+    cfg = NNConfig(epochs=2, seed=3, **settings)     # release dims
     nn_train(planted_corpus(), cfg, VOCAB).save(tmp_path / "default.npz")
     child = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "from test_nn import VOCAB, NNConfig, nn_train, planted_corpus\n"
-        "cfg = NNConfig(epochs=2, negatives_per_positive=2, seed=3)\n"
+        f"cfg = NNConfig(epochs=2, seed=3, **{settings!r})\n"
         "nn_train(planted_corpus(), cfg, VOCAB).save(sys.argv[2])\n"
     )
     proc = subprocess.run(
@@ -202,6 +212,64 @@ def test_npz_roundtrip_is_exact(tmp_path):
         for dep in ["x", "y", "u", "v"]:
             p = SPPair(R, head, dep)
             assert model.score(p) == back.score(p)
+
+
+def test_model_without_a_batch_size_loads_and_scores_the_same(tmp_path):
+    """Model files written before training ran in batches have no
+    batch_size in their config; they load with the default."""
+    model = nn_train(planted_corpus(n=50), SMALL, VOCAB)
+    model.save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as z:
+        arrays = dict(z)
+    config = json.loads(str(arrays["meta__config"]))
+    del config["batch_size"]
+    arrays["meta__config"] = np.array(json.dumps(config))
+    np.savez(tmp_path / "old.npz", **arrays)
+    back = NNModel.load(tmp_path / "old.npz")
+    assert back.config == model.config
+    for head in ["a", "b"]:
+        for dep in ["x", "y", "u", "v"]:
+            p = SPPair(R, head, dep)
+            assert back.score(p) == model.score(p)
+
+
+# head a leaves one free dependent (w); b and c leave several
+SAMPLER_VOCAB = Lexicon(verbs=frozenset({"a", "b", "c"}),
+                        nouns=frozenset({"x", "y", "u", "v", "w"}), adjectives=frozenset())
+SAMPLER_COUNTS = {("a", "x"): 20, ("a", "y"): 10, ("a", "u"): 10, ("a", "v"): 10,
+                  ("b", "x"): 30, ("c", "y"): 15, ("c", "u"): 5}     # 100 instances
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 64, 1000])
+def test_no_negative_is_attested_for_its_head(monkeypatch, batch_size):
+    """Every negative the trainer hands its step is free for the head, at
+    any batch size, a partial last batch included (64 and 1000 leave one)."""
+    table = CountTable.from_pairs(SPPair(R, h, d) for (h, d), n in SAMPLER_COUNTS.items()
+                                  for _ in range(n))
+    steps = []
+    step = _RelationNet.sgd_step
+
+    def spy(net, heads, deps, negatives, margin, lr):
+        steps.append((net, heads.copy(), negatives.copy()))
+        return step(net, heads, deps, negatives, margin, lr)
+
+    monkeypatch.setattr(_RelationNet, "sgd_step", spy)
+    config = NNConfig(embedding_dim=4, hidden_dim=4, epochs=3, negatives_per_positive=2,
+                      batch_size=batch_size, seed=7)
+    nn_train(table, config, SAMPLER_VOCAB)
+    assert len(steps) == 3 * math.ceil(100 / batch_size)
+    drawn = Counter()
+    for net, heads, negatives in steps:
+        assert len(heads) <= batch_size and negatives.shape == (2, len(heads))
+        head_word = {i: w for w, i in net.head_index.items()}
+        dep_word = {i: w for w, i in net.dep_index.items()}
+        for row in negatives:
+            for hi, ni in zip(heads, row):
+                pair = head_word[int(hi)], dep_word[int(ni)]
+                assert pair not in SAMPLER_COUNTS, pair
+                drawn[pair] += 1
+    assert sum(drawn.values()) == 3 * 2 * 100
+    assert {d for h, d in drawn if h == "a"} == {"w"}
 
 
 def test_multiple_negatives_per_positive():
