@@ -60,12 +60,15 @@ from .core import (
 )
 from .evaluation import (
     GOLD_HEADER,
+    MISSING_POLICIES,
+    SCORES_HEADER,
     NoTestPairsError,
     evaluate,
     load_gold_file,
     load_scores_file,
     pseudo_disambiguation,
     write_gold,
+    write_scores,
 )
 from .extract import (
     CANDIDATES_HEADER,
@@ -88,8 +91,6 @@ from .winograd import (
 )
 
 log = logging.getLogger("selpref")
-
-SCORES_HEADER = "#sp-scores v1"
 
 DEFAULTS = {
     "log_level": "warning",
@@ -117,7 +118,7 @@ CONFIG_KEYS = frozenset(DEFAULTS)
 # the choices of these flags bind --config values too
 CHOICES = {
     "log_level": ["debug", "info", "warning", "error"],
-    "missing": ["drop", "floor"],
+    "missing": list(MISSING_POLICIES),
     "backend": ["pp", "ds", "nn", "lookup"],
     "kind": ["exact", "partial"],
 }
@@ -297,11 +298,7 @@ def cmd_score(args, parser) -> int:
     model = _build_model(args, parser)
     pairs = _read(read_pairs, args.pairs)
     with _open_echoed(args.out, args, SCORES_HEADER) as out:
-        for pair in pairs:
-            value = model.score(pair)
-            text = "NA" if value is None else repr(value)
-            out.write(f"{pair.relation.value}\t{pair.head}\t"
-                      f"{pair.dependent}\t{text}\n")
+        write_scores(((pair, model.score(pair)) for pair in pairs), out)
     return 0
 
 

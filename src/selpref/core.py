@@ -82,6 +82,13 @@ def _check_lemma(role: str, lemma: str) -> str:
     return lemma.lower()
 
 
+def _cached_lemma(cache: dict[str, str], role: str, lemma: str) -> str:
+    """``_check_lemma(role, lemma)``, kept in ``cache`` for the rest of one
+    read; a bulk reader tries ``cache.get(lemma)`` before calling this."""
+    cache[lemma] = checked = _check_lemma(role, lemma)
+    return checked
+
+
 @dataclass(frozen=True, order=True)
 class SPPair:
     """A (relation, head, dependent) triple, the unit of SP knowledge.

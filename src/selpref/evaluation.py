@@ -105,9 +105,21 @@ def load_gold_file(path) -> GoldSet:
         return load_gold(fh, source=str(path))
 
 
+SCORES_HEADER = "#sp-scores v1"
+
+
+def write_scores(rows: Iterable[tuple[SPPair, Optional[float]]], fh: TextIO) -> None:
+    """Write (pair, score) rows in the given order, without a header: NA
+    for a pair that could not be scored, else the score's repr."""
+    for pair, value in rows:
+        text = "NA" if value is None else repr(value)
+        fh.write(f"{pair.relation.value}\t{pair.head}\t{pair.dependent}\t{text}\n")
+
+
 def load_scores_file(path) -> dict[SPPair, Optional[float]]:
-    """Read a pair score TSV as ``score`` writes it: relation, head, dependent
-    and any finite value, or NA (read as None) for a pair it could not score."""
+    """Read a pair score TSV as ``write_scores`` writes it: relation, head,
+    dependent and any finite value, or NA (read as None) for a pair that
+    could not be scored."""
     with open_input(path) as fh:
         return _unique(_parsed_rows(fh, path, 4, GoldFormatError, lambda f: (
             _pair(f), None if f[3] == "NA" else _value(f[3], gold=False))), path)
@@ -155,20 +167,10 @@ def import_sp10k_directory(root) -> GoldSet:
     root = pathlib.Path(root)
     values: dict[SPPair, float] = {}
     for rel in SPRelation:
-        path = None
-        stems = [rel.value, f"{rel.value}_annotation", f"annotation_{rel.value}"]
-        for sub in ("", "annotations", "data"):
-            base = root / sub if sub else root
-            for stem in stems:
-                for ext in (".txt", ".tsv"):
-                    cand = base / f"{stem}{ext}"
-                    if cand.is_file():
-                        path = cand
-                        break
-                if path:
-                    break
-            if path:
-                break
+        stems = (rel.value, f"{rel.value}_annotation", f"annotation_{rel.value}")
+        candidates = (root / sub / f"{stem}{ext}" for sub in ("", "annotations", "data")
+                      for stem in stems for ext in (".txt", ".tsv"))
+        path = next((c for c in candidates if c.is_file()), None)
         if path is None:
             raise GoldFormatError(f"{root}: no annotation file found for {rel.value}")
         with open_input(path) as fh:

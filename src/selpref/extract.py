@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, TextIO
@@ -23,7 +23,7 @@ from .core import (
     SPPair,
     SPRelation,
     UnknownRelationError,
-    _check_lemma,
+    _cached_lemma,
     _clip,
     _pair,
     _parsed_rows,
@@ -42,8 +42,7 @@ NOUN_UPOS = {"NOUN", "PROPN"}
 
 # The rules name a relation by its position here, so a caller can index its
 # own per-relation objects without hashing an enum member.
-_RELATION_ORDER = (SPRelation.DOBJ, SPRelation.NSUBJ, SPRelation.AMOD,
-                   SPRelation.DOBJ_AMOD, SPRelation.NSUBJ_AMOD)
+_RELATION_ORDER = tuple(SPRelation)
 _DOBJ, _NSUBJ, _AMOD, _DOBJ_AMOD, _NSUBJ_AMOD = range(len(_RELATION_ORDER))
 
 
@@ -104,23 +103,22 @@ class CountTable:
 
     Marginals and totals are sums over that store, so nothing needs to be
     kept in sync; a head's dependents are one dict lookup away.
-    Construction is the only mutation path, so a finished table is safe
-    to share between readers.
+    Construction is the only mutation path, and it adds a count with
+    ``_heads[rel][head][dep] += n``; every read uses ``.get``, so a query
+    never adds a head, and a finished table is safe to share between readers.
     """
 
     def __init__(self):
-        self._heads: dict[SPRelation, dict[str, Counter]] = {r: {} for r in SPRelation}
+        self._heads: dict[SPRelation, defaultdict[str, Counter]] = {
+            r: defaultdict(Counter) for r in SPRelation}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[SPPair]) -> "CountTable":
         """A table counting each occurrence of a pair once."""
         table = cls()
+        store = table._heads
         for pair in pairs:
-            heads = table._heads[pair.relation]
-            deps = heads.get(pair.head)
-            if deps is None:
-                deps = heads[pair.head] = Counter()
-            deps[pair.dependent] += 1
+            store[pair.relation][pair.head][pair.dependent] += 1
         return table
 
     def count(self, relation: SPRelation, head: str, dependent: str) -> int:
@@ -182,11 +180,7 @@ def count_conllu(fh: TextIO, source: str = "<stream>", skip_malformed: bool = Fa
             continue
         tokens += len(rows)
         for rel, head, dep in keys:
-            heads = stores[rel]
-            deps = heads.get(head)
-            if deps is None:
-                deps = heads[head] = Counter()
-            deps[dep] += 1
+            stores[rel][head][dep] += 1
     log.info("%d sentences read, %d skipped, %d tokens counted; pairs %s",
              read, skipped, tokens,
              " ".join(f"{rel.value}={table.total(rel)}" for rel in _RELATION_ORDER))
@@ -207,7 +201,7 @@ def _pair_keys(pairs: list[tuple[int, tuple, tuple]], lowered: dict[str, str],
         for role, row in (("head", head), ("dependent", dep)):
             if row[1] not in lowered:
                 try:
-                    lowered[row[1]] = _check_lemma(role, row[1])
+                    _cached_lemma(lowered, role, row[1])
                 except BadLemmaError as err:
                     raise CorpusFormatError(source, row[5], str(err)) from None
     return _pair_keys(pairs, lowered, source)
@@ -230,11 +224,12 @@ _RELATIONS = {r.value: r for r in SPRelation}
 def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
     """Read the TSV counts format straight into a table's store.
 
-    Lemmas get the same checks and lowercasing as ``SPPair``, without
-    building one per row; every error names ``source:line``.
+    Each distinct lemma gets ``SPPair``'s check and lowercasing once,
+    without building a pair per row; every error names ``source:line``.
     """
     table = CountTable()
     store = table._heads
+    lemmas: dict[str, str] = {}
     for lineno, (rel_name, head, dep, count_text) in _rows(fh, source, 4, CountTableError):
         try:
             count = int(count_text)
@@ -243,25 +238,13 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
         if count < 1:
             raise CountTableError(f"{source}:{lineno}: count must be >= 1, "
                                   f"got {_shown(str(count))}")
-        relation = _RELATIONS.get(rel_name)
-        if relation is None:
-            try:
-                relation = parse_relation(rel_name)
-            except UnknownRelationError as err:
-                raise CountTableError(f"{source}:{lineno}: {err}") from None
-        if (not head or head.strip() != head or not dep or dep.strip() != dep
-                or "\r" in head or "\r" in dep or "\n" in head or "\n" in dep):
-            try:
-                _check_lemma("head", head)
-                _check_lemma("dependent", dep)
-            except BadLemmaError as err:
-                raise CountTableError(f"{source}:{lineno}: {err}") from None
-        heads = store[relation]
-        head = head.lower()
-        deps = heads.get(head)
-        if deps is None:
-            deps = heads[head] = Counter()
-        deps[dep.lower()] += count
+        try:
+            relation = _RELATIONS.get(rel_name) or parse_relation(rel_name)
+            head = lemmas.get(head) or _cached_lemma(lemmas, "head", head)
+            dep = lemmas.get(dep) or _cached_lemma(lemmas, "dependent", dep)
+        except (UnknownRelationError, BadLemmaError) as err:
+            raise CountTableError(f"{source}:{lineno}: {err}") from None
+        store[relation][head][dep] += count
     return table
 
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import selpref
 from selpref.annotate import aggregate
-from selpref.cli import CHOICES, DEFAULTS, build_parser, main
-from selpref.evaluation import MISSING_POLICIES, evaluate
+from selpref.cli import DEFAULTS, build_parser, main
+from selpref.evaluation import evaluate
 from selpref.extract import (
     count_conllu,
     generate_candidates,
@@ -1345,7 +1345,6 @@ def test_cli_defaults_match_the_library_defaults():
                for fn in (aggregate, evaluate)}
     assert DEFAULTS["min_ratings"] == default[aggregate]["min_ratings"]
     assert DEFAULTS["missing"] == default[evaluate]["missing_policy"]
-    assert CHOICES["missing"] == list(MISSING_POLICIES)
 
 
 # the flags of the golden commands that name an input, and those that name an output

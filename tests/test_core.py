@@ -1,22 +1,29 @@
 import ast
+import csv
+import io
 import re
 from pathlib import Path
 
 import pytest
 
 import selpref
+from selpref.annotate import RATINGS_COLUMNS, read_ratings
 from selpref.core import (
     BadLemmaError,
     EmptyPoolError,
     Lexicon,
     LexiconError,
     PlausibilityRangeError,
+    SelPrefError,
     SPPair,
     SPRelation,
     UnknownRelationError,
+    _check_lemma,
     check_plausibility,
     parse_relation,
 )
+from selpref.evaluation import load_gold
+from selpref.extract import count_conllu, read_counts, read_pairs
 
 
 def test_relation_values():
@@ -68,6 +75,85 @@ def test_pair_rejects_bad_lemmas():
             SPPair(SPRelation.DOBJ, bad, "fish")
         with pytest.raises(BadLemmaError):
             SPPair(SPRelation.DOBJ, "eat", bad)
+
+
+def _dobj(lemma, role):
+    """(head, dependent) of a dobj pair with ``lemma`` in the ``role`` slot."""
+    return (lemma, "fish") if role == "head" else ("eat", lemma)
+
+
+def _slot(head, dep, role):
+    return head if role == "head" else dep
+
+
+def _via_read_counts(lemma, role, tmp_path):
+    text = "dobj\t{}\t{}\t1\n".format(*_dobj(lemma, role))
+    (head, dep, _), = read_counts(io.StringIO(text)).items(SPRelation.DOBJ)
+    return _slot(head, dep, role)
+
+
+def _via_count_conllu(lemma, role, tmp_path):
+    verb, noun = _dobj(lemma, role)
+    text = (f"1\t_\t{verb}\tVERB\t_\t_\t0\troot\t_\t_\n"
+            f"2\t_\t{noun}\tNOUN\t_\t_\t1\tobj\t_\t_\n")
+    (head, dep, _), = count_conllu(io.StringIO(text)).items(SPRelation.DOBJ)
+    return _slot(head, dep, role)
+
+
+def _via_read_pairs(lemma, role, tmp_path):
+    pair, = read_pairs(io.StringIO("dobj\t{}\t{}\n".format(*_dobj(lemma, role))))
+    return _slot(pair.head, pair.dependent, role)
+
+
+def _via_load_gold(lemma, role, tmp_path):
+    gold = load_gold(io.StringIO("dobj\t{}\t{}\t5\n".format(*_dobj(lemma, role))))
+    pair, = gold.pairs()
+    return _slot(pair.head, pair.dependent, role)
+
+
+def _via_read_ratings(lemma, role, tmp_path):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)  # \r stays in its field
+    writer.writerows([RATINGS_COLUMNS, ["a1", "dobj", *_dobj(lemma, role), "3", "0", ""]])
+    rating, = read_ratings(io.StringIO(text.getvalue()))
+    return _slot(rating.pair.head, rating.pair.dependent, role)
+
+
+def _via_lexicon(lemma, role, tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"{lemma}\tnoun\n", encoding="utf-8")
+    noun, = Lexicon.from_tsv(path).nouns
+    return noun
+
+
+# blank, padded (by an ASCII or a Unicode space, or a separator that
+# str.strip removes), an inner CR, and mixed case that lowercases unevenly
+DIFF_LEMMAS = ["", " ", "   ", " eat", "eat ", "\xa0", "fish\xa0", "\u2003fish", "\x1c",
+               "fi\x1csh", "ice cream", "e\rat", "EaT", "İzmir", "STRAßE", "Fußball"]
+LEMMA_READERS = [(_via_read_counts, "head"), (_via_read_counts, "dependent"),
+                 (_via_count_conllu, "head"), (_via_count_conllu, "dependent"),
+                 (_via_read_pairs, "head"), (_via_read_pairs, "dependent"),
+                 (_via_load_gold, "head"), (_via_load_gold, "dependent"),
+                 (_via_read_ratings, "head"), (_via_read_ratings, "dependent"),
+                 (_via_lexicon, "")]
+# a file opened with universal newlines ends a line at an inner \r, so the
+# lexicon never sees such a lemma
+LEMMA_CASES = [(reader, role, lemma) for reader, role in LEMMA_READERS for lemma in DIFF_LEMMAS
+               if not (reader is _via_lexicon and "\r" in lemma)]
+
+
+@pytest.mark.parametrize("reader, role, lemma", LEMMA_CASES,
+                         ids=[f"{r.__name__[5:]}-{role or 'lemma'}-{lemma!r}"
+                              for r, role, lemma in LEMMA_CASES])
+def test_every_lemma_reader_agrees_with_check_lemma(tmp_path, reader, role, lemma):
+    try:
+        want = _check_lemma(role, lemma)
+    except BadLemmaError as bad:
+        with pytest.raises(SelPrefError) as err:
+            reader(lemma, role, tmp_path)
+        assert str(err.value).endswith(str(bad))
+    else:
+        assert reader(lemma, role, tmp_path) == want
 
 
 def test_plausibility_bounds():

@@ -214,6 +214,27 @@ class TestGoldSet:
             import_sp10k_directory(tmp_path)
         assert str(exc.value) == f"{path}:3: {message}"
 
+    # (winner, loser): the search goes by directory ("", annotations, data),
+    # then by stem (<rel>, <rel>_annotation, annotation_<rel>), then .txt before .tsv
+    @pytest.mark.parametrize("winner, loser", [
+        ("dobj.txt", "dobj.tsv"),
+        ("dobj.tsv", "dobj_annotation.txt"),
+        ("dobj_annotation.tsv", "annotation_dobj.txt"),
+        ("annotation_dobj.tsv", "annotations/dobj.txt"),
+        ("annotations/annotation_dobj.tsv", "data/dobj.txt"),
+        ("data/dobj.txt", "data/dobj_annotation.txt"),
+    ])
+    def test_directory_adapter_picks_the_first_candidate(self, tmp_path, winner, loser):
+        for sub in ("annotations", "data"):
+            (tmp_path / sub).mkdir()
+        for rel in SPRelation:
+            if rel is not SPRelation.DOBJ:
+                (tmp_path / f"{rel.value}.txt").write_text("a\tb\t5\n")
+        (tmp_path / winner).write_text("a\tb\t1\n")
+        (tmp_path / loser).write_text("a\tb\t9\n")
+        gold = import_sp10k_directory(tmp_path)
+        assert gold.value(SPPair(SPRelation.DOBJ, "a", "b")) == 1.0
+
     def test_directory_adapter_missing_relation(self, tmp_path):
         (tmp_path / "dobj.txt").write_text("a\tb\t5\n")
         with pytest.raises(GoldFormatError):

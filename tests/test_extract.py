@@ -205,6 +205,24 @@ class TestCountTable:
             assert sorted(t.items(rel)) == sorted(back.items(rel))
             assert t.total(rel) == back.total(rel)
 
+    def test_a_query_never_adds_a_head(self):
+        text = io.StringIO()
+        write_counts(fixture_table(), text)
+        pairs = [SPPair(rel, head, dep) for rel in SPRelation
+                 for head, dep, count in fixture_table().items(rel) for _ in range(count)]
+        for table in (CountTable.from_pairs(pairs), fixture_table(),
+                      read_counts(io.StringIO(text.getvalue()))):
+            heads = {rel: table.heads(rel) for rel in SPRelation}
+            for rel in SPRelation:
+                for head in ("unseen", "EAT", heads[rel][0]):
+                    assert table.count(rel, head, "unseen") == 0
+                    table.marginal(rel, head)
+                    assert "unseen" not in table.dependents_of(rel, head)
+            assert {rel: table.heads(rel) for rel in SPRelation} == heads
+            out = io.StringIO()
+            write_counts(table, out)
+            assert out.getvalue() == text.getvalue()
+
     def test_read_rejects_zero_count(self):
         with pytest.raises(CountTableError):
             read_counts(io.StringIO("dobj\teat\tfish\t0\n"))

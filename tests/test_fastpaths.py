@@ -342,6 +342,8 @@ class TestReadCounts:
         "dobj\teat\t \t1",
         "dobj\te\rat\tfish\t1",
         "dobj\teat\tfi\rsh\t1",
+        "dobj\t eat\tfish\t1",
+        "dobj\teat\tfish\xa0\t1",
     ])
     def test_bad_row_fails_like_reference_with_coordinates(self, row):
         text = f"#sp-counts v1\ndobj\teat\tworm\t2\n{row}\n"
