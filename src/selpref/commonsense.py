@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TextIO
 
@@ -65,24 +66,14 @@ class OMCSIndex:
         self._lemmatizer = lemmatizer
         self._lemmas: dict[str, str] = {}
         self.triplets: list[OMCSTriplet] = list(triplets)
-        starts: dict[str, set[int]] = {}
-        ends: dict[str, set[int]] = {}
+        starts: defaultdict[str, set[int]] = defaultdict(set)
+        ends: defaultdict[str, set[int]] = defaultdict(set)
         lemma = self._lemma
         for i, t in enumerate(self.triplets):
             for tok in t.start:
-                start = lemma(tok)
-                ids = starts.get(start)
-                if ids is None:
-                    starts[start] = {i}
-                else:
-                    ids.add(i)
+                starts[lemma(tok)].add(i)
             for tok in t.end:
-                end = lemma(tok)
-                ids = ends.get(end)
-                if ids is None:
-                    ends[end] = {i}
-                else:
-                    ids.add(i)
+                ends[lemma(tok)].add(i)
         self._start_tokens = starts
         self._end_tokens = ends
         self.distinct_tokens = len(self._lemmas)

@@ -186,19 +186,12 @@ def _average_ranks(values):
     import numpy as np
 
     arr = np.asarray(values, dtype=np.float64)
-    order = np.argsort(arr, kind="stable")
-    # argsort puts NaN last, so any NaN or infinity sits at an end of the order
-    if len(arr) and not (math.isfinite(arr[order[0]]) and math.isfinite(arr[order[-1]])):
+    if not np.isfinite(arr).all():
         raise CorrelationError("non-finite value in correlation input")
-    ranks = np.empty(len(arr), dtype=np.float64)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # a tie group at sorted positions i..j ends at rank j + 1 and gets the
+    # mean rank (i + j) / 2 + 1; unique groups -0.0 with 0.0 by ==
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:
@@ -206,8 +199,6 @@ def spearman(x, y) -> float:
     infinities are rejected, since a rank cannot order them."""
     import numpy as np
 
-    x = list(x)
-    y = list(y)
     if len(x) != len(y):
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
@@ -326,7 +317,8 @@ def significance(
 
     Resamples the evaluation pairs with replacement and recomputes the
     rho difference each time; p is the fraction of resamples where A
-    fails to beat B (delta <= 0).
+    fails to beat B (delta <= 0). A NaN or infinity in any vector is
+    rejected before the first resample.
     """
     if resamples < 1:
         raise SignificanceError(f"resamples must be >= 1, got {_shown(str(resamples))}")
@@ -339,6 +331,8 @@ def significance(
         raise LengthMismatchError(
             f"score/gold vectors not aligned: {len(a)}, {len(b)}, {len(g)}"
         )
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(g).all()):
+        raise CorrelationError("non-finite value in correlation input")
     if len(a) < 10:
         raise SignificanceError(f"need at least 10 aligned pairs, got {len(a)}")
     rng = np.random.default_rng(seed)

@@ -192,8 +192,8 @@ class NNModel:
         }
         for rel, net in self.nets.items():
             p = rel.value
-            arrays[f"{p}__heads"] = np.array(sorted(net.head_index, key=net.head_index.get))
-            arrays[f"{p}__deps"] = np.array(sorted(net.dep_index, key=net.dep_index.get))
+            arrays[f"{p}__heads"] = np.array(list(net.head_index))
+            arrays[f"{p}__deps"] = np.array(list(net.dep_index))
             for k in _ARRAYS:
                 arrays[f"{p}__{k}"] = getattr(net, k)
             arrays[f"{p}__b2"] = np.array(net.b2)

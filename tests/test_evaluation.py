@@ -369,6 +369,18 @@ class TestSignificance:
         with pytest.raises(SignificanceError, match=f"^resamples must be >= 1, got {resamples}$"):
             significance(values, values, values, resamples=resamples)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vector", range(3), ids=["a", "b", "gold"])
+    def test_non_finite_input_rejected_before_resampling(self, vector, bad):
+        # one resample of 20 misses index 3 about a third of the time, so
+        # the check must not wait for a resample to draw the bad value
+        vectors = [[float(i) for i in range(20)] for _ in range(3)]
+        vectors[vector][3] = bad
+        for seed in range(50):
+            with pytest.raises(CorrelationError,
+                               match=r"^non-finite value in correlation input$"):
+                significance(*vectors, resamples=1, seed=seed)
+
 
 class TestPseudoDisambiguation:
     def vocab(self):

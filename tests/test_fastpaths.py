@@ -16,8 +16,9 @@ table, the prediction, survey and gold-set records that
 stored derived fields beside the facts they derive from, and the
 pair-list, gold, score and checkpoint readers that located their own
 row faults, with the writers that wrote their own header and
-``#config`` line, and the leave-one-out agreement that walked every
-other annotator for each pair.
+``#config`` line, the leave-one-out agreement that walked every
+other annotator for each pair, and the average ranks that walked each
+tie group in a Python loop.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
 counting with the same error text and the same warnings in order, the
@@ -27,12 +28,14 @@ exactly, the reader's triplets and error text exactly; NN models byte
 for byte, with the same epoch losses; predictions, surveys and gold sets
 exactly, in order, with the same error text; the readers' results in
 order or the same error type and text; the written artifacts byte for
-byte; leave-one-out rhos exactly, or the same error text.
+byte; leave-one-out rhos exactly, or the same error text; ranks byte
+for byte, or the same error text, and bootstrap p-values exactly.
 """
 
 import io
 import json
 import logging
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -93,13 +96,16 @@ from selpref.embeddings import (
 from selpref.evaluation import (
     GOLD_HEADER,
     ConstantInputError,
+    CorrelationError,
     DuplicatePairError,
     GoldFormatError,
     GoldSet,
+    _average_ranks,
     _value,
     load_gold,
     load_scores_file,
     pseudo_disambiguation,
+    significance,
     spearman,
     write_gold,
 )
@@ -1052,6 +1058,19 @@ class TestOMCSIndex:
                     len(t.start) > 1 or len(t.end) > 1 for t in witnesses), (pair, witnesses)
         assert min(kinds[k] for k in MatchKind) > 100, kinds
 
+    def test_matching_unseen_lemmas_adds_no_posting(self):
+        rng = random.Random(77)
+        index = OMCSIndex(random_triplets(rng, 80))
+        starts, ends = set(index._start_tokens), set(index._end_tokens)
+        gold = random_gold(rng, 60)
+        unseen = {index._lemma(w) for p, _ in gold.items() for w in (p.head, p.dependent)}
+        assert unseen - starts and unseen - ends    # "stone" and "tasty" at least
+        for pair, _ in gold.items():
+            _witnesses(pair, index)
+        coverage_by_group(gold, index)
+        relation_matrix(gold, index)
+        assert set(index._start_tokens) == starts and set(index._end_tokens) == ends
+
     def test_empty_index_matches_reference(self):
         gold = random_gold(random.Random(5), 30)
         index = self.check_against_reference([], gold)
@@ -1947,3 +1966,126 @@ class TestLeaveOneOut:
         expected = (InsufficientOverlapError, message)
         assert read_outcome(old_leave_one_out, by_annotator) == expected
         assert read_outcome(_leave_one_out, by_annotator) == expected
+
+
+# -- Average ranks that walked ties in a Python loop ------------------------------
+
+def old_average_ranks(values):
+    """Ranks 1..n, as a float array, with ties sharing the mean of their
+    positions."""
+    import numpy as np
+
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    # argsort puts NaN last, so any NaN or infinity sits at an end of the order
+    if len(arr) and not (math.isfinite(arr[order[0]]) and math.isfinite(arr[order[-1]])):
+        raise CorrelationError("non-finite value in correlation input")
+    ranks = np.empty(len(arr), dtype=np.float64)
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def old_spearman(x, y):
+    """``spearman`` with the scores ranked by ``old_average_ranks``."""
+    rx = old_average_ranks(x)
+    ry = old_average_ranks(y)
+    sx = rx - rx.mean()
+    sy = ry - ry.mean()
+    vx = float(np.dot(sx, sx))
+    vy = float(np.dot(sy, sy))
+    if vx == 0.0 or vy == 0.0:
+        raise ConstantInputError("rank variance is zero (constant input)")
+    return float(np.dot(sx, sy) / np.sqrt(vx * vy))
+
+
+def old_significance(a, b, g, resamples, seed):
+    """The bootstrap of ``significance`` over ``old_spearman``; also returns
+    how many resamples had a constant rank vector."""
+    a, b, g = (np.asarray(v, dtype=np.float64) for v in (a, b, g))
+    rng = np.random.default_rng(seed)
+    n = len(a)
+    worse = constant = 0
+    for _ in range(resamples):
+        idx = rng.integers(0, n, size=n)
+        try:
+            delta = old_spearman(a[idx], g[idx]) - old_spearman(b[idx], g[idx])
+        except ConstantInputError:
+            delta = 0.0
+            constant += 1
+        if delta <= 0.0:
+            worse += 1
+    return worse / resamples, constant
+
+
+def assert_same_ranks(values):
+    want = old_average_ranks(values)
+    got = _average_ranks(values)
+    assert got.dtype == want.dtype and got.shape == want.shape, values
+    assert got.tobytes() == want.tobytes(), values
+
+
+def tied_values(rng, n):
+    """n values drawn from a pool of at most a few distinct ones, so most
+    of them tie; the pool may hold both zeros."""
+    pool = [rng.choice((-0.0, 0.0, 1.0, -1.0, 0.5, 2.5, 1e300, -1e-300, rng.uniform(-9, 9)))
+            for _ in range(rng.randint(1, 6))]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+class TestAverageRanks:
+    def test_tied_probes_match_reference(self):
+        rng = random.Random(1818)
+        for n in range(51):
+            for _ in range(40):
+                assert_same_ranks(tied_values(rng, n))
+                assert_same_ranks(np.array(tied_values(rng, n)))
+
+    def test_signed_zeros_tie(self):
+        values = [0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 0.0]
+        assert_same_ranks(values)
+        assert _average_ranks(values).tolist() == [4.0, 4.0, 7.0, 4.0, 1.0, 4.0, 4.0]
+
+    def test_long_vector_matches_reference(self):
+        rng = np.random.default_rng(600)
+        values = np.round(rng.normal(size=600), 1)
+        assert len(np.unique(values)) < 100
+        assert_same_ranks(values)
+        assert_same_ranks(rng.normal(size=600))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_non_finite_fails_like_reference(self, bad, at):
+        values = [3.0, 1.0, 1.0, -0.0, 2.0]
+        values[at] = bad
+        want = read_outcome(old_average_ranks, values)
+        assert want == (CorrelationError, "non-finite value in correlation input")
+        assert read_outcome(_average_ranks, values) == want
+
+    @pytest.mark.parametrize("n, resamples, seed", [
+        (12, 300, 0), (25, 200, 7), (60, 100, 3), (600, 20, 11),
+    ])
+    def test_significance_matches_reference(self, n, resamples, seed):
+        rng = random.Random(n * 1000 + seed)
+        g = [float(rng.randint(0, 4)) for _ in range(n)]
+        a = [round(v + rng.gauss(0, 1.5), 1) for v in g]
+        b = [round(v + rng.gauss(0, 2.0), 1) for v in g]
+        want, constant = old_significance(a, b, g, resamples, seed)
+        assert 0.0 < want < 1.0 and constant == 0
+        assert significance(a, b, g, resamples=resamples, seed=seed) == want
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_significance_with_constant_resamples_matches_reference(self, seed):
+        # one gold value in five differs, so about a tenth of the
+        # resamples draw a constant gold vector
+        g = [-0.0, 0.0, 0.0, 1.0, 0.0] * 2
+        a = [float(i % 4) for i in range(10)]
+        b = [float(i % 3) for i in range(10)]
+        want, constant = old_significance(a, b, g, 300, seed)
+        assert 0 < constant < 300 and 0.0 < want < 1.0
+        assert significance(a, b, g, resamples=300, seed=seed) == want
