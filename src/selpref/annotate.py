@@ -208,6 +208,8 @@ def aggregate(
     min_ratings ratings come back in the second map (pair -> how many it
     got) instead of being scored.
     """
+    if min_ratings < 0:
+        raise AnnotationError(f"min_ratings must be >= 0, got {_shown(str(min_ratings))}")
     sums: dict[SPPair, float] = {}
     counts: dict[SPPair, int] = {}
     for r in kept:

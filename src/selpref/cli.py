@@ -143,11 +143,17 @@ def _load_config_file(path: Optional[str]) -> dict:
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {_shown(', '.join(unknown))}")
     for key, value in doc.items():
-        types, wanted = _CONFIG_TYPES[type(DEFAULTS[key])]
+        kind = type(DEFAULTS[key])
+        types, wanted = _CONFIG_TYPES[kind]
         if type(value) in types:
-            if key not in CHOICES or value in CHOICES[key]:
-                continue
-            wanted = f"one of {', '.join(CHOICES[key])}"
+            if key in CHOICES and value not in CHOICES[key]:
+                wanted = f"one of {', '.join(CHOICES[key])}"
+            else:
+                try:  # an int for a float option becomes the float its flag gives
+                    doc[key] = kind(value)
+                    continue
+                except OverflowError:
+                    wanted = "a number in float range"
         raise ConfigError(f"{path}: key {key!r} must be {wanted}, "
                           f"got {_shown(json.dumps(value))}")
     return doc

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import math
 from array import array
 
 import numpy as np
@@ -34,8 +33,7 @@ class EmbeddingTable:
     """
 
     def __init__(self, words: list[str], matrix: np.ndarray):
-        if not np.isfinite(matrix).all():
-            row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+        if (row := _non_finite_row(matrix)) is not None:
             raise EmbeddingError(f"non-finite components in vector for {words[row]!r}")
         self.index = {w: i for i, w in enumerate(words)}
         self.matrix = matrix
@@ -55,17 +53,22 @@ class EmbeddingTable:
         return None if i is None else self.matrix[i]
 
 
+def _non_finite_row(matrix: np.ndarray) -> int | None:
+    """The first row with a NaN or infinite component, or None."""
+    finite = np.isfinite(matrix).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Read GloVe text format: `word v1 v2 ... vd`, one entry per line.
 
     Duplicate words keep their first occurrence; a dimension change
-    mid-file is an error naming the offending line. The components go
-    straight into one flat buffer that becomes the table's matrix.
+    mid-file or a kept non-finite vector is an error naming its line.
+    The components go straight into one flat buffer, read once.
     """
-    words: dict[str, None] = {}
+    words: dict[str, int] = {}  # kept word -> its line, in row order
     buf = array("d")
     dim = None
-    dupes = 0
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split(" ")
@@ -82,29 +85,15 @@ def load_embeddings(path) -> EmbeddingTable:
                 raise EmbeddingError(
                     f"{path}:{lineno}: dimension {len(vec)} != {dim}"
                 )
-            if word in words:
-                dupes += 1
-                continue
-            words[word] = None
-            buf.extend(vec)
+            if word not in words:
+                words[word] = lineno
+                buf.extend(vec)
     if not words:
         raise EmptyEmbeddingFile(f"{path}: empty embedding file")
-    if dupes:
-        log.warning("%s: %d duplicate words ignored (first kept)", path, dupes)
-    try:
-        return EmbeddingTable(list(words), np.frombuffer(buf).reshape(len(words), dim))
-    except EmbeddingError:  # the one check it makes: every component finite
-        raise EmbeddingError(_non_finite_line(path)) from None
-
-
-def _non_finite_line(path) -> str:
-    """Locate the first kept non-finite vector by reading the file again."""
-    seen = set()
-    with open_input(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            word, *parts = line.rstrip("\n").split(" ")
-            if word not in seen and not all(math.isfinite(float(x)) for x in parts):
-                return f"{path}:{lineno}: non-finite component in vector for {_clip(word)}"
-            seen.add(word)
-    return f"{path}: non-finite component"
-
+    if lineno > len(words):  # every line read is kept or a duplicate
+        log.warning("%s: %d duplicate words ignored (first kept)", path, lineno - len(words))
+    matrix = np.frombuffer(buf).reshape(len(words), dim)
+    if (row := _non_finite_row(matrix)) is not None:
+        word, lineno = list(words.items())[row]
+        raise EmbeddingError(f"{path}:{lineno}: non-finite component in vector for {_clip(word)}")
+    return EmbeddingTable(list(words), matrix)

@@ -1,7 +1,7 @@
 """Neural plausibility scorer.
 
 One small network per relation (Van de Cruys 2014): score = W2 @ tanh(W1 @
-[v_head, v_dep] + b1) + b2, trained with a margin ranking loss against
+[v_head, v_dep] + b1), trained with a margin ranking loss against
 randomly corrupted dependents. Embeddings and weights update jointly, by
 minibatch SGD that sums each batch's gradients at one learning rate. A
 single process, deterministic under the config seed, with the same bytes
@@ -91,7 +91,7 @@ class _RelationNet:
 
     def __init__(self, config: NNConfig, heads, deps, emb_head: np.ndarray,
                  emb_dep: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-                 b2: float, losses: list[float]):
+                 losses: list[float]):
         e, h = config.embedding_dim, config.hidden_dim
         for name, array, shape in (("emb_head", emb_head, (len(heads), e)),
                                    ("emb_dep", emb_dep, (len(deps), e)),
@@ -103,7 +103,7 @@ class _RelationNet:
         self.head_index = _vocabulary_index("heads", heads)
         self.dep_index = _vocabulary_index("deps", deps)
         self.emb_head, self.emb_dep = emb_head, emb_dep
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+        self.w1, self.b1, self.w2 = w1, b1, w2
         self.losses = losses
 
     @classmethod
@@ -118,11 +118,11 @@ class _RelationNet:
                    emb_head=rng.uniform(-bound, bound, size=(len(heads), e)),
                    emb_dep=rng.uniform(-bound, bound, size=(len(deps), e)),
                    w1=rng.uniform(-a1, a1, size=(h, 2 * e)), b1=np.zeros(h),
-                   w2=rng.uniform(-a2, a2, size=h), b2=0.0, losses=[])
+                   w2=rng.uniform(-a2, a2, size=h), losses=[])
 
     def score(self, hi: int, di: int) -> float:
         x = np.concatenate([self.emb_head[hi], self.emb_dep[di]])
-        return float(self.w2 @ np.tanh(self.w1 @ x + self.b1) + self.b2)
+        return float(self.w2 @ np.tanh(self.w1 @ x + self.b1))
 
     def sgd_step(self, heads: np.ndarray, deps: np.ndarray, negatives: np.ndarray,
                  margin: float, lr: float) -> float:
@@ -132,11 +132,11 @@ class _RelationNet:
 
         Scores and gradients come from the parameters before the step.
         Each margin-violating negative adds +lr times its positive's score
-        gradient and -lr times its own. b2's gradient is 1 in both, so they
-        cancel: b2 stays 0.0 and is left out of the scores. Every product
-        is a stack of vector-matrix products, one BLAS gemv per row, and
-        never a gemm, whose blocking (and so whose bits) changes with the
-        BLAS thread count; rows add into the embeddings with np.add.at.
+        gradient and -lr times its own. An output bias would have gradient
+        1 in both, so its two updates would cancel: the net has none. Every
+        product is a stack of vector-matrix products, one BLAS gemv per row,
+        and never a gemm, whose blocking (and so whose bits) changes with
+        the BLAS thread count; rows add into the embeddings with np.add.at.
         """
         b = len(heads)
         rows_h = np.tile(heads, len(negatives) + 1)
@@ -196,7 +196,7 @@ class NNModel:
             arrays[f"{p}__deps"] = np.array(list(net.dep_index))
             for k in _ARRAYS:
                 arrays[f"{p}__{k}"] = getattr(net, k)
-            arrays[f"{p}__b2"] = np.array(net.b2)
+            arrays[f"{p}__b2"] = np.array(0.0)  # the layout keeps the bias the net lacks
             arrays[f"{p}__losses"] = np.array(net.losses)
         # np.savez stamps zip entries with the current time; write the
         # archive by hand with a fixed date so identical models produce
@@ -212,8 +212,8 @@ class NNModel:
 
     @classmethod
     def load(cls, path) -> "NNModel":
-        """Read a model written by ``save``; any unreadable or incomplete
-        file ends in an ``NNError`` naming the path."""
+        """Read a model written by ``save``; an unreadable or incomplete file,
+        or a nonzero output bias, ends in an ``NNError`` naming the path."""
         try:
             with np.load(path, allow_pickle=False) as z:
                 config = NNConfig(**json.loads(str(z["meta__config"])))
@@ -225,10 +225,11 @@ class NNModel:
                     rel = parse_relation(name)
                     p = rel.value
                     arrays = {k: z[f"{p}__{k}"] for k in _ARRAYS}
-                    b2, losses = float(z[f"{p}__b2"]), list(z[f"{p}__losses"])
+                    if (b2 := float(z[f"{p}__b2"])) != 0.0:
+                        raise ValueError(f"{p}__b2 has value {b2!r}, expected 0.0")
                     try:
                         model.nets[rel] = _RelationNet(config, z[f"{p}__heads"], z[f"{p}__deps"],
-                                                       **arrays, b2=b2, losses=losses)
+                                                       **arrays, losses=list(z[f"{p}__losses"]))
                     except ValueError as err:  # a misfit array: name it as the file does
                         raise ValueError(f"{p}__{err}") from None
         except (OSError, EOFError, ValueError, KeyError, TypeError,

@@ -175,6 +175,14 @@ class TestAggregate:
         assert not scores
         assert under[SPPair(R, "eat", "soup")] == 9
 
+    def test_negative_min_ratings_raises(self):
+        rows = [rating(f"a{i}", R, "eat", "soup", 4) for i in range(3)]
+        for bad in (-1, -5):
+            with pytest.raises(AnnotationError,
+                               match=rf"^min_ratings must be >= 0, got {bad}$"):
+                aggregate(rows, min_ratings=bad)
+        assert aggregate(rows, min_ratings=0)[0] == {SPPair(R, "eat", "soup"): 7.5}
+
     def test_checkpoints_excluded(self):
         rows = [rating(f"a{i}", R, "eat", "meal", 5, expected={4, 5})
                 for i in range(10)]

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selpref
+from selpref import embeddings
 from selpref.annotate import aggregate
 from selpref.cli import DEFAULTS, build_parser, main
 from selpref.evaluation import evaluate
@@ -320,6 +321,8 @@ def test_config_file_unknown_key_exit_1(tmp_path, corpus, capsys):
     ("eval", {"missing": "x" * 100},
      "key 'missing' must be one of drop, floor, got \"" + "x" * 39 + "..."),
     ("train-nn", {"batch_size": 1.5}, "key 'batch_size' must be an integer, got 1.5"),
+    ("train-nn", {"margin": 10 ** 400},
+     "key 'margin' must be a number in float range, got 1" + "0" * 39 + "..."),
 ])
 def test_config_file_bad_value_exit_1(tmp_path, corpus, capsys, sub, doc, message):
     counts, lex = str(make_counts(tmp_path, corpus)), make_lexicon(tmp_path)
@@ -351,11 +354,23 @@ def test_config_file_unreadable_json_exit_1(tmp_path, corpus, capsys, text, mess
 
 
 def test_config_file_int_for_a_float_is_accepted(tmp_path, corpus):
-    counts = make_counts(tmp_path, corpus)
-    cfg = write(tmp_path / "cfg.json", json.dumps({"margin": 2, "learning_rate": 1}))
-    assert main(["train-nn", "--counts", str(counts), "--lexicon", make_lexicon(tmp_path),
-                 "--seed", "1", "--epochs", "1", "--out", str(tmp_path / "m.npz"),
-                 "--config", cfg]) == 0
+    """An int in a --config file for a float option resolves to the float
+    its flag gives: the same value and type, so the same model bytes."""
+    argv = ["train-nn", "--counts", str(make_counts(tmp_path, corpus)),
+            "--lexicon", make_lexicon(tmp_path), "--seed", "1", "--epochs", "1"]
+    float_keys = [key for key, value in DEFAULTS.items() if type(value) is float]
+    assert float_keys
+    for key in float_keys:
+        cfg = write(tmp_path / "cfg.json", json.dumps({key: 2}))
+        models = []
+        for route in (["--config", cfg], ["--" + key.replace("_", "-"), "2"]):
+            model = tmp_path / f"m{len(models)}.npz"
+            assert main(argv + route + ["--out", str(model)]) == 0
+            with np.load(model) as z:
+                resolved = json.loads(str(z["meta__config"]))[key]
+            assert type(resolved) is float and resolved == 2.0, (key, route)
+            models.append(model.read_bytes())
+        assert models[0] == models[1], key
 
 
 def test_eval_gold_as_model_reports_perfect_rho(tmp_path, capsys):
@@ -692,14 +707,25 @@ def test_bad_ratings_header_is_clipped_and_located(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "9" * 5000],
                          ids=["nan", "inf", "1e400", "5000 nines"])
-def test_non_finite_embedding_exit_1_with_coordinates(tmp_path, capsys, corpus, value):
-    vectors = write(tmp_path / "v.txt", f"eat 1 2\nfish 1 2\neat 3 {value}\n"
-                                        f"{'w' * 50} {value} 1\n")
+def test_non_finite_embedding_exit_1_with_coordinates(tmp_path, capsys, monkeypatch, corpus,
+                                                      value):
+    """The skipped duplicate `eat` on line 3 is not reported, line 4 is,
+    and the vectors file, plain or gzipped, is opened once."""
+    text = f"eat 1 2\nfish 1 2\neat 3 {value}\n{'w' * 50} {value} 1\n"
+    opened = []
+    monkeypatch.setattr(embeddings, "open_input",
+                        lambda path, _open=embeddings.open_input: opened.append(path) or _open(path))
     pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tworm\n")
-    assert main(["score", "--backend", "ds", "--counts", str(make_counts(tmp_path, corpus)),
-                 "--embeddings", vectors, "--pairs", pairs]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {vectors}:4: non-finite component in vector for '{'w' * 40}'...\n")
+    counts = str(make_counts(tmp_path, corpus))
+    for vectors, data in ((tmp_path / "v.txt", text.encode()),
+                          (tmp_path / "v.txt.gz", gzip.compress(text.encode()))):
+        vectors.write_bytes(data)
+        opened.clear()
+        assert main(["score", "--backend", "ds", "--counts", counts,
+                     "--embeddings", str(vectors), "--pairs", pairs]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {vectors}:4: non-finite component in vector for '{'w' * 40}'...\n")
+        assert opened == [str(vectors)]
 
 
 @pytest.mark.parametrize("flag", ["--heads-per-relation", "--seed"])
@@ -737,6 +763,19 @@ def test_candidates_negative_count_exit_1(tmp_path, corpus, capsys, option, rout
         argv += ["--config", write(tmp_path / "cfg.json", json.dumps({option: -2}))]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {option} must be >= 0, got -2\n"
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_aggregate_negative_min_ratings_exit_1(golden_inputs, tmp_path, capsys, route):
+    out = tmp_path / "gold.tsv"
+    argv = ["aggregate", "--ratings", str(golden_inputs / "ratings.csv"), "--out", str(out)]
+    if route == "flag":
+        argv += ["--min-ratings", "-5"]
+    else:
+        argv += ["--config", write(tmp_path / "cfg.json", json.dumps({"min_ratings": -5}))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: min_ratings must be >= 0, got -5\n"
+    assert not out.exists()
 
 
 def test_candidates_zero_counts_are_accepted(tmp_path, corpus):
@@ -1421,7 +1460,10 @@ def test_an_empty_lexicon_pool_is_blamed_on_the_lexicon(golden_inputs, tmp_path,
     # the first word written again over the second, as the sorted pools give them
     ("heads", np.array(VERBS[:1] + VERBS[:-1]), "'break' more than once"),
     ("deps", np.array(sorted(NOUNS)[:1] + sorted(NOUNS)[:-1]), "'alice' more than once"),
-], ids=["w1 shape", "emb_head rows", "b1 length", "b1 dtype", "heads repeat", "deps repeat"])
+    # save writes 0.0 for the output bias the net lacks, so another value is refused
+    ("b2", np.array(0.5), "value 0.5, expected 0.0"),
+], ids=["w1 shape", "emb_head rows", "b1 length", "b1 dtype", "heads repeat", "deps repeat",
+        "b2 nonzero"])
 def test_nn_model_with_a_misfit_array_exit_1(golden_inputs, tmp_path, capsys, name, bad, fault):
     with np.load(golden_inputs / "model.npz") as z:
         arrays = dict(z)

@@ -83,7 +83,6 @@ def test_seeded_determinism_is_bitwise():
         a, b = m1.nets[rel], m2.nets[rel]
         for name in ["emb_head", "emb_dep", "w1", "b1", "w2"]:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.b2 == b.b2
         assert a.losses == b.losses
 
 
@@ -205,7 +204,6 @@ def test_npz_roundtrip_is_exact(tmp_path):
         assert a.dep_index == b.dep_index
         for name in ["emb_head", "emb_dep", "w1", "b1", "w2"]:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.b2 == b.b2
         assert a.losses == b.losses
     # scores agree bitwise
     for head in ["a", "b"]:
@@ -278,6 +276,22 @@ def test_multiple_negatives_per_positive():
     model = nn_train(planted_corpus(), cfg, VOCAB)
     wins = comparisons(model)
     assert sum(wins) >= 0.9 * len(wins)
+
+
+@pytest.mark.parametrize("bias", [0.5, -1e-300, float("nan")])
+def test_load_refuses_a_nonzero_output_bias(tmp_path, bias):
+    """save writes every <rel>__b2 as 0.0, since the net has no output
+    bias; a file holding another value was not written by save."""
+    nn_train(planted_corpus(n=50), SMALL, VOCAB).save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as z:
+        arrays = dict(z)
+    assert float(arrays["dobj__b2"]) == 0.0
+    arrays["dobj__b2"] = np.array(bias)
+    np.savez(tmp_path / "biased.npz", **arrays)
+    with pytest.raises(NNError) as exc:
+        NNModel.load(tmp_path / "biased.npz")
+    assert str(exc.value) == (f"{tmp_path / 'biased.npz'}: not a readable model file: "
+                              f"dobj__b2 has value {bias!r}, expected 0.0")
 
 
 def test_load_names_path_of_npz_missing_a_key(tmp_path):

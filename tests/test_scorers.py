@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from selpref import embeddings
 from selpref.core import SPPair, SPRelation
 from selpref.embeddings import (
     EmbeddingError,
@@ -126,6 +127,28 @@ class TestDS:
 
 
 class TestLoadEmbeddings:
+    @pytest.mark.parametrize("text, dupes, fault", [
+        ("a 1 2\nb 3 4\n", 0, None),
+        ("a 1 2\na 9 9\nb 3 4\nb 5 6\n", 2, None),
+        ("a 1 2\na 9 inf\nb nan 4\n", 1, ":3: non-finite component in vector for 'b'"),
+    ], ids=["plain", "duplicates", "non-finite"])
+    def test_file_is_opened_once(self, tmp_path, monkeypatch, caplog, text, dupes, fault):
+        p = tmp_path / "emb.txt"
+        p.write_text(text)
+        opened = []
+        monkeypatch.setattr(embeddings, "open_input",
+                            lambda path, _open=embeddings.open_input:
+                            opened.append(path) or _open(path))
+        if fault is None:
+            assert len(load_embeddings(p)) == 2
+        else:
+            with pytest.raises(EmbeddingError) as exc:
+                load_embeddings(p)
+            assert str(exc.value) == f"{p}{fault}"
+        assert opened == [p]
+        warned = [r.getMessage() for r in caplog.records if "duplicate" in r.getMessage()]
+        assert warned == ([f"{p}: {dupes} duplicate words ignored (first kept)"] if dupes else [])
+
     def test_small_file(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("air 0.1 0.2\nwater -1 2.5\n")
