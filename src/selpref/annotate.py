@@ -336,6 +336,7 @@ def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
     ends on."""
     reader = csv.reader(fh)
     out = []
+    pairs: dict[tuple[str, str, str], SPPair] = {}  # one pair per distinct text
     try:
         header = next(reader, None)
         if header != RATINGS_COLUMNS:
@@ -348,11 +349,14 @@ def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
                     f"{source}:{reader.line_num}: expected {len(RATINGS_COLUMNS)} "
                     f"fields, got {len(row)}"
                 )
-            ann_id, _, _, _, rating, is_cp, expected = row
+            ann_id, rel, head, dep, rating, is_cp, expected = row
             try:
+                pair = pairs.get((rel, head, dep))
+                if pair is None:
+                    pair = pairs[rel, head, dep] = _pair(row[1:4])
                 r = RawRating(
                     annotator_id=ann_id,
-                    pair=_pair(row[1:4]),
+                    pair=pair,
                     rating=int(rating),
                     expected=parse_rating_set(expected) if expected else None,
                 )

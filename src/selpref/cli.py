@@ -42,10 +42,10 @@ from .annotate import (
 )
 from .commonsense import (
     OMCSIndex,
+    _omcs_rows,
     coverage_by_group,
     coverage_table,
     import_conceptnet_csv,
-    read_omcs,
     relation_matrix,
 )
 from .core import (
@@ -62,6 +62,7 @@ from .evaluation import (
     GOLD_HEADER,
     MISSING_POLICIES,
     SCORES_HEADER,
+    GoldSet,
     NoTestPairsError,
     evaluate,
     load_gold_file,
@@ -260,16 +261,18 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> S
     parser.error(f"unknown backend {backend!r}")
 
 
-def _load_omcs_index(args: argparse.Namespace,
-                     parser: argparse.ArgumentParser) -> OMCSIndex:
+def _load_omcs_index(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                     gold: GoldSet) -> OMCSIndex:
+    """The index for the gold's words; an --omcs file is read as it is indexed."""
     if bool(args.omcs) == bool(args.conceptnet):
         parser.error("exactly one of --omcs / --conceptnet is required")
+    words = {w for pair in gold.pairs() for w in (pair.head, pair.dependent)}
     if args.omcs:
-        triplets = _read(read_omcs, args.omcs)
-    else:
-        with open_input(args.conceptnet) as fh:
-            triplets = import_conceptnet_csv(fh)
-    return OMCSIndex(triplets)
+        with open_input(args.omcs) as fh:
+            return OMCSIndex(_omcs_rows(fh, args.omcs), words)
+    with open_input(args.conceptnet) as fh:
+        triplets = import_conceptnet_csv(fh)
+    return OMCSIndex(triplets, words)
 
 
 # subcommand handlers
@@ -396,7 +399,7 @@ def cmd_survey(args, parser) -> int:
 
 def cmd_omcs_match(args, parser) -> int:
     gold = load_gold_file(args.gold)
-    index = _load_omcs_index(args, parser)
+    index = _load_omcs_index(args, parser, gold)
     stats = coverage_by_group(gold, index)
     print(coverage_table(stats))
     if args.out:
@@ -415,7 +418,7 @@ def cmd_omcs_match(args, parser) -> int:
 
 def cmd_omcs_matrix(args, parser) -> int:
     gold = load_gold_file(args.gold)
-    index = _load_omcs_index(args, parser)
+    index = _load_omcs_index(args, parser, gold)
     matrix = relation_matrix(gold, index)
     with _open_echoed(args.out, args) as out:
         out.write(matrix.to_csv(args.kind))

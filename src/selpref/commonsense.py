@@ -13,9 +13,9 @@ import enum
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation, _parsed_rows, check_plausibility
+from .core import SelPrefError, SPPair, SPRelation, _clip, _rows, check_plausibility
 from .evaluation import GoldSet
 from .lemmatize import lemmatize
 
@@ -32,11 +32,8 @@ class OMCSTriplet:
     relation: str
     end: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.start or not self.end:
-            raise OMCSFormatError("triplet phrases must be non-empty")
-        if not self.relation:
-            raise OMCSFormatError("triplet relation label must be non-empty")
+    def __iter__(self):  # unpacks as an OMCS row: start, relation, end
+        return iter((self.start, self.relation, self.end))
 
 
 class MatchKind(enum.Enum):
@@ -46,37 +43,64 @@ class MatchKind(enum.Enum):
 
 
 class OMCSIndex:
-    """Token postings over lemmatized triplet phrases: the ids of the
-    triplets whose start phrase, and whose end phrase, holds each lemma.
-    Exact witnesses need no index of their own: they are the token
-    witnesses whose two phrases are one token each.
+    """Token postings over lemmatized triplet phrases, for the lemmas of
+    ``words``: the ids of the kept triplets whose start phrase, and whose
+    end phrase, holds each such lemma. A triplet is kept only when both
+    of its phrases hold one; no other triplet can witness a pair of those
+    words. ``triplets`` are OMCS rows, (start tokens, relation, end
+    tokens), read once; only the kept ones become ``OMCSTriplet``s, in
+    input order. Exact witnesses need no index of their own: they are the
+    token witnesses whose two phrases are one token each.
 
     The lemmatizer is applied to triplet tokens at build time and to
     query words at match time, so both sides are normalized identically.
     It must be a pure function: its result for each distinct word is
     cached for the life of the index, so it runs once per word.
-    ``distinct_tokens`` is the number of distinct triplet tokens.
+    ``triplets_read`` counts the rows read and ``distinct_tokens`` the
+    distinct tokens in them.
     """
 
     def __init__(
         self,
-        triplets: Iterable[OMCSTriplet],
+        triplets: Iterable[OMCSTriplet | tuple[Sequence[str], str, Sequence[str]]],
+        words: Iterable[str],
         lemmatizer: Callable[[str], str] = lemmatize,
     ):
         self._lemmatizer = lemmatizer
         self._lemmas: dict[str, str] = {}
-        self.triplets: list[OMCSTriplet] = list(triplets)
+        lemma = self._lemma
+        self._wanted = wanted = frozenset(map(lemma, words))
+        self.triplets: list[OMCSTriplet] = []
         starts: defaultdict[str, set[int]] = defaultdict(set)
         ends: defaultdict[str, set[int]] = defaultdict(set)
-        lemma = self._lemma
-        for i, t in enumerate(self.triplets):
-            for tok in t.start:
+        seen: set[str] = set()     # distinct tokens so far
+        hits: set[str] = set()     # the seen tokens whose lemma is wanted
+
+        def learn(phrase: list[str]) -> None:
+            for tok in phrase:
+                if tok not in seen:
+                    seen.add(tok)
+                    if lemma(tok) in wanted:
+                        hits.add(tok)
+
+        n = 0
+        for n, (start, relation, end) in enumerate(triplets, 1):
+            if not seen.issuperset(start):
+                learn(start)
+            if not seen.issuperset(end):
+                learn(end)
+            if hits.isdisjoint(start) or hits.isdisjoint(end):
+                continue
+            i = len(self.triplets)
+            self.triplets.append(OMCSTriplet(tuple(start), relation, tuple(end)))
+            for tok in hits.intersection(start):
                 starts[lemma(tok)].add(i)
-            for tok in t.end:
+            for tok in hits.intersection(end):
                 ends[lemma(tok)].add(i)
         self._start_tokens = starts
         self._end_tokens = ends
-        self.distinct_tokens = len(self._lemmas)
+        self.triplets_read = n
+        self.distinct_tokens = len(seen)
 
     def _lemma(self, word: str) -> str:
         lemma = self._lemmas.get(word)
@@ -84,16 +108,17 @@ class OMCSIndex:
             lemma = self._lemmas[word] = self._lemmatizer(word.lower())
         return lemma
 
-    def __len__(self) -> int:
-        return len(self.triplets)
-
 
 def _witnesses(pair: SPPair, index: OMCSIndex) -> tuple[MatchKind, list[OMCSTriplet]]:
     """The pair's witnesses in id order. Exact wins: EXACT comes with the
     exact witnesses alone, PARTIAL with every token witness, and NONE
-    with no witnesses."""
+    with no witnesses. A pair with a lemma the index was not built for
+    is an error, not a NONE."""
     h = index._lemma(pair.head)
     d = index._lemma(pair.dependent)
+    if not index._wanted.issuperset((h, d)):
+        raise SelPrefError(f"OMCS index not built for the words of {pair.relation} pair "
+                           f"{_clip(pair.head)} {_clip(pair.dependent)}")
     starts, ends = index._start_tokens, index._end_tokens
     ids = (starts.get(h, set()) & ends.get(d, set())) | (starts.get(d, set()) & ends.get(h, set()))
     if not ids:
@@ -159,7 +184,7 @@ def coverage_by_group(gold: GoldSet, index: OMCSIndex) -> dict[PlausibilityGroup
 
 def _log_summary(index: OMCSIndex, kinds: dict[MatchKind, int]) -> None:
     log.info("%d triplets read, %d distinct tokens lemmatized; "
-             "pairs exact=%d partial=%d none=%d", len(index), index.distinct_tokens,
+             "pairs exact=%d partial=%d none=%d", index.triplets_read, index.distinct_tokens,
              kinds[MatchKind.EXACT], kinds[MatchKind.PARTIAL], kinds[MatchKind.NONE])
 
 
@@ -233,10 +258,24 @@ def relation_matrix(gold: GoldSet, index: OMCSIndex) -> RelationMatrix:
     return RelationMatrix(exact=tables[MatchKind.EXACT], partial=tables[MatchKind.PARTIAL])
 
 
+def _omcs_rows(fh: TextIO, source: str) -> Iterator[tuple[list[str], str, list[str]]]:
+    """(start tokens, relation, end tokens) per row of an OMCS TSV: start
+    phrase, relation label, end phrase, each non-empty. Blank and ``#``
+    lines are skipped; any other row that breaks a rule raises
+    OMCSFormatError at ``source:line``."""
+    for lineno, (start, relation, end) in _rows(fh, source, 3, OMCSFormatError):
+        start, end = start.split(), end.split()
+        if not start or not end:
+            raise OMCSFormatError(f"{source}:{lineno}: triplet phrases must be non-empty")
+        if not relation:
+            raise OMCSFormatError(f"{source}:{lineno}: triplet relation label must be non-empty")
+        yield start, relation, end
+
+
 def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:
     """TSV: start phrase, relation label, end phrase."""
-    return [t for _, t in _parsed_rows(fh, source, 3, OMCSFormatError, lambda f: OMCSTriplet(
-        tuple(f[0].split()), f[1], tuple(f[2].split())))]
+    return [OMCSTriplet(tuple(start), relation, tuple(end))
+            for start, relation, end in _omcs_rows(fh, source)]
 
 
 def _concept_phrase(uri: str) -> Optional[str]:
@@ -265,13 +304,10 @@ def import_conceptnet_csv(fh: TextIO) -> list[OMCSTriplet]:
             continue
         start = _concept_phrase(start_uri)
         end = _concept_phrase(end_uri)
-        if not start or not end:
+        relation = rel_uri.split("/")[2]
+        if not start or not end or not relation:
             continue
         if "omcs" not in meta:
             continue
-        relation = rel_uri.split("/")[2]
-        try:
-            out.append(OMCSTriplet(tuple(start.split()), relation, tuple(end.split())))
-        except OMCSFormatError:
-            continue
+        out.append(OMCSTriplet(tuple(start.split()), relation, tuple(end.split())))
     return out

@@ -315,14 +315,15 @@ def load_release_gold() -> GoldSet:
     return import_sp10k_directory(SP10K_DIR)
 
 
-def load_omcs_index() -> OMCSIndex:
+def load_omcs_index(gold: GoldSet) -> OMCSIndex:
     opener = open
     if CONCEPTNET_CSV.endswith(".gz"):
         import gzip
 
         opener = lambda p: gzip.open(p, "rt", encoding="utf-8")
     with opener(CONCEPTNET_CSV) as fh:
-        return OMCSIndex(import_conceptnet_csv(fh))
+        return OMCSIndex(import_conceptnet_csv(fh),
+                         {w for p in gold.pairs() for w in (p.head, p.dependent)})
 
 
 @NEEDS_SP10K
@@ -330,7 +331,7 @@ def load_omcs_index() -> OMCSIndex:
 def test_c07_group_sizes_and_match_rates():
     t0 = time.monotonic()
     gold = load_release_gold()
-    index = load_omcs_index()
+    index = load_omcs_index(gold)
     stats = coverage_by_group(gold, index)
     order = [PlausibilityGroup.PERFECT, PlausibilityGroup.GOOD,
              PlausibilityGroup.NORMAL, PlausibilityGroup.UNUSUAL,
@@ -355,7 +356,7 @@ def test_c07_group_sizes_and_match_rates():
 @NEEDS_CONCEPTNET
 def test_c08_relation_matrix_highlights():
     gold = load_release_gold()
-    index = load_omcs_index()
+    index = load_omcs_index(gold)
     matrix = relation_matrix(gold, index)
 
     def row_counts(rel):

@@ -581,6 +581,45 @@ def test_omcs_match_and_matrix(tmp_path):
     assert matrix_doc["exact"]["dobj"]["UsedFor"] == 1
 
 
+OMCS_GOLD = "#sp10k v1\ndobj\teat\tapple\t9.00\nnsubj\tbark\tdog\t9.50\n"
+
+
+@pytest.mark.parametrize("sub", ["omcs-match", "omcs-matrix"])
+@pytest.mark.parametrize("row, reason", [
+    ("cat\tIsA", "expected 3 columns, got 2"),
+    ("\tIsA\tpet", "triplet phrases must be non-empty"),
+    ("cat\t\tpet", "triplet relation label must be non-empty"),
+])
+def test_omcs_bad_row_without_gold_words_is_located(tmp_path, capsys, sub, row, reason):
+    gold = write(tmp_path / "gold.tsv", OMCS_GOLD)
+    omcs = write(tmp_path / "omcs.tsv", f"eat\tUsedFor\tapple\n\n{row}\ndog\tIsA\tbark\n")
+    out = str(tmp_path / "out")
+    assert main([sub, "--gold", gold, "--omcs", omcs, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {omcs}:3: {reason}\n"
+
+
+def test_omcs_conceptnet_coverage_equals_omcs_coverage(tmp_path, capsys):
+    gold = write(tmp_path / "gold.tsv", OMCS_GOLD + "dobj\teat\tstone\t1.00\n")
+    triplets = [("eat", "UsedFor", "apples"), ("dog", "CapableOf", "bark loudly"),
+                ("eating", "IsA", "stone"), ("cat", "IsA", "pet")]
+    omcs = write(tmp_path / "omcs.tsv", "".join(f"{s}\t{r}\t{e}\n" for s, r, e in triplets))
+    concept = "/c/en/{}".format
+    dump = write(tmp_path / "dump.csv", "".join(
+        f"/a/x\t/r/{r}\t{concept(s.replace(' ', '_'))}\t{concept(e.replace(' ', '_'))}\t"
+        '{"sources": ["/s/contributor/omcs/dev"]}\n' for s, r, e in triplets))
+    docs, tables = {}, {}
+    for flag, path in (("--omcs", omcs), ("--conceptnet", dump)):
+        out = tmp_path / f"{flag[2:]}.json"
+        assert main(["omcs-match", "--gold", gold, flag, path, "--out", str(out)]) == 0
+        tables[flag] = capsys.readouterr().out
+        docs[flag] = json.loads(out.read_text(encoding="utf-8"))["groups"]
+    assert docs["--omcs"] == docs["--conceptnet"]
+    assert tables["--omcs"] == tables["--conceptnet"]
+    assert docs["--omcs"]["perfect"] == {"pairs": 2, "exact": 1, "partial": 1,
+                                         "exact_rate": 0.5, "partial_rate": 0.5}
+    assert docs["--omcs"]["impossible"]["partial"] == 0
+
+
 def test_omcs_requires_exactly_one_source(tmp_path):
     gold = write(tmp_path / "gold.tsv", "#sp10k v1\ndobj\teat\tapple\t9.00\n")
     with pytest.raises(SystemExit) as exc:
@@ -1040,12 +1079,16 @@ def test_omcs_info_summary_line(tmp_path):
         "dobj\teat\tstone\t1.00\n"
         "nsubj\tbark\tdog\t9.50\n"
     ))
+    # the last two rows witness no gold pair and are not indexed, but
+    # they are read and their tokens lemmatized; the comment is neither
     omcs = write(tmp_path / "omcs.tsv", (
         "eat\tUsedFor\tapples\n"
         "dog\tCapableOf\tbark loudly\n"
+        "# a comment\n"
         "Dogs\tIsA\tanimal\n"
+        "cat\tIsA\tpet\n"
     ))
-    line = ("INFO selpref.commonsense: 3 triplets read, 7 distinct tokens "
+    line = ("INFO selpref.commonsense: 4 triplets read, 9 distinct tokens "
             "lemmatized; pairs exact=1 partial=1 none=1\n")
     artifacts = {"omcs-match": ["--out", "match.json"],
                  "omcs-matrix": ["--out", "matrix.csv", "--json", "matrix.json"]}

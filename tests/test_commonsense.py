@@ -29,6 +29,10 @@ def trip(start, rel, end):
     return OMCSTriplet(tuple(start.split()), rel, tuple(end.split()))
 
 
+def words_of(gold):
+    return [w for p in gold.pairs() for w in (p.head, p.dependent)]
+
+
 class TestLemmatize:
     def test_fixed_points(self):
         for w in ["eat", "song", "fish", "use", "sing", "red", "water",
@@ -77,7 +81,7 @@ class TestMatching:
             trip("eat", "MotivatedByGoal", "are hungry"),
             trip("knife", "UsedFor", "cutting bread"),
             trip("bird", "CapableOf", "fly"),
-        ])
+        ], ["sing", "song", "eat", "hungry", "cut", "knife", "bread"])
 
     def test_exact_either_orientation(self):
         exact = (MatchKind.EXACT, [trip("song", "UsedFor", "sing")])
@@ -99,17 +103,18 @@ class TestMatching:
         assert _witnesses(SPPair(R, "cut", "bread"), self.index()) == (MatchKind.NONE, [])
 
     def test_no_substring_matching(self):
-        index = OMCSIndex([trip("start", "RelatedTo", "begin")])
+        index = OMCSIndex([trip("start", "RelatedTo", "begin")], ["art", "begin"])
         assert _witnesses(SPPair(R, "art", "begin"), index) == (MatchKind.NONE, [])
 
     def test_empty_index(self):
-        assert _witnesses(SPPair(R, "eat", "mail"), OMCSIndex([])) == (MatchKind.NONE, [])
+        assert _witnesses(SPPair(R, "eat", "mail"), OMCSIndex([], ["eat", "mail"])) == (
+            MatchKind.NONE, [])
 
     def test_exact_shortcircuits_partial(self):
         index = OMCSIndex([
             trip("sing loud song", "HasSubevent", "sing"),  # partial only
             trip("song", "UsedFor", "sing"),                # exact
-        ])
+        ], ["sing", "song"])
         assert _witnesses(SPPair(R, "sing", "song"), index) == (
             MatchKind.EXACT, [trip("song", "UsedFor", "sing")])
 
@@ -118,7 +123,7 @@ class TestMatching:
             trip("song", "CreatedBy", "sing"),
             trip("song", "UsedFor", "sing"),
             trip("sing", "Causes", "song"),
-        ])
+        ], ["sing", "song"])
         assert _witnesses(SPPair(R, "sing", "song"), index) == (MatchKind.EXACT, index.triplets)
 
     def test_brute_force_oracle(self):
@@ -153,7 +158,7 @@ class TestMatching:
                 start = " ".join(rng.sample(words, rng.randint(1, 3)))
                 end = " ".join(rng.sample(words, rng.randint(1, 3)))
                 triplets.append(trip(start, rng.choice(rels), end))
-            index = OMCSIndex(triplets)
+            index = OMCSIndex(triplets, words)
             for _ in range(20):
                 pair = SPPair(R, rng.choice(words), rng.choice(words))
                 assert _witnesses(pair, index)[0] == oracle(pair, triplets), (
@@ -209,7 +214,7 @@ class TestCoverage:
             trip("song", "UsedFor", "sing"),
             trip("knife", "UsedFor", "cutting bread"),
             trip("bird", "CapableOf", "fly"),
-        ])
+        ], words_of(self.gold()))
 
     def test_counts(self):
         stats = coverage_by_group(self.gold(), self.index())
@@ -231,7 +236,7 @@ class TestCoverage:
                 assert abs(s.partial_rate - s.n_partial / s.n_pairs) < 1e-4
 
     def test_empty_index_zeroes_matches_only(self):
-        stats = coverage_by_group(self.gold(), OMCSIndex([]))
+        stats = coverage_by_group(self.gold(), OMCSIndex([], words_of(self.gold())))
         assert sum(s.n_pairs for s in stats.values()) == 4
         assert sum(s.n_exact + s.n_partial for s in stats.values()) == 0
 
@@ -244,7 +249,7 @@ class TestCoverage:
 class TestMatrix:
     def test_single_tuple(self):
         gold = GoldSet([(SPPair(R, "sing", "song"), 9.0)])
-        index = OMCSIndex([trip("song", "UsedFor", "sing")])
+        index = OMCSIndex([trip("song", "UsedFor", "sing")], words_of(gold))
         m = relation_matrix(gold, index)
         assert m.cell(MatchKind.EXACT, R, "UsedFor") == 1
         assert (m.exact, m.partial) == ({R: {"UsedFor": 1}}, {})
@@ -255,7 +260,7 @@ class TestMatrix:
             trip("song", "UsedFor", "sing"),
             trip("song", "CreatedBy", "sing"),
             trip("sing favorite song", "HasSubevent", "sing"),  # partial, masked
-        ])
+        ], words_of(gold))
         m = relation_matrix(gold, index)
         assert m.cell(MatchKind.EXACT, R, "UsedFor") == 1
         assert m.cell(MatchKind.EXACT, R, "CreatedBy") == 1
@@ -267,7 +272,7 @@ class TestMatrix:
         index = OMCSIndex([
             trip("knife", "UsedFor", "cutting bread"),
             trip("cut", "HasPrerequisite", "sharp knife"),
-        ])
+        ], words_of(gold))
         m = relation_matrix(gold, index)
         assert m.cell(MatchKind.PARTIAL, R, "UsedFor") == 1
         assert m.cell(MatchKind.PARTIAL, R, "HasPrerequisite") == 1
@@ -280,7 +285,7 @@ class TestMatrix:
         index = OMCSIndex([
             trip("song", "UsedFor", "sing"),
             trip("bird", "CapableOf", "fly"),
-        ])
+        ], words_of(gold))
         m = relation_matrix(gold, index)
         csv_text = m.to_csv(MatchKind.EXACT)
         lines = csv_text.strip().split("\n")
@@ -321,6 +326,9 @@ class TestIO:
             # dropped: not OMCS-sourced
             "/a/x\t/r/UsedFor\t/c/en/axe\t/c/en/chop\t"
             '{"sources": ["/s/resource/wiktionary"]}',
+            # dropped: no relation name
+            "/a/x\t/r/\t/c/en/song\t/c/en/sing\t"
+            '{"sources": ["/s/contributor/omcs/dev"]}',
             # kept: multiword concept with part-of-speech suffix path
             "/a/x\t/r/MotivatedByGoal\t/c/en/eat\t/c/en/are_hungry\t"
             '{"sources": ["/s/contributor/omcs/someone"]}',

@@ -10,28 +10,34 @@ the CoNLL-U pipeline that built a ``Token`` per line, a ``Sentence`` per
 sentence and an ``SPPair`` per extracted pair (replaced by the rows of
 ``read_conllu``, the rules of ``_rule_pairs`` and the one pass of
 ``count_conllu``), the OMCS index that lemmatized every token
-occurrence, with its reader, the NN trainer that passed gradient dicts
-to an ``apply`` step and took the CLI's pair-by-pair expansion of a count
-table, the prediction, survey and gold-set records that
+occurrence, with its reader, the OMCS index that kept every triplet
+(replaced by one built for the gold's words), the NN trainer that
+passed gradient dicts to an ``apply`` step and took the CLI's
+pair-by-pair expansion of a count table, the prediction, survey and gold-set records that
 stored derived fields beside the facts they derive from, and the
 pair-list, gold, score and checkpoint readers that located their own
 row faults, with the writers that wrote their own header and
 ``#config`` line, the leave-one-out agreement that walked every
-other annotator for each pair, and the average ranks that walked each
-tie group in a Python loop.
+other annotator for each pair, the average ranks that walked each
+tie group in a Python loop, and the ratings reader that built a pair
+for every row.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
 counting with the same error text and the same warnings in order, the
 reader's rows as the old tokens and the rules' pairs as the old pairs
 or the same lemma error; OMCS index tables, witnesses and matrices
-exactly, the reader's triplets and error text exactly; NN models byte
-for byte, with the same epoch losses; predictions, surveys and gold sets
+exactly (the index built for the gold's words keeps exactly the
+triplets with one of their lemmas in each phrase), the reader's
+triplets and error text exactly; NN models byte for byte, with the
+same epoch losses; predictions, surveys and gold sets
 exactly, in order, with the same error text; the readers' results in
 order or the same error type and text; the written artifacts byte for
 byte; leave-one-out rhos exactly, or the same error text; ranks byte
-for byte, or the same error text, and bootstrap p-values exactly.
+for byte, or the same error text, and bootstrap p-values exactly; the
+ratings exactly, or the same error text.
 """
 
+import csv
 import io
 import json
 import logging
@@ -40,6 +46,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 import pytest
@@ -50,13 +57,16 @@ from selpref.annotate import (
     RATING_MAX,
     RATING_MIN,
     RATING_OPTIONS,
+    RATINGS_COLUMNS,
     AnnotationError,
     InsufficientOverlapError,
     MixedRelationError,
+    RawRating,
     _leave_one_out,
     generate_survey,
     parse_rating_set,
     read_checkpoints,
+    read_ratings,
     render_question,
     scale_rating_mean,
 )
@@ -83,6 +93,7 @@ from selpref.core import (
     SPPair,
     SPRelation,
     _clip,
+    _pair,
     _rows,
     check_plausibility,
     parse_relation,
@@ -923,6 +934,66 @@ class OldOMCSIndex:
         return [self.triplets[i] for i in sorted(ids)]
 
 
+class FullOMCSIndex:
+    """Token postings over lemmatized triplet phrases: the ids of the
+    triplets whose start phrase, and whose end phrase, holds each lemma.
+    Exact witnesses need no index of their own: they are the token
+    witnesses whose two phrases are one token each.
+
+    The lemmatizer is applied to triplet tokens at build time and to
+    query words at match time, so both sides are normalized identically.
+    It must be a pure function: its result for each distinct word is
+    cached for the life of the index, so it runs once per word.
+    ``distinct_tokens`` is the number of distinct triplet tokens.
+    """
+
+    def __init__(
+        self,
+        triplets,
+        lemmatizer=lemmatize,
+    ):
+        self._lemmatizer = lemmatizer
+        self._lemmas = {}
+        self.triplets = list(triplets)
+        starts = defaultdict(set)
+        ends = defaultdict(set)
+        lemma = self._lemma
+        for i, t in enumerate(self.triplets):
+            for tok in t.start:
+                starts[lemma(tok)].add(i)
+            for tok in t.end:
+                ends[lemma(tok)].add(i)
+        self._start_tokens = starts
+        self._end_tokens = ends
+        self.distinct_tokens = len(self._lemmas)
+
+    def _lemma(self, word):
+        lemma = self._lemmas.get(word)
+        if lemma is None:
+            lemma = self._lemmas[word] = self._lemmatizer(word.lower())
+        return lemma
+
+    def __len__(self) -> int:
+        return len(self.triplets)
+
+
+def full_witnesses(pair, index):
+    """The pair's witnesses in id order. Exact wins: EXACT comes with the
+    exact witnesses alone, PARTIAL with every token witness, and NONE
+    with no witnesses."""
+    h = index._lemma(pair.head)
+    d = index._lemma(pair.dependent)
+    starts, ends = index._start_tokens, index._end_tokens
+    ids = (starts.get(h, set()) & ends.get(d, set())) | (starts.get(d, set()) & ends.get(h, set()))
+    if not ids:
+        return MatchKind.NONE, []
+    witnesses = [index.triplets[i] for i in sorted(ids)]
+    exact = [t for t in witnesses if len(t.start) == 1 == len(t.end)]
+    if exact:
+        return MatchKind.EXACT, exact
+    return MatchKind.PARTIAL, witnesses
+
+
 def old_witnesses(pair, index):
     """The exact-wins rule, as the deleted ``match_pair`` applied it."""
     exact = index.exact_witnesses(pair)
@@ -961,6 +1032,16 @@ def old_relation_matrix(gold, index):
     return RelationMatrix(exact=exact, partial=partial)
 
 
+def old_triplet(start, relation, end):
+    """The checks ``OMCSTriplet`` made on construction, which the row
+    reader makes now."""
+    if not start or not end:
+        raise OMCSFormatError("triplet phrases must be non-empty")
+    if not relation:
+        raise OMCSFormatError("triplet relation label must be non-empty")
+    return OMCSTriplet(start, relation, end)
+
+
 def old_read_omcs(fh, source="<stream>"):
     """TSV: start phrase, relation label, end phrase."""
     out = []
@@ -975,7 +1056,7 @@ def old_read_omcs(fh, source="<stream>"):
             )
         start, rel, end = fields
         try:
-            out.append(OMCSTriplet(tuple(start.split()), rel, tuple(end.split())))
+            out.append(old_triplet(tuple(start.split()), rel, tuple(end.split())))
         except OMCSFormatError as err:
             raise OMCSFormatError(f"{source}:{lineno}: {err}") from None
     return out
@@ -1025,17 +1106,32 @@ def new_omcs_outcome(text, newline):
         return ("error", str(err))
 
 
+def gold_words(gold):
+    return {w for p in gold.pairs() for w in (p.head, p.dependent)}
+
+
 class TestOMCSIndex:
-    def check_against_reference(self, triplets, gold, lemmatizer=lemmatize):
-        new = OMCSIndex(triplets, lemmatizer)
+    def check_against_reference(self, triplets, gold, lemmatizer=lemmatize, words=None):
+        words = gold_words(gold) if words is None else words
+        new = OMCSIndex(triplets, words, lemmatizer)
+        full = FullOMCSIndex(triplets, lemmatizer)
         old = OldOMCSIndex(triplets, lemmatizer)
-        assert new.triplets == old.triplets and len(new) == len(old)
-        assert new._start_tokens == dict(old._start_tokens)
-        assert new._end_tokens == dict(old._end_tokens)
+        assert full.triplets == old.triplets and len(full) == len(old)
+        assert full._start_tokens == dict(old._start_tokens)
+        assert full._end_tokens == dict(old._end_tokens)
+        # the new index reads every row and keeps those with a lemma of
+        # the words in both phrases, in input order
+        wanted = {lemmatizer(w.lower()) for w in words}
+        assert new.triplets_read == len(full) and new.distinct_tokens == full.distinct_tokens
+        assert new.triplets == [t for t in triplets
+                                if wanted & {lemmatizer(w.lower()) for w in t.start}
+                                and wanted & {lemmatizer(w.lower()) for w in t.end}]
+        assert set(new._start_tokens) | set(new._end_tokens) <= wanted
         for pair, _ in gold.items():
-            (want_kind, want), (got_kind, got) = old_witnesses(pair, old), _witnesses(pair, new)
+            (want_kind, want), (got_kind, got) = old_witnesses(pair, old), full_witnesses(pair, full)
             # the same triplet objects, not just equal ones
             assert got_kind is want_kind and list(map(id, got)) == list(map(id, want)), pair
+            assert _witnesses(pair, new) == (want_kind, want), pair
         assert coverage_by_group(gold, new) == old_coverage_by_group(gold, old)
         got, want = relation_matrix(gold, new), old_relation_matrix(gold, old)
         for kind in (MatchKind.EXACT, MatchKind.PARTIAL):
@@ -1046,10 +1142,12 @@ class TestOMCSIndex:
     def test_random_triplets_match_reference(self):
         rng = random.Random(1234)
         kinds = Counter()
+        dropped = 0
         for trial in range(60):
             triplets = random_triplets(rng, rng.randint(0, 80))
-            gold = random_gold(rng, 40)
+            gold = random_gold(rng, rng.choice((5, 40)))
             index = self.check_against_reference(triplets, gold)
+            dropped += len(triplets) - len(index.triplets)
             for pair, _ in gold.items():
                 kind, witnesses = _witnesses(pair, index)
                 kinds[kind] += 1
@@ -1057,37 +1155,80 @@ class TestOMCSIndex:
                 assert kind is not MatchKind.PARTIAL or all(
                     len(t.start) > 1 or len(t.end) > 1 for t in witnesses), (pair, witnesses)
         assert min(kinds[k] for k in MatchKind) > 100, kinds
+        assert dropped > 100
+
+    def test_words_that_differ_only_in_case(self):
+        rng = random.Random(31)
+        for trial in range(20):
+            triplets = random_triplets(rng, 60)
+            gold = random_gold(rng, 30)
+            words = gold_words(gold)
+            cased = {w.upper() for w in words} | {w.capitalize() for w in words}
+            self.check_against_reference(triplets, gold, words=words | cased)
+            index = self.check_against_reference(triplets, gold, words=cased)
+            assert index._wanted == {lemmatize(w) for w in words}
+
+    def test_a_gold_lemma_in_one_phrase_only_drops_the_triplet(self):
+        gold = GoldSet([(SPPair(SPRelation.DOBJ, "eat", "apple"), 9.0)])
+        one_side = [OMCSTriplet(("ate",), "IsA", ("stone",)),
+                    OMCSTriplet(("eat", "apples"), "UsedFor", ("stone",)),
+                    OMCSTriplet(("stone",), "IsA", ("apple",))]
+        both = OMCSTriplet(("eating", "stone"), "UsedFor", ("Apples",))
+        index = self.check_against_reference([*one_side, both], gold)
+        assert index.triplets == [both] and index.triplets_read == 4
+        assert _witnesses(SPPair(SPRelation.DOBJ, "eat", "apple"), index) == (
+            MatchKind.PARTIAL, [both])
+        index = self.check_against_reference(one_side, gold)
+        assert index.triplets == [] and index.triplets_read == 3
 
     def test_matching_unseen_lemmas_adds_no_posting(self):
         rng = random.Random(77)
-        index = OMCSIndex(random_triplets(rng, 80))
-        starts, ends = set(index._start_tokens), set(index._end_tokens)
         gold = random_gold(rng, 60)
-        unseen = {index._lemma(w) for p, _ in gold.items() for w in (p.head, p.dependent)}
-        assert unseen - starts and unseen - ends    # "stone" and "tasty" at least
+        index = OMCSIndex(random_triplets(rng, 80), gold_words(gold))
+        starts, ends = set(index._start_tokens), set(index._end_tokens)
+        # gold lemmas that no triplet holds, "stone" and "tasty" at least
+        assert index._wanted - starts and index._wanted - ends
         for pair, _ in gold.items():
             _witnesses(pair, index)
         coverage_by_group(gold, index)
         relation_matrix(gold, index)
         assert set(index._start_tokens) == starts and set(index._end_tokens) == ends
 
+    def test_a_pair_the_index_was_not_built_for_is_an_error(self):
+        triplets = [OMCSTriplet(("eat",), "UsedFor", ("apple",))]
+        index = OMCSIndex(triplets, ["eats", "Apple"])
+        assert _witnesses(SPPair(SPRelation.DOBJ, "eating", "apples"), index) == (
+            MatchKind.EXACT, triplets)
+        for head, dep in (("eat", "stone"), ("drink", "apple"), ("drink", "stone")):
+            with pytest.raises(SelPrefError, match="OMCS index not built for"):
+                _witnesses(SPPair(SPRelation.DOBJ, head, dep), index)
+        gold = GoldSet([(SPPair(SPRelation.DOBJ, "eat", "stone"), 1.0)])
+        with pytest.raises(SelPrefError, match="OMCS index not built for"):
+            coverage_by_group(gold, index)
+        with pytest.raises(SelPrefError, match="OMCS index not built for"):
+            relation_matrix(gold, index)
+
     def test_empty_index_matches_reference(self):
         gold = random_gold(random.Random(5), 30)
         index = self.check_against_reference([], gold)
-        assert len(index) == 0 and index.distinct_tokens == 0
+        assert index.triplets_read == 0 and index.distinct_tokens == 0
+        assert index.triplets == []
 
     def test_custom_lemmatizer_is_honoured(self):
         def first_three(word):
             return word[:3]
 
         rng = random.Random(99)
-        self.check_against_reference(random_triplets(rng, 60), random_gold(rng, 60),
-                                     first_three)
+        for trial in range(10):
+            self.check_against_reference(random_triplets(rng, 60), random_gold(rng, 60),
+                                         first_three)
         # every word here folds to "sto" under the custom lemmatizer only
         pair = SPPair(SPRelation.DOBJ, "stopped", "stone")
         triplets = [OMCSTriplet(("stop",), "IsA", ("stoat",))]
-        assert _witnesses(pair, OMCSIndex(triplets, first_three)) == (MatchKind.EXACT, triplets)
-        assert _witnesses(pair, OMCSIndex(triplets)) == (MatchKind.NONE, [])
+        words = ["stopped", "stone"]
+        assert _witnesses(pair, OMCSIndex(triplets, words, first_three)) == (
+            MatchKind.EXACT, triplets)
+        assert _witnesses(pair, OMCSIndex(triplets, words)) == (MatchKind.NONE, [])
 
     def test_lemmatizer_runs_once_per_distinct_word(self):
         calls = Counter()
@@ -1099,14 +1240,14 @@ class TestOMCSIndex:
         rng = random.Random(4321)
         triplets = random_triplets(rng, 200)
         gold = random_gold(rng, 100)
-        index = OMCSIndex(triplets, counting)
+        index = OMCSIndex(triplets, gold_words(gold), counting)
         tokens = {tok for t in triplets for tok in t.start + t.end}
-        assert index.distinct_tokens == len(tokens) == sum(calls.values())
+        words = tokens | gold_words(gold)
+        assert index.distinct_tokens == len(tokens) < sum(calls.values()) == len(words)
         coverage_by_group(gold, index)
         relation_matrix(gold, index)
         for pair, _ in gold.items():
             _witnesses(pair, index)
-        words = tokens | {w for p, _ in gold.items() for w in (p.head, p.dependent)}
         # the lemmatizer sees each word once, lowercased; spellings that
         # differ only in case are separate words
         assert sum(calls.values()) == len(words)
@@ -2089,3 +2230,129 @@ class TestAverageRanks:
         want, constant = old_significance(a, b, g, 300, seed)
         assert 0 < constant < 300 and 0.0 < want < 1.0
         assert significance(a, b, g, resamples=300, seed=seed) == want
+
+
+# -- The ratings reader that built a pair per row ----------------------------------
+
+def old_read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
+    """Read a ratings CSV: a RATINGS_COLUMNS header, then one row per
+    rating, whose is_checkpoint field is 1 exactly when its |-joined
+    expected answers are given, else 0.  An error names the line its row
+    ends on."""
+    reader = csv.reader(fh)
+    out = []
+    try:
+        header = next(reader, None)
+        if header != RATINGS_COLUMNS:
+            raise AnnotationError(f"{source}:1: bad header {_clip(','.join(header or []))}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(RATINGS_COLUMNS):
+                raise AnnotationError(
+                    f"{source}:{reader.line_num}: expected {len(RATINGS_COLUMNS)} "
+                    f"fields, got {len(row)}"
+                )
+            ann_id, _, _, _, rating, is_cp, expected = row
+            try:
+                r = RawRating(
+                    annotator_id=ann_id,
+                    pair=_pair(row[1:4]),
+                    rating=int(rating),
+                    expected=parse_rating_set(expected) if expected else None,
+                )
+                if is_cp not in ("0", "1"):
+                    raise AnnotationError(f"bad is_checkpoint {_clip(is_cp)}")
+                if r.is_checkpoint != (is_cp == "1"):
+                    raise AnnotationError("expected answers on a non-checkpoint rating"
+                                          if r.is_checkpoint else
+                                          "checkpoint rating without expected answers")
+                out.append(r)
+            except SelPrefError as err:
+                raise AnnotationError(f"{source}:{reader.line_num}: {err}") from None
+            except ValueError:  # only int() raises a bare one
+                raise AnnotationError(
+                    f"{source}:{reader.line_num}: bad rating {_clip(rating)}") from None
+    except csv.Error as err:
+        raise AnnotationError(f"{source}:{reader.line_num}: {err}") from None
+    return out
+
+
+RATING_WORDS = ["eat", "Eat", "EAT", "apple", "apples", "stone", "drink", "water"]
+# one row of each kind the reader rejects, and the rule it breaks
+BAD_RATING_ROWS = {
+    "fields": "a1,dobj,eat,apple,3,0",
+    "relation": "a1,dobject,eat,apple,3,0,",
+    "empty head": "a1,dobj,,apple,3,0,",
+    "spaced dependent": "a1,dobj,eat, apple,3,0,",
+    "tab in head": "a1,dobj,\"e\tat\",apple,3,0,",
+    "rating text": "a1,dobj,eat,apple,three,0,",
+    "empty rating": "a1,dobj,eat,apple,,0,",
+    "rating range": "a1,dobj,eat,apple,6,0,",
+    "is_checkpoint": "a1,dobj,eat,apple,3,2,",
+    "expected text": "a1,dobj,eat,apple,3,1,4|x",
+    "expected range": "a1,dobj,eat,apple,3,1,4|9",
+    "answers without checkpoint": "a1,dobj,eat,apple,3,0,4|5",
+    "checkpoint without answers": "a1,dobj,eat,apple,3,1,",
+    "field limit": "a1,dobj,eat,apple,3,0," + "x" * 140_000,
+}
+
+
+def random_rating_row(rng):
+    rel = rng.choice(("dobj", "DOBJ", "nsubj", " amod "))
+    head, dep = rng.choice(RATING_WORDS), rng.choice(RATING_WORDS)
+    ann = rng.choice(("a1", "a2", "a,3", "a\n4"))
+    fields = [ann, rel, head, dep, str(rng.randint(1, 5))]
+    if rng.random() < 0.2:
+        fields += ["1", "|".join(map(str, rng.sample(range(1, 6), rng.randint(1, 3))))]
+    else:
+        fields += ["0", ""]
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue().removesuffix("\r\n")
+
+
+class TestReadRatings:
+    def outcomes(self, text, newline):
+        return [read_outcome(reader, io.StringIO(text, newline=newline), "r.csv")
+                for reader in (old_read_ratings, read_ratings)]
+
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_random_files_match_reference(self, newline):
+        rng = random.Random(2024)
+        seen = Counter()
+        for trial in range(200):
+            rows = [random_rating_row(rng) for _ in range(rng.randint(0, 30))]
+            if trial % 2:
+                kind = rng.choice(sorted(BAD_RATING_ROWS))
+                rows.insert(rng.randint(0, len(rows)), BAD_RATING_ROWS[kind])
+            if rows and rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), "")
+            end = rng.choice(("\n", "\r\n"))
+            text = ",".join(RATINGS_COLUMNS) + end + "".join(row + end for row in rows)
+            want, got = self.outcomes(text, newline)
+            assert got == want, (trial, text[:300])
+            seen["error" if isinstance(want, tuple) else "ok"] += 1
+        assert min(seen.values()) > 80, seen
+
+    @pytest.mark.parametrize("kind", sorted(BAD_RATING_ROWS))
+    def test_each_bad_row_fails_like_reference(self, kind):
+        good = "a1,dobj,eat,apple,3,0,\na2,dobj,Eat,apple,4,0,\n"
+        for text in (good + BAD_RATING_ROWS[kind] + "\n",
+                     BAD_RATING_ROWS[kind] + "\n" + good,
+                     good + good + BAD_RATING_ROWS[kind]):
+            text = ",".join(RATINGS_COLUMNS) + "\n" + text
+            want, got = self.outcomes(text, None)
+            assert isinstance(want, tuple) and got == want, kind
+
+    def test_bad_header_fails_like_reference(self):
+        for text in ("", "nope,nope\n", ",".join(RATINGS_COLUMNS[:-1]) + "\n"):
+            want, got = self.outcomes(text, None)
+            assert isinstance(want, tuple) and got == want
+
+    def test_repeated_pair_text_is_one_pair(self):
+        text = ",".join(RATINGS_COLUMNS) + "\n" + "".join(
+            f"a{i},dobj,Eat,apple,{i},0,\n" for i in range(1, 6)) + "a6,DOBJ,eat,apple,2,0,\n"
+        ratings = read_ratings(io.StringIO(text))
+        assert ratings == old_read_ratings(io.StringIO(text))
+        assert len({id(r.pair) for r in ratings}) == 2
