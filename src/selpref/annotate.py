@@ -70,26 +70,12 @@ def render_question(pair: SPPair) -> str:
     )
 
 
-@dataclass(frozen=True)
-class SurveyQuestion:
-    pair: SPPair
-    expected: Optional[frozenset[int]] = None  # accepted checkpoint answers
-
-    @property
-    def text(self) -> str:
-        return render_question(self.pair)
-
-    @property
-    def is_checkpoint(self) -> bool:
-        return self.expected is not None
-
-
 @dataclass
 class Survey:
     """The questions of one relation, as generate_survey builds them."""
 
     relation: SPRelation
-    questions: list[SurveyQuestion]
+    questions: list[SPPair]
 
     def to_dict(self) -> dict:
         return {
@@ -108,12 +94,12 @@ class Survey:
             "questions": [
                 {
                     "index": i + 1,
-                    "relation": q.pair.relation.value,
-                    "head": q.pair.head,
-                    "dependent": q.pair.dependent,
-                    "text": q.text,
+                    "relation": p.relation.value,
+                    "head": p.head,
+                    "dependent": p.dependent,
+                    "text": render_question(p),
                 }
-                for i, q in enumerate(self.questions)
+                for i, p in enumerate(self.questions)
             ],
         }
 
@@ -139,9 +125,7 @@ def generate_survey(
         if not expected or not all(RATING_MIN <= e <= RATING_MAX for e in expected):
             raise AnnotationError(f"bad checkpoint expected set: {sorted(expected)}")
 
-    questions = [SurveyQuestion(p) for p in pairs] + [
-        SurveyQuestion(p, frozenset(expected)) for p, expected in checkpoints
-    ]
+    questions = pairs + [p for p, _ in checkpoints]
     random.Random(seed).shuffle(questions)
     return Survey(relation=relation, questions=questions)
 

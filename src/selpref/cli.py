@@ -263,16 +263,14 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> S
 
 def _load_omcs_index(args: argparse.Namespace, parser: argparse.ArgumentParser,
                      gold: GoldSet) -> OMCSIndex:
-    """The index for the gold's words; an --omcs file is read as it is indexed."""
+    """The index for the gold's words, built as the --omcs/--conceptnet file is read."""
     if bool(args.omcs) == bool(args.conceptnet):
         parser.error("exactly one of --omcs / --conceptnet is required")
     words = {w for pair in gold.pairs() for w in (pair.head, pair.dependent)}
-    if args.omcs:
-        with open_input(args.omcs) as fh:
-            return OMCSIndex(_omcs_rows(fh, args.omcs), words)
-    with open_input(args.conceptnet) as fh:
-        triplets = import_conceptnet_csv(fh)
-    return OMCSIndex(triplets, words)
+    path = args.omcs or args.conceptnet
+    with open_input(path) as fh:
+        rows = _omcs_rows(fh, path) if args.omcs else import_conceptnet_csv(fh)
+        return OMCSIndex(rows, words)
 
 
 # subcommand handlers

@@ -13,7 +13,7 @@ import enum
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .core import SelPrefError, SPPair, SPRelation, _clip, _rows, check_plausibility
 from .evaluation import GoldSet
@@ -26,14 +26,13 @@ class OMCSFormatError(SelPrefError, ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class OMCSTriplet:
+class OMCSTriplet(NamedTuple):
     start: tuple[str, ...]
     relation: str
     end: tuple[str, ...]
 
-    def __iter__(self):  # unpacks as an OMCS row: start, relation, end
-        return iter((self.start, self.relation, self.end))
+
+_Row = tuple[tuple[str, ...], str, tuple[str, ...]]  # an OMCSTriplet's fields
 
 
 class MatchKind(enum.Enum):
@@ -47,10 +46,10 @@ class OMCSIndex:
     ``words``: the ids of the kept triplets whose start phrase, and whose
     end phrase, holds each such lemma. A triplet is kept only when both
     of its phrases hold one; no other triplet can witness a pair of those
-    words. ``triplets`` are OMCS rows, (start tokens, relation, end
-    tokens), read once; only the kept ones become ``OMCSTriplet``s, in
-    input order. Exact witnesses need no index of their own: they are the
-    token witnesses whose two phrases are one token each.
+    words. ``triplets`` are (start tokens, relation, end tokens) tuples,
+    such as ``OMCSTriplet``s, streamed and read once; the kept ones become
+    ``OMCSTriplet``s, in input order. Exact witnesses need no index of their
+    own: they are the token witnesses whose two phrases are one token each.
 
     The lemmatizer is applied to triplet tokens at build time and to
     query words at match time, so both sides are normalized identically.
@@ -62,7 +61,7 @@ class OMCSIndex:
 
     def __init__(
         self,
-        triplets: Iterable[OMCSTriplet | tuple[Sequence[str], str, Sequence[str]]],
+        triplets: Iterable[_Row],
         words: Iterable[str],
         lemmatizer: Callable[[str], str] = lemmatize,
     ):
@@ -76,7 +75,7 @@ class OMCSIndex:
         seen: set[str] = set()     # distinct tokens so far
         hits: set[str] = set()     # the seen tokens whose lemma is wanted
 
-        def learn(phrase: list[str]) -> None:
+        def learn(phrase: tuple[str, ...]) -> None:
             for tok in phrase:
                 if tok not in seen:
                     seen.add(tok)
@@ -92,7 +91,7 @@ class OMCSIndex:
             if hits.isdisjoint(start) or hits.isdisjoint(end):
                 continue
             i = len(self.triplets)
-            self.triplets.append(OMCSTriplet(tuple(start), relation, tuple(end)))
+            self.triplets.append(OMCSTriplet(start, relation, end))
             for tok in hits.intersection(start):
                 starts[lemma(tok)].add(i)
             for tok in hits.intersection(end):
@@ -258,24 +257,24 @@ def relation_matrix(gold: GoldSet, index: OMCSIndex) -> RelationMatrix:
     return RelationMatrix(exact=tables[MatchKind.EXACT], partial=tables[MatchKind.PARTIAL])
 
 
-def _omcs_rows(fh: TextIO, source: str) -> Iterator[tuple[list[str], str, list[str]]]:
+def _omcs_rows(fh: TextIO, source: str) -> Iterator[_Row]:
     """(start tokens, relation, end tokens) per row of an OMCS TSV: start
     phrase, relation label, end phrase, each non-empty. Blank and ``#``
     lines are skipped; any other row that breaks a rule raises
-    OMCSFormatError at ``source:line``."""
+    OMCSFormatError at ``source:line``. Rows are plain tuples: most are
+    dropped by the index, and a named tuple costs far more to build."""
     for lineno, (start, relation, end) in _rows(fh, source, 3, OMCSFormatError):
         start, end = start.split(), end.split()
         if not start or not end:
             raise OMCSFormatError(f"{source}:{lineno}: triplet phrases must be non-empty")
         if not relation:
             raise OMCSFormatError(f"{source}:{lineno}: triplet relation label must be non-empty")
-        yield start, relation, end
+        yield tuple(start), relation, tuple(end)
 
 
 def read_omcs(fh: TextIO, source: str = "<stream>") -> list[OMCSTriplet]:
     """TSV: start phrase, relation label, end phrase."""
-    return [OMCSTriplet(tuple(start), relation, tuple(end))
-            for start, relation, end in _omcs_rows(fh, source)]
+    return list(map(OMCSTriplet._make, _omcs_rows(fh, source)))
 
 
 def _concept_phrase(uri: str) -> Optional[str]:
@@ -286,15 +285,15 @@ def _concept_phrase(uri: str) -> Optional[str]:
     return parts[3].replace("_", " ").strip()
 
 
-def import_conceptnet_csv(fh: TextIO) -> list[OMCSTriplet]:
-    """Filter a ConceptNet 5 assertion CSV down to English OMCS triplets.
+def import_conceptnet_csv(fh: TextIO) -> Iterator[OMCSTriplet]:
+    """Filter a ConceptNet 5 assertion CSV down to English OMCS triplets,
+    yielded as the dump is read.
 
     Expects the tab-separated dump format: assertion URI, relation URI,
     start URI, end URI, JSON metadata. Keeps rows whose concepts are both
     English and whose metadata mentions an OMCS source (sources list or
     dataset field).
     """
-    out = []
     for line in fh:
         fields = line.rstrip("\n").split("\t")
         if len(fields) < 5:
@@ -309,5 +308,4 @@ def import_conceptnet_csv(fh: TextIO) -> list[OMCSTriplet]:
             continue
         if "omcs" not in meta:
             continue
-        out.append(OMCSTriplet(tuple(start.split()), relation, tuple(end.split())))
-    return out
+        yield OMCSTriplet(tuple(start.split()), relation, tuple(end.split()))

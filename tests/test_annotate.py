@@ -73,14 +73,15 @@ class TestGenerateSurvey:
     def test_counts(self):
         s = generate_survey(self.pairs(), self.checkpoints(), seed=1)
         assert len(s.questions) == 103
-        assert sum(q.is_checkpoint for q in s.questions) == 3
+        checkpoint_pairs = {p for p, _ in self.checkpoints()}
+        assert sum(p in checkpoint_pairs for p in s.questions) == 3
         assert s.relation is R
 
     def test_shuffle_is_seeded(self):
         a = generate_survey(self.pairs(), self.checkpoints(), seed=1)
         b = generate_survey(self.pairs(), self.checkpoints(), seed=1)
         c = generate_survey(self.pairs(), self.checkpoints(), seed=2)
-        order = lambda s: [(q.pair.head, q.pair.dependent) for q in s.questions]
+        order = lambda s: [(p.head, p.dependent) for p in s.questions]
         assert order(a) == order(b)
         assert order(a) != order(c)
 

@@ -598,7 +598,8 @@ def test_omcs_bad_row_without_gold_words_is_located(tmp_path, capsys, sub, row, 
     assert capsys.readouterr().err == f"error: {omcs}:3: {reason}\n"
 
 
-def test_omcs_conceptnet_coverage_equals_omcs_coverage(tmp_path, capsys):
+@pytest.mark.parametrize("sub", ["omcs-match", "omcs-matrix"])
+def test_omcs_conceptnet_coverage_equals_omcs_coverage(sub, tmp_path, capsys):
     gold = write(tmp_path / "gold.tsv", OMCS_GOLD + "dobj\teat\tstone\t1.00\n")
     triplets = [("eat", "UsedFor", "apples"), ("dog", "CapableOf", "bark loudly"),
                 ("eating", "IsA", "stone"), ("cat", "IsA", "pet")]
@@ -607,17 +608,27 @@ def test_omcs_conceptnet_coverage_equals_omcs_coverage(tmp_path, capsys):
     dump = write(tmp_path / "dump.csv", "".join(
         f"/a/x\t/r/{r}\t{concept(s.replace(' ', '_'))}\t{concept(e.replace(' ', '_'))}\t"
         '{"sources": ["/s/contributor/omcs/dev"]}\n' for s, r, e in triplets))
-    docs, tables = {}, {}
+    docs, texts = {}, {}
     for flag, path in (("--omcs", omcs), ("--conceptnet", dump)):
-        out = tmp_path / f"{flag[2:]}.json"
-        assert main(["omcs-match", "--gold", gold, flag, path, "--out", str(out)]) == 0
-        tables[flag] = capsys.readouterr().out
-        docs[flag] = json.loads(out.read_text(encoding="utf-8"))["groups"]
+        doc, table = tmp_path / f"{flag[2:]}.json", tmp_path / f"{flag[2:]}.csv"
+        outputs = ["--out", str(doc)] if sub == "omcs-match" else [
+            "--out", str(table), "--json", str(doc)]
+        assert main([sub, "--gold", gold, flag, path, *outputs]) == 0
+        texts[flag] = capsys.readouterr().out
+        if sub == "omcs-matrix":  # the CSV minus its #config echo of the flags
+            texts[flag] = [l for l in table.read_text(encoding="utf-8").splitlines()
+                           if not l.startswith("#config ")]
+        docs[flag] = json.loads(doc.read_text(encoding="utf-8"))
+        del docs[flag]["meta"]
     assert docs["--omcs"] == docs["--conceptnet"]
-    assert tables["--omcs"] == tables["--conceptnet"]
-    assert docs["--omcs"]["perfect"] == {"pairs": 2, "exact": 1, "partial": 1,
-                                         "exact_rate": 0.5, "partial_rate": 0.5}
-    assert docs["--omcs"]["impossible"]["partial"] == 0
+    assert texts["--omcs"] == texts["--conceptnet"]
+    if sub == "omcs-match":
+        assert docs["--omcs"]["groups"]["perfect"] == {"pairs": 2, "exact": 1, "partial": 1,
+                                                       "exact_rate": 0.5, "partial_rate": 0.5}
+        assert docs["--omcs"]["groups"]["impossible"]["partial"] == 0
+    else:
+        assert docs["--omcs"]["exact"]["dobj"] == {"IsA": 1, "UsedFor": 1}
+        assert docs["--omcs"]["partial"]["nsubj"] == {"CapableOf": 1}
 
 
 def test_omcs_requires_exactly_one_source(tmp_path):

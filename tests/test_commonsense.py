@@ -1,5 +1,7 @@
 import io
 import random
+import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 
@@ -334,7 +336,27 @@ class TestIO:
             '{"sources": ["/s/contributor/omcs/someone"]}',
         ]) + "\n"
         triplets = import_conceptnet_csv(io.StringIO(dump))
-        assert triplets == [
+        assert isinstance(triplets, Iterator)  # streamed as read, not a list
+        assert list(triplets) == [
             trip("song", "UsedFor", "sing"),
             trip("eat", "MotivatedByGoal", "are hungry"),
         ]
+
+    def test_conceptnet_index_memory_follows_witnesses(self):
+        """A dump is filtered as the index reads it: 20,000 English OMCS
+        rows with no gold lemma among them leave a traced peak far below
+        the 6.5 MB that reading them into a list of triplets first took."""
+        rng = random.Random(22)
+        starts = [f"pebble{i}" for i in range(50)]
+        ends = [f"cloud{i}" for i in range(70)]
+        dump = io.StringIO("".join(
+            f"/a/x\t/r/IsA\t/c/en/{rng.choice(starts)}\t/c/en/{rng.choice(ends)}\t"
+            '{"sources": ["/s/contributor/omcs/dev"]}\n' for _ in range(20_000)))
+        tracemalloc.start()
+        try:
+            index = OMCSIndex(import_conceptnet_csv(dump), ["eat", "apple"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (index.triplets_read, index.triplets) == (20_000, [])
+        assert peak < 1_000_000, peak
