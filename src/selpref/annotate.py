@@ -37,27 +37,13 @@ RATING_OPTIONS = [
     (1, "It's not applicable at all"),
 ]
 
-QUESTION_TEMPLATES = {
-    SPRelation.DOBJ: (
-        "How suitable do you think it is if we use {dependent} as the "
-        "object of the verb {head}?"
-    ),
-    SPRelation.NSUBJ: (
-        "How suitable do you think it is if we use {dependent} as the "
-        "subject of the verb {head}?"
-    ),
-    SPRelation.AMOD: (
-        "How suitable do you think it is if we use {dependent} to "
-        "describe the noun {head}?"
-    ),
-    SPRelation.DOBJ_AMOD: (
-        "How suitable do you think it is if we use {dependent} to "
-        "describe the object of the verb {head}?"
-    ),
-    SPRelation.NSUBJ_AMOD: (
-        "How suitable do you think it is if we use {dependent} to "
-        "describe the subject of the verb {head}?"
-    ),
+# how a survey question puts the dependent to the head, per relation
+_ROLES = {
+    SPRelation.DOBJ: "as the object of the verb",
+    SPRelation.NSUBJ: "as the subject of the verb",
+    SPRelation.AMOD: "to describe the noun",
+    SPRelation.DOBJ_AMOD: "to describe the object of the verb",
+    SPRelation.NSUBJ_AMOD: "to describe the subject of the verb",
 }
 
 PAIRS_PER_SURVEY = 100
@@ -65,9 +51,8 @@ CHECKPOINTS_PER_SURVEY = 3
 
 
 def render_question(pair: SPPair) -> str:
-    return QUESTION_TEMPLATES[pair.relation].format(
-        head=pair.head, dependent=pair.dependent
-    )
+    return (f"How suitable do you think it is if we use {pair.dependent} "
+            f"{_ROLES[pair.relation]} {pair.head}?")
 
 
 @dataclass
@@ -104,28 +89,21 @@ class Survey:
         }
 
 
-def generate_survey(
-    pairs: list[SPPair],
-    checkpoints: list[tuple[SPPair, frozenset[int]]],
-    seed: int = 0,
-) -> Survey:
-    """Build one 103-question survey: 100 pairs plus 3 checkpoints with
-    known acceptable answers, in seeded shuffled order."""
+def generate_survey(pairs: list[SPPair], checkpoints: list[SPPair], seed: int = 0) -> Survey:
+    """Build one 103-question survey: 100 pairs plus 3 checkpoints, in
+    seeded shuffled order. The survey never shows a checkpoint's accepted
+    answers, so they stay with read_checkpoints, which checks them."""
     if len(pairs) != PAIRS_PER_SURVEY:
         raise AnnotationError(f"need exactly {PAIRS_PER_SURVEY} pairs, got {len(pairs)}")
     if len(checkpoints) != CHECKPOINTS_PER_SURVEY:
         raise AnnotationError(
             f"need exactly {CHECKPOINTS_PER_SURVEY} checkpoints, got {len(checkpoints)}"
         )
-    relations = {p.relation for p in pairs} | {p.relation for p, _ in checkpoints}
+    questions = pairs + checkpoints
+    relations = {p.relation for p in questions}
     if len(relations) != 1:
         raise MixedRelationError(f"survey mixes relations: {sorted(r.value for r in relations)}")
     (relation,) = relations
-    for _, expected in checkpoints:
-        if not expected or not all(RATING_MIN <= e <= RATING_MAX for e in expected):
-            raise AnnotationError(f"bad checkpoint expected set: {sorted(expected)}")
-
-    questions = pairs + [p for p, _ in checkpoints]
     random.Random(seed).shuffle(questions)
     return Survey(relation=relation, questions=questions)
 
@@ -300,17 +278,22 @@ def read_checkpoints(fh: TextIO, source: str = "<stream>", relation: Optional[SP
 
 
 def _of_relation(rows, source, relation, kind: str, need: Optional[int] = None) -> list[tuple]:
-    """The located rows of a survey input, each led by a pair of ``relation``."""
-    out = []
+    """The located rows of a survey input, each led by a pair of
+    ``relation`` that no earlier row gave."""
+    out: dict[SPPair, tuple] = {}
     for lineno, row in rows:
-        relation = relation or row[0].relation
-        if row[0].relation is not relation:
+        pair = row[0]
+        relation = relation or pair.relation
+        if pair.relation is not relation:
             raise MixedRelationError(f"{source}:{lineno}: {kind} relation "
-                                     f"{row[0].relation}, survey relation {relation}")
-        out.append(row)
+                                     f"{pair.relation}, survey relation {relation}")
+        if pair in out:
+            raise AnnotationError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                                  f"{_clip(pair.head)} {_clip(pair.dependent)}")
+        out[pair] = row
     if need is not None and len(out) != need:
         raise AnnotationError(f"{source}: need exactly {need} {kind}s, got {len(out)}")
-    return out
+    return list(out.values())
 
 
 def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:

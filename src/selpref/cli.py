@@ -113,9 +113,6 @@ DEFAULTS = {
     "kind": "exact",
 }
 
-# keys a --config file may set; anything else is treated as a typo
-CONFIG_KEYS = frozenset(DEFAULTS)
-
 # the choices of these flags bind --config values too
 CHOICES = {
     "log_level": ["debug", "info", "warning", "error"],
@@ -140,7 +137,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     doc = _read(_load_json, path, error=ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - CONFIG_KEYS)
+    unknown = sorted(doc.keys() - DEFAULTS.keys())  # anything else is a typo
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {_shown(', '.join(unknown))}")
     for key, value in doc.items():
@@ -176,19 +173,15 @@ def _resolve(args: argparse.Namespace) -> None:
             setattr(args, key, file_cfg.get(key, DEFAULTS[key]))
 
 
-# namespace entries that steer the run but are not echoed, and the echo
-# names of the flags whose dest differs from their name
+# namespace entries that steer the run but are not echoed
 _NOT_ECHOED = ("func", "config", "log_level")
-_ECHO_NAMES = {"infile": "in", "json_out": "json"}
 
 
 def _config(args: argparse.Namespace) -> dict:
     """The run config echoed into artifacts: the subcommand, its seed
     (None without --seed) and every flag under its name."""
     config = {"seed": None}
-    for key, value in vars(args).items():
-        if key not in _NOT_ECHOED:
-            config[_ECHO_NAMES.get(key, key)] = value
+    config.update((k, v) for k, v in vars(args).items() if k not in _NOT_ECHOED)
     return config
 
 
@@ -276,7 +269,7 @@ def _load_omcs_index(args: argparse.Namespace, parser: argparse.ArgumentParser,
 # subcommand handlers
 
 def cmd_extract(args, parser) -> int:
-    table = _read(count_conllu, args.infile, skip_malformed=args.skip_malformed,
+    table = _read(count_conllu, getattr(args, "in"), skip_malformed=args.skip_malformed,
                   include_passive=args.include_passive)
     with _open_echoed(args.out, args, COUNTS_HEADER) as out:
         write_counts(table, out)
@@ -390,7 +383,7 @@ def cmd_survey(args, parser) -> int:
     checkpoints = _read(read_checkpoints, args.checkpoints,
                         relation=pairs[0].relation if pairs else None)
     with _naming(args.pairs, AnnotationError):  # the readers checked all but the pair count
-        survey = generate_survey(pairs, checkpoints, seed=args.seed)
+        survey = generate_survey(pairs, [p for p, _ in checkpoints], seed=args.seed)
     _write_json(args.out, survey.to_dict(), args)
     return 0
 
@@ -420,8 +413,8 @@ def cmd_omcs_matrix(args, parser) -> int:
     matrix = relation_matrix(gold, index)
     with _open_echoed(args.out, args) as out:
         out.write(matrix.to_csv(args.kind))
-    if args.json_out:
-        _write_json(args.json_out, matrix.to_dict(), args)
+    if args.json:
+        _write_json(args.json, matrix.to_dict(), args)
     return 0
 
 
@@ -486,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("extract", help="CoNLL-U corpus to pair counts TSV")
-    p.add_argument("--in", dest="infile", required=True,
+    p.add_argument("--in", required=True,
                    help="CoNLL-U file (.gz allowed)")
     p.add_argument("--out", help="counts TSV path (default: stdout)")
     p.add_argument("--include-passive", dest="include_passive",
@@ -590,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conceptnet")
     p.add_argument("--kind", choices=CHOICES["kind"])
     p.add_argument("--out", help="CSV path")
-    p.add_argument("--json", dest="json_out", help="JSON path")
+    p.add_argument("--json", help="JSON path")
     _add_common(p)
     p.set_defaults(func=cmd_omcs_matrix)
 

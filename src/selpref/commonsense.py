@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -166,25 +166,27 @@ class GroupStats:
         return self.n_partial / self.n_pairs if self.n_pairs else 0.0
 
 
-def coverage_by_group(gold: GoldSet, index: OMCSIndex) -> dict[PlausibilityGroup, GroupStats]:
-    """Table of match kinds per plausibility group (pair-level counts)."""
-    stats = {g: GroupStats(g) for g in PlausibilityGroup}
-    kinds = dict.fromkeys(MatchKind, 0)
-    for pair, value in gold.items():
-        s = stats[classify_plausibility(value)]
-        kind, _ = _witnesses(pair, index)
-        kinds[kind] += 1
-        s.n_pairs += 1
-        s.n_exact += kind is MatchKind.EXACT
-        s.n_partial += kind is MatchKind.PARTIAL
-    _log_summary(index, kinds)
-    return stats
-
-
-def _log_summary(index: OMCSIndex, kinds: dict[MatchKind, int]) -> None:
+def _matches(gold: GoldSet, index: OMCSIndex
+             ) -> list[tuple[SPPair, float, MatchKind, list[OMCSTriplet]]]:
+    """Each gold pair, in gold order, with its value, match kind and
+    witnesses; the tally of the kinds goes to the info log."""
+    rows = [(pair, value, *_witnesses(pair, index)) for pair, value in gold.items()]
+    kinds = Counter(kind for _, _, kind, _ in rows)
     log.info("%d triplets read, %d distinct tokens lemmatized; "
              "pairs exact=%d partial=%d none=%d", index.triplets_read, index.distinct_tokens,
              kinds[MatchKind.EXACT], kinds[MatchKind.PARTIAL], kinds[MatchKind.NONE])
+    return rows
+
+
+def coverage_by_group(gold: GoldSet, index: OMCSIndex) -> dict[PlausibilityGroup, GroupStats]:
+    """Table of match kinds per plausibility group (pair-level counts)."""
+    stats = {g: GroupStats(g) for g in PlausibilityGroup}
+    for _, value, kind, _ in _matches(gold, index):
+        s = stats[classify_plausibility(value)]
+        s.n_pairs += 1
+        s.n_exact += kind is MatchKind.EXACT
+        s.n_partial += kind is MatchKind.PARTIAL
+    return stats
 
 
 def coverage_table(stats: dict[PlausibilityGroup, GroupStats]) -> str:
@@ -246,14 +248,10 @@ class RelationMatrix:
 def relation_matrix(gold: GoldSet, index: OMCSIndex) -> RelationMatrix:
     tables: dict[MatchKind, dict[SPRelation, dict[str, int]]] = {
         MatchKind.EXACT: {}, MatchKind.PARTIAL: {}}
-    kinds = dict.fromkeys(MatchKind, 0)
-    for pair, _ in gold.items():
-        kind, witnesses = _witnesses(pair, index)
-        kinds[kind] += 1
+    for pair, _, kind, witnesses in _matches(gold, index):
         for t in witnesses:
             row = tables[kind].setdefault(pair.relation, {})
             row[t.relation] = row.get(t.relation, 0) + 1
-    _log_summary(index, kinds)
     return RelationMatrix(exact=tables[MatchKind.EXACT], partial=tables[MatchKind.PARTIAL])
 
 

@@ -219,6 +219,7 @@ def write_counts(table: CountTable, fh: TextIO) -> None:
 
 
 _RELATIONS = {r.value: r for r in SPRelation}
+_COUNT_MAX = 2**63 - 1  # the numeric backends hold a count as an int64
 
 
 def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
@@ -226,6 +227,8 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
 
     Each distinct lemma gets ``SPPair``'s check and lowercasing once,
     without building a pair per row; every error names ``source:line``.
+    A row's count is at least 1, and a pair's, summed over its rows, at
+    most ``2**63 - 1``.
     """
     table = CountTable()
     store = table._heads
@@ -244,7 +247,11 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
             dep = lemmas.get(dep) or _cached_lemma(lemmas, "dependent", dep)
         except (UnknownRelationError, BadLemmaError) as err:
             raise CountTableError(f"{source}:{lineno}: {err}") from None
-        store[relation][head][dep] += count
+        deps = store[relation][head]
+        deps[dep] = count = deps[dep] + count
+        if count > _COUNT_MAX:
+            raise CountTableError(f"{source}:{lineno}: count must be <= {_COUNT_MAX}, "
+                                  f"got {_shown(str(count))}")
     return table
 
 

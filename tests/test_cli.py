@@ -709,6 +709,8 @@ def test_winograd_bundled_default(tmp_path):
     ("dobj\teat\tmeal\t4|5\n#\ndobj\teat\tsky\tlow\n", ":3", "bad expected ratings 'low'"),
     ("dobj\teat\tmeal\t4|5\ndobj\tdrink\twater\t4|5\n", "",
      "need exactly 3 checkpoints, got 2"),
+    pytest.param("dobj\teat\tmeal\t4|5\ndobj\teat\tsky\t1|2\ndobj\tEat\tmeal\t5\n", ":3",
+                 "duplicate pair dobj 'eat' 'meal'", id="a pair given twice"),
 ])
 def test_bad_checkpoints_exit_1_with_coordinates(tmp_path, capsys, rows, where, message):
     pairs = write(tmp_path / "pairs.tsv", "".join(f"dobj\tverb{i}\tnoun{i}\n"
@@ -936,6 +938,10 @@ def test_bad_log_level_env_exit_1(corpus, capsys, monkeypatch, value):
     ("dobj\teat\tworm\t-3", "count must be >= 1, got -3"),
     pytest.param("dobj\teat\tworm\t-" + "9" * 4000,
                  f"count must be >= 1, got -{'9' * 39}...", id="4000-digit negative count"),
+    pytest.param(f"dobj\teat\tworm\t{2**63}", f"count must be <= {2**63 - 1}, got {2**63}",
+                 id="count of 2**63"),
+    pytest.param(f"dobj\teat\tfish\t{2**63 - 3}", f"count must be <= {2**63 - 1}, got {2**63}",
+                 id="pair count summed past the bound"),
 ])
 def test_bad_counts_row_exit_1_with_coordinates(tmp_path, capsys, row, message):
     counts = write(tmp_path / "counts.tsv",
@@ -947,6 +953,36 @@ def test_bad_counts_row_exit_1_with_coordinates(tmp_path, capsys, row, message):
     err = capsys.readouterr().err
     assert err == f"error: {counts}:3: {message}\n"
     assert len(err) < len(counts) + 80
+
+
+def test_count_at_the_int64_bound_is_read(tmp_path, capsys):
+    counts = write(tmp_path / "counts.tsv", f"#sp-counts v1\ndobj\teat\tfish\t{2**63 - 1}\n")
+    pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tfish\n")
+    assert main(["score", "--backend", "pp", "--counts", counts, "--pairs", pairs]) == 0
+    assert capsys.readouterr().out.endswith("dobj\teat\tfish\t1.0\n")
+
+
+@pytest.mark.parametrize("backend, digits, shown", [
+    pytest.param("ds", "1" + "0" * 400, "1" + "0" * 39 + "...", id="ds, 401-digit count"),
+    pytest.param("nn", "1" + "0" * 20, "1" + "0" * 20, id="nn, 21-digit count")])
+def test_count_past_the_int64_bound_exit_1_before_any_output(tmp_path, capsys, backend,
+                                                             digits, shown):
+    # a bigger count overflowed in the numeric backends; the table reader
+    # refuses it before the scores file or the model is opened
+    counts = write(tmp_path / "counts.tsv", f"#sp-counts v1\ndobj\teat\tfish\t{digits}\n")
+    out = tmp_path / "out"
+    if backend == "ds":
+        vectors = write(tmp_path / "v.txt", "eat 1 2\nfish 2 1\n")
+        pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tfish\n")
+        argv = ["score", "--backend", "ds", "--counts", counts, "--embeddings", vectors,
+                "--pairs", pairs, "--out", str(out)]
+    else:
+        argv = ["train-nn", "--counts", counts, "--lexicon", make_lexicon(tmp_path),
+                "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {counts}:2: count must be <= {2**63 - 1}, got {shown}\n")
+    assert not out.exists()
 
 
 def test_carriage_return_in_counts_lemma_exit_1_with_coordinates(tmp_path, capsys):
@@ -1415,6 +1451,8 @@ SURVEY_PAIRS = "".join(f"dobj\tverb{i}\tnoun{i}\n" for i in range(99))
                  "pair relation dobj, survey relation nsubj", id="one nsubj row first"),
     pytest.param("", "", "need exactly 100 pairs, got 0", id="empty"),
     pytest.param(SURVEY_PAIRS, "", "need exactly 100 pairs, got 99", id="99 pairs"),
+    pytest.param(SURVEY_PAIRS + "dobj\tverb7\tnoun7\n", ":100",
+                 "duplicate pair dobj 'verb7' 'noun7'", id="a pair given twice"),
 ])
 def test_bad_survey_pairs_exit_1_naming_the_file(tmp_path, capsys, text, where, message):
     pairs = write(tmp_path / "pairs.tsv", text)

@@ -1,0 +1,140 @@
+"""Clock-free complexity gates for per-query costs.
+
+A query whose cost grows with the size of the count table (or of the
+OMCS index), rather than with the queried head's degree, is a bug. A
+clock cannot catch one in a test, so these gates count Python trace
+events instead: ``events_per_query`` runs k and then 2k queries under a
+``sys.settrace`` tracer that returns itself, so every call, line and
+return in Python code counts, and takes the difference, so per-call
+set-up drops out. It does this on a seeded world and on the same world
+grown ``GROWN``-fold, where the queried heads keep their dependents,
+and asserts the per-query count grows by at most ``GROWTH``.
+
+Work done in C is invisible to the count: a set intersection, a
+``Counter.total()`` or a numpy reduction costs no event however large
+its operands. So a gate here only sees Python-level loops; it cannot
+see a C-level scan of the whole table.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+import numpy as np
+import pytest
+
+from selpref.commonsense import OMCSIndex, _witnesses
+from selpref.core import SPPair, SPRelation
+from selpref.embeddings import EmbeddingTable
+from selpref.extract import CountTable
+from selpref.scorers import ds_score, pp_score
+
+R = SPRelation.DOBJ
+HEADS, NOUNS, DEGREE = 50, 1000, 8  # the 1x world
+GROWN = 8     # the grown world has GROWN times the heads, nouns and triplets
+GROWTH = 1.1  # the largest allowed ratio of grown to 1x events per query
+QUERIED = 5   # heads v0..v4 are queried, DEGREE pairs each
+K = 20        # queries in the short run; the long run makes 2K
+
+
+def events(call, queries) -> int:
+    """The trace events (calls, lines, returns, exceptions) that
+    ``call(q)`` raises over ``queries``."""
+    n = 0
+
+    def tracer(frame, event, arg):
+        nonlocal n
+        n += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for q in queries:
+            call(q)
+    finally:
+        sys.settrace(previous)
+    return n
+
+
+def events_per_query(call, queries) -> float:
+    assert len(queries) >= 2 * K
+    return (events(call, queries[:2 * K]) - events(call, queries[:K])) / K
+
+
+class World:
+    """A seeded count table, word vectors and OMCS triplets. Heads v0..
+    v{HEADS * scale - 1} take DEGREE distinct nouns each; a head's nouns
+    do not depend on ``scale``, so the queried heads keep their degree
+    as the world grows. Each pair has a one-token triplet and every
+    other pair a two-token one too."""
+
+    def __init__(self, scale: int):
+        nouns = [f"n{j}" for j in range(NOUNS * scale)]
+        heads = [f"v{i}" for i in range(HEADS * scale)]
+        self.counts = CountTable()
+        store = self.counts._heads[R]
+        self.triplets = []
+        for i, head in enumerate(heads):
+            rng = random.Random(i)
+            for j, dep in enumerate(rng.sample(nouns[:NOUNS] if i < HEADS else nouns, DEGREE)):
+                store[head][dep] += rng.randint(1, 20)
+                self.triplets.append(((dep,), "UsedFor", (head,)))
+                if j % 2:
+                    self.triplets.append(((head, "it"), "CapableOf", ("a", dep)))
+        self.words = nouns + heads
+        rng = np.random.default_rng(7)
+        self.embeddings = EmbeddingTable(self.words, rng.standard_normal((len(self.words), 8)))
+        self.queries = [SPPair(R, f"v{i}", dep) for i in range(QUERIED)
+                        for dep in sorted(self.counts.dependents_of(R, f"v{i}"))]
+
+
+@pytest.fixture(scope="module")
+def worlds():
+    return World(1), World(GROWN)
+
+
+def assert_flat(worlds, query):
+    """``query(world, pair)`` takes no more events per pair in the grown world."""
+    small, grown = (events_per_query(lambda pair: query(w, pair), w.queries) for w in worlds)
+    assert small > 0
+    assert grown <= GROWTH * small, (small, grown)
+
+
+def test_worlds_grow_around_fixed_queries(worlds):
+    small, grown = worlds
+    assert small.queries == grown.queries
+    assert len(grown.counts.heads(R)) == GROWN * len(small.counts.heads(R))
+    assert len(grown.embeddings) == GROWN * len(small.embeddings)
+    assert len(grown.triplets) == GROWN * len(small.triplets)
+
+
+def test_the_count_sees_a_python_scan_of_the_table(worlds):
+    # the gate's control: CountTable.total walks every head in Python
+    small, grown = (events_per_query(lambda pair: w.counts.total(pair.relation), w.queries)
+                    for w in worlds)
+    assert grown > GROWN * 0.9 * small
+
+
+def test_pp_score(worlds):
+    assert_flat(worlds, lambda w, pair: pp_score(w.counts, pair))
+
+
+def test_ds_score(worlds):
+    assert_flat(worlds, lambda w, pair: ds_score(w.counts, w.embeddings, pair))
+
+
+def test_dependents_of(worlds):
+    assert_flat(worlds, lambda w, pair: w.counts.dependents_of(pair.relation, pair.head))
+
+
+def test_marginal(worlds):
+    assert_flat(worlds, lambda w, pair: w.counts.marginal(pair.relation, pair.head))
+
+
+def test_omcs_witnesses(worlds):
+    indexes = {id(w): OMCSIndex(w.triplets, w.words) for w in worlds}
+    for w in worlds:  # every triplet holds index words on both sides
+        assert len(indexes[id(w)].triplets) == len(w.triplets)
+    assert_flat(worlds, lambda w, pair: _witnesses(pair, indexes[id(w)]))

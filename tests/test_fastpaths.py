@@ -1735,25 +1735,26 @@ class TestSurvey:
         for seed in range(40):
             pairs, checkpoints = random_survey_input(rng, rng.choice(RELATIONS))
             old = old_generate_survey(pairs, checkpoints, seed=seed)
-            new = generate_survey(pairs, checkpoints, seed=seed)
+            new = generate_survey(pairs, [p for p, _ in checkpoints], seed=seed)
             assert new.to_dict() == old.to_dict()
             assert new.relation is old.relation
             assert [(p, render_question(p)) for p in new.questions] == [
                 (q.pair, q.text) for q in old.questions]
 
     def test_errors_match_reference(self):
+        # a checkpoint's expected set is read_checkpoints' to check, so
+        # the cases left are the counts and the relations
         pairs, checkpoints = random_survey_input(random.Random(1), SPRelation.DOBJ)
         other = SPPair(SPRelation.AMOD, "stone", "red")
         cases = [(pairs[:99], checkpoints), (pairs, checkpoints[:2]),
                  (pairs[:99] + [other], checkpoints),
-                 (pairs, checkpoints[:2] + [(other, frozenset({5}))]),
-                 (pairs, checkpoints[:2] + [(pairs[0], frozenset())]),
-                 (pairs, checkpoints[:2] + [(pairs[0], frozenset({0, 5}))])]
-        for case in cases:
+                 (pairs, checkpoints[:2] + [(other, frozenset({5}))])]
+        for pairs_, checkpoints_ in cases:
             errors = []
-            for generate in (old_generate_survey, generate_survey):
+            for generate, cps in ((old_generate_survey, checkpoints_),
+                                  (generate_survey, [p for p, _ in checkpoints_])):
                 with pytest.raises(AnnotationError) as exc:
-                    generate(*case)
+                    generate(pairs_, cps)
                 errors.append((exc.type, str(exc.value)))
             assert errors[0] == errors[1]
 
@@ -1940,6 +1941,30 @@ def first_relation(text):
     return None
 
 
+def checkpoints_outcome(text, relation):
+    """What read_checkpoints should give on ``text``, by the reference,
+    which let a pair repeat: its outcome when no well-formed row repeats
+    an earlier one's pair; else its row error on the lines before the
+    first repeat, if they hold one, or the duplicate error at the repeat."""
+    lines, seen = text.split("\n"), set()
+    for lineno, fields in _rows(io.StringIO(text), "t.tsv", 1, SelPrefError, extra=True):
+        try:
+            rel_name, head, dep, expected = fields
+            pair = SPPair(parse_relation(rel_name), head, dep)
+            parse_rating_set(expected)
+        except (ValueError, SelPrefError):
+            continue
+        if pair in seen:
+            before = "\n".join(lines[:lineno - 1]) + "\n"
+            old = read_outcome(old_read_checkpoints, io.StringIO(before), "t.tsv", relation)
+            if isinstance(old, tuple) and not old[1].startswith("t.tsv: "):
+                return old
+            return (AnnotationError, f"t.tsv:{lineno}: duplicate pair {pair.relation} "
+                                     f"{_clip(pair.head)} {_clip(pair.dependent)}")
+        seen.add(pair)
+    return read_outcome(old_read_checkpoints, io.StringIO(text), "t.tsv", relation)
+
+
 def echoed_bytes(path, write, header, args):
     with _open_echoed(str(path), args, header) as out:
         write(out)
@@ -1993,15 +2018,20 @@ class TestRowReaders:
         for trial in range(400):
             text = random_rows(rng, rng.choice([3, 3, 3, rng.randint(0, 5)]), GOOD_EXPECTED,
                                BAD_EXPECTED)
+            lines = text.split("\n")[:-1]
+            if lines and rng.random() < 0.3:  # a row given again further down
+                i = rng.randrange(len(lines))
+                lines.insert(rng.randint(i + 1, len(lines)), lines[i])
+                text = "\n".join(lines) + "\n"
             for relation in (SPRelation.DOBJ, SPRelation.NSUBJ):
-                old = read_outcome(old_read_checkpoints, io.StringIO(text), "t.tsv", relation)
+                old = checkpoints_outcome(text, relation)
                 assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv", relation) == old
                 seen[old[0].__name__ if isinstance(old, tuple) else "ok"] += 1
+                seen["duplicate"] += isinstance(old, tuple) and "duplicate pair" in old[1]
             # without a relation, the rows must share the first row's
-            old = read_outcome(old_read_checkpoints, io.StringIO(text), "t.tsv",
-                               first_relation(text))
+            old = checkpoints_outcome(text, first_relation(text))
             assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv") == old
-        assert {"ok", "AnnotationError", "MixedRelationError"} <= set(seen), seen
+        assert {"ok", "AnnotationError", "MixedRelationError", "duplicate"} <= set(seen), seen
         assert min(seen.values()) > 40, seen
 
 
