@@ -108,7 +108,7 @@ def generate_survey(pairs: list[SPPair], checkpoints: list[SPPair], seed: int = 
     return Survey(relation=relation, questions=questions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawRating:
     annotator_id: str
     pair: SPPair
@@ -303,7 +303,9 @@ def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
     ends on."""
     reader = csv.reader(fh)
     out = []
-    pairs: dict[tuple[str, str, str], SPPair] = {}  # one pair per distinct text
+    # one pair and one annotator id per distinct text
+    pairs: dict[tuple[str, str, str], SPPair] = {}
+    annotators: dict[str, str] = {}
     try:
         header = next(reader, None)
         if header != RATINGS_COLUMNS:
@@ -322,7 +324,7 @@ def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
                 if pair is None:
                     pair = pairs[rel, head, dep] = _pair(row[1:4])
                 r = RawRating(
-                    annotator_id=ann_id,
+                    annotator_id=annotators.setdefault(ann_id, ann_id),
                     pair=pair,
                     rating=int(rating),
                     expected=parse_rating_set(expected) if expected else None,

@@ -45,6 +45,9 @@ class SPRelation(enum.Enum):
     DOBJ_AMOD = "dobj_amod"
     NSUBJ_AMOD = "nsubj_amod"
 
+    # members are singletons and compare by identity, so they hash by it
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -106,6 +109,11 @@ class SPPair:
     def __post_init__(self):
         object.__setattr__(self, "head", _check_lemma("head", self.head))
         object.__setattr__(self, "dependent", _check_lemma("dependent", self.dependent))
+        # pairs key most dicts and sets here, so hash the fields once
+        object.__setattr__(self, "_hash", hash((self.relation, self.head, self.dependent)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # Human plausibility judgments live on a 0-10 scale.

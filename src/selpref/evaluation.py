@@ -6,7 +6,10 @@ from __future__ import annotations
 import math
 import pathlib
 import random
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Any, Iterable, Mapping, Optional, TextIO
 
 from .core import (
@@ -180,38 +183,41 @@ def import_sp10k_directory(root) -> GoldSet:
     return GoldSet(values.items())
 
 
-def _average_ranks(values):
+def _average_ranks(values) -> array:
     """Ranks 1..n, as a float array, with ties sharing the mean of their
     positions."""
-    import numpy as np
-
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
         raise CorrelationError("non-finite value in correlation input")
     # a tie group at sorted positions i..j ends at rank j + 1 and gets the
-    # mean rank (i + j) / 2 + 1; unique groups -0.0 with 0.0 by ==
-    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    # mean rank (i + j) / 2 + 1; the dict ties -0.0 with 0.0 by ==
+    counts = Counter(values)
+    mid_rank, end = {}, 0
+    for value in sorted(counts):
+        end += counts[value]
+        mid_rank[value] = end - (counts[value] - 1) / 2
+    return array("d", map(mid_rank.__getitem__, values))
 
 
 def spearman(x, y) -> float:
     """Spearman rank correlation with average ranks for ties; NaN and
-    infinities are rejected, since a rank cannot order them."""
-    import numpy as np
+    infinities are rejected, since a rank cannot order them.
 
+    Exact: ranks are multiples of 0.5 whose mean is (n + 1) / 2, so the
+    centred ranks, their products and every partial sum below are exact
+    in float64 for n up to 300,000; past that, fsum rounds each sum once."""
     if len(x) != len(y):
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise CorrelationError(f"need at least 2 observations, got {len(x)}")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    sx = rx - rx.mean()
-    sy = ry - ry.mean()
-    vx = float(np.dot(sx, sx))
-    vy = float(np.dot(sy, sy))
+    mean = (len(x) + 1) / 2
+    sx = [r - mean for r in _average_ranks(x)]
+    sy = [r - mean for r in _average_ranks(y)]
+    vx = math.fsum(map(mul, sx, sx))
+    vy = math.fsum(map(mul, sy, sy))
     if vx == 0.0 or vy == 0.0:
         raise ConstantInputError("rank variance is zero (constant input)")
-    return float(np.dot(sx, sy) / np.sqrt(vx * vy))
+    return math.fsum(map(mul, sx, sy)) / math.sqrt(vx * vy)
 
 
 @dataclass
@@ -310,6 +316,13 @@ def evaluate(model: ScoreModel, gold: GoldSet, missing_policy: str = "floor") ->
     return report
 
 
+# elements per array in one block of bootstrap resamples (6 rows of 600
+# pairs), so a block's temporaries grow neither with the resamples nor,
+# below this many, with the pairs; at 600 pairs this size kept a
+# process's peak RSS where the one-resample loop kept it, and 4x raised it
+_BLOCK_ELEMENTS = 4096
+
+
 def significance(
     scores_a, scores_b, gold_values, resamples: int = 10000, seed: int = 0
 ) -> float:
@@ -317,8 +330,10 @@ def significance(
 
     Resamples the evaluation pairs with replacement and recomputes the
     rho difference each time; p is the fraction of resamples where A
-    fails to beat B (delta <= 0). A NaN or infinity in any vector is
-    rejected before the first resample.
+    fails to beat B (delta <= 0), a constant resampled vector counting
+    as delta 0. A NaN or infinity in any vector is rejected before the
+    first resample. The resamples are ranked in blocks of rows, each rho
+    as ``spearman`` computes it.
     """
     if resamples < 1:
         raise SignificanceError(f"resamples must be >= 1, got {_shown(str(resamples))}")
@@ -335,18 +350,54 @@ def significance(
         raise CorrelationError("non-finite value in correlation input")
     if len(a) < 10:
         raise SignificanceError(f"need at least 10 aligned pairs, got {len(a)}")
-    rng = np.random.default_rng(seed)
     n = len(a)
+    # each value's code is its place among the distinct values; unique
+    # ties -0.0 with 0.0 by ==
+    (ma, ca), (mb, cb), (mg, cg) = ((len(distinct), codes) for distinct, codes in
+                                    (np.unique(v, return_inverse=True) for v in (a, b, g)))
+    rng = np.random.default_rng(seed)
+    idx = np.empty((max(1, _BLOCK_ELEMENTS // n), n), dtype=np.intp)
     worse = 0
-    for _ in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        try:
-            delta = spearman(a[idx], g[idx]) - spearman(b[idx], g[idx])
-        except ConstantInputError:
-            delta = 0.0
-        if delta <= 0.0:
-            worse += 1
+    for first in range(0, resamples, len(idx)):
+        block = idx[:resamples - first]
+        for row in block:  # one draw per resample keeps the seeded stream
+            row[:] = rng.integers(0, n, size=n)
+        sg = _centred_ranks(cg[block], mg)
+        vg = np.einsum("ij,ij->i", sg, sg)
+        with np.errstate(invalid="ignore"):  # a constant row's rho is 0 / 0
+            delta = _row_rhos(ca[block], ma, sg, vg) - _row_rhos(cb[block], mb, sg, vg)
+        # a NaN delta counts as 0, the ConstantInputError rule
+        worse += int(np.count_nonzero(~(delta > 0.0)))
     return worse / resamples
+
+
+def _centred_ranks(codes, m: int):
+    """Each row's average ranks less their mean (n + 1) / 2, from codes
+    0..m-1 that order the values; exact, as in ``spearman``. Overwrites
+    ``codes``."""
+    import numpy as np
+
+    rows, n = codes.shape
+    codes += m * np.arange(rows)[:, None]
+    counts = np.bincount(codes.ravel(), minlength=rows * m)
+    # a code's rank ends - (counts - 1) / 2 less (n + 1) / 2 is
+    # (2 ends - counts - n) / 2, built in place
+    mid = np.cumsum(counts.reshape(rows, m), axis=1, dtype=np.float64).ravel()
+    mid *= 2.0
+    mid -= counts
+    mid -= n
+    mid /= 2.0
+    return mid[codes]
+
+
+def _row_rhos(codes, m: int, sg, vg):
+    """Each row's rho against the centred gold ranks ``sg`` with their
+    sums of squares ``vg``: the three IEEE operations of ``spearman`` on
+    the same exact sums. A constant row gives NaN."""
+    import numpy as np
+
+    s = _centred_ranks(codes, m)
+    return np.einsum("ij,ij->i", s, sg) / np.sqrt(np.einsum("ij,ij->i", s, s) * vg)
 
 
 def pseudo_disambiguation(

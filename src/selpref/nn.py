@@ -284,14 +284,18 @@ def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
                 )
         table_heads, table_deps, repeats = np.array(rows, dtype=np.int64).T
         attested = np.sort(table_heads * n_deps + table_deps)
-        instance_heads = np.repeat(table_heads, repeats)
-        instance_deps = np.repeat(table_deps, repeats)
+        try:
+            instance_heads = np.repeat(table_heads, repeats)
+            instance_deps = np.repeat(table_deps, repeats)
+            order = np.arange(len(instance_heads))
+        except MemoryError:
+            raise NNError(f"{rel.value}: {sizes[rel]} training instances "
+                          "do not fit in memory") from None
 
         def is_attested(hs: np.ndarray, ds: np.ndarray) -> np.ndarray:
             keys = hs * n_deps + ds
             return attested.take(np.searchsorted(attested, keys), mode="clip") == keys
 
-        order = np.arange(len(instance_heads))
         for epoch in range(config.epochs):
             rng.shuffle(order)
             total = 0.0

@@ -1,10 +1,12 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from selpref.annotate import (
+    RATINGS_COLUMNS,
     AnnotationError,
     MixedRelationError,
     InsufficientOverlapError,
@@ -348,3 +350,24 @@ def test_rawrating_validation():
     # a rating is a checkpoint exactly when it has expected answers
     assert rating("a", R, "x", "y", 3, expected={3}).is_checkpoint
     assert not rating("a", R, "x", "y", 3).is_checkpoint
+
+
+def test_ratings_retain_at_most_128_bytes_each():
+    # 20 surveys of 100 pairs, each rated by its own 12 annotators, so every
+    # pair text and annotator id repeats, as in a crowd survey
+    rng = random.Random(7)
+    rows = []
+    for survey in range(20):
+        pairs = [(f"verb{rng.randrange(500)}", f"noun{rng.randrange(1500)}") for _ in range(100)]
+        for ann in range(12):
+            rows += [f"worker-{survey:02d}-{ann:02d},dobj,{h},{d},{rng.randint(1, 5)},0,"
+                     for h, d in pairs]
+    fh = io.StringIO(",".join(RATINGS_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        ratings = read_ratings(fh, "r.csv")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ratings) == 24_000
+    assert retained / len(ratings) <= 128, retained / len(ratings)

@@ -69,6 +69,17 @@ def test_pair_equality_and_hash():
     assert len({a, b}) == 1
 
 
+@pytest.mark.parametrize("relation", list(SPRelation))
+def test_equal_pairs_built_apart_find_each_other(relation):
+    # each pair keeps its hash; the relation hashes by identity
+    a = SPPair(relation, "Apple", "fresh")
+    b = SPPair(SPRelation(relation.value), "apple".upper(), "FRESH".lower())
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and b in {a} and a in {b}
+    assert hash(relation) == hash(parse_relation(relation.value.upper()))
+    assert SPPair(relation, "apple", "stale") not in {a}
+
+
 def test_pair_rejects_bad_lemmas():
     for bad in ["", "a\tb", "a\nb", " "]:
         with pytest.raises(BadLemmaError):
@@ -370,6 +381,16 @@ def test_only_the_numeric_modules_load_numpy_with_themselves():
                for p in sorted(src.glob("*.py"))}
     assert {name: found for name, found in loading.items() if found} == {
         "embeddings": ["numpy"], "nn": ["numpy"]}
+
+
+def test_rank_correlation_imports_nothing_at_call_time():
+    # so iaa and eval with pp or lookup never load numpy
+    source = (Path(selpref.__file__).parent / "evaluation.py").read_text(encoding="utf-8")
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_average_ranks", "spearman"):
+        assert not [node for node in ast.walk(functions[name])
+                    if isinstance(node, (ast.Import, ast.ImportFrom))], name
 
 
 def test_load_time_imports_skip_functions_and_type_checking():

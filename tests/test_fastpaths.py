@@ -19,8 +19,9 @@ pair-list, gold, score and checkpoint readers that located their own
 row faults, with the writers that wrote their own header and
 ``#config`` line, the leave-one-out agreement that walked every
 other annotator for each pair, the average ranks that walked each
-tie group in a Python loop, and the ratings reader that built a pair
-for every row.
+tie group in a Python loop, the Spearman over those numpy ranks with
+the bootstrap that called it once per resample, and the ratings reader
+that built a pair for every row.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes; CoNLL-U
 counting with the same error text and the same warnings in order, the
@@ -33,8 +34,9 @@ same epoch losses; predictions, surveys and gold sets
 exactly, in order, with the same error text; the readers' results in
 order or the same error type and text; the written artifacts byte for
 byte; leave-one-out rhos exactly, or the same error text; ranks byte
-for byte, or the same error text, and bootstrap p-values exactly; the
-ratings exactly, or the same error text.
+for byte, or the same error text, rhos bit for bit, or the same error
+type and text, and bootstrap p-values exactly; the ratings exactly, or
+the same error text.
 """
 
 import csv
@@ -43,6 +45,7 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -2196,8 +2199,8 @@ def old_significance(a, b, g, resamples, seed):
 
 def assert_same_ranks(values):
     want = old_average_ranks(values)
-    got = _average_ranks(values)
-    assert got.dtype == want.dtype and got.shape == want.shape, values
+    got = np.asarray(_average_ranks(values), dtype=np.float64)
+    assert got.shape == want.shape, values
     assert got.tobytes() == want.tobytes(), values
 
 
@@ -2260,6 +2263,80 @@ class TestAverageRanks:
         want, constant = old_significance(a, b, g, 300, seed)
         assert 0 < constant < 300 and 0.0 < want < 1.0
         assert significance(a, b, g, resamples=300, seed=seed) == want
+
+
+# -- Spearman over numpy ranks, and the bootstrap that called it per resample -----
+
+def rho_outcome(fn, x, y):
+    """The rho's float64 bytes, or the error's type and text."""
+    got = read_outcome(fn, x, y)
+    return got if isinstance(got, tuple) else (type(got), np.float64(got).tobytes())
+
+
+def correlation_inputs(rng, n):
+    """Two length-n vectors of one kind: floats, heavy ties, ints or signed
+    zeros; now and then one holds a NaN or an infinity."""
+    kind = rng.choice(("floats", "ties", "ints", "zeros"))
+
+    def draw():
+        if kind == "floats":
+            return [rng.gauss(0, 1) for _ in range(n)]
+        if kind == "ties":
+            return tied_values(rng, n)
+        if kind == "ints":
+            return [rng.randint(-3, 3) for _ in range(n)]
+        return [rng.choice((-0.0, 0.0, 1.0)) for _ in range(n)]
+
+    x, y = draw(), draw()
+    if rng.random() < 0.1:
+        rng.choice((x, y))[rng.randrange(n)] = rng.choice((math.nan, math.inf, -math.inf))
+    return x, y
+
+
+class TestSpearman:
+    @pytest.mark.parametrize("sizes, trials", [(range(2, 51), 40), ((600, 2000), 15)],
+                             ids=["n 2-50", "n 600 and 2000"])
+    def test_matches_reference_bit_for_bit(self, sizes, trials):
+        rng = random.Random(2525)
+        seen = Counter()
+        for n in sizes:
+            for trial in range(trials):
+                x, y = correlation_inputs(rng, n)
+                for xs, ys in ((x, y), (np.array(x), np.array(y))):
+                    want = rho_outcome(old_spearman, xs, ys)
+                    assert rho_outcome(spearman, xs, ys) == want, (n, trial, xs, ys)
+                    seen[want[0].__name__] += 1
+        assert seen.keys() == {"float", "CorrelationError", "ConstantInputError"}, seen
+
+    @pytest.mark.parametrize("n", [10, 600, 2000])
+    @pytest.mark.parametrize("resamples", [1, 17, 301])
+    def test_significance_blocks_match_reference(self, n, resamples):
+        # resample counts that leave a part block at each n
+        rng = random.Random(n + resamples)
+        g = [float(rng.randint(0, 4)) for _ in range(n)]
+        a = [round(v + rng.gauss(0, 1.5), 1) for v in g]
+        b = [round(v + rng.gauss(0, 2.0), 1) for v in g]
+        want, _ = old_significance(a, b, g, resamples, seed=n)
+        assert significance(a, b, g, resamples=resamples, seed=n) == want
+
+    def test_significance_memory_does_not_grow_with_resamples(self):
+        def peak(n, resamples):
+            rng = np.random.default_rng(n)
+            g = np.round(rng.normal(size=n), 1)
+            a, b = g + rng.normal(size=n), g + rng.normal(size=n)
+            tracemalloc.start()
+            try:
+                significance(a, b, g, resamples=resamples, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(600, 300), peak(10_000, 30)
+        # ten times the resamples, the same blocks
+        assert peak(600, 3000) <= small + 1024 and peak(10_000, 300) <= large + 1024
+        # past the three code vectors and a one-row block, nothing grows with n
+        assert large - small <= 100 * (10_000 - 600), (small, large)
+        assert large < 2 * 2 ** 20
 
 
 # -- The ratings reader that built a pair per row ----------------------------------
