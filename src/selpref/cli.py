@@ -460,8 +460,7 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags win over it")
-    sub.add_argument("--log-level", dest="log_level",
-                     choices=CHOICES["log_level"],
+    sub.add_argument("--log-level", choices=CHOICES["log_level"],
                      help="also settable via SELPREF_LOG_LEVEL")
 
 
@@ -482,10 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True,
                    help="CoNLL-U file (.gz allowed)")
     p.add_argument("--out", help="counts TSV path (default: stdout)")
-    p.add_argument("--include-passive", dest="include_passive",
-                   action=argparse.BooleanOptionalAction)
-    p.add_argument("--skip-malformed", dest="skip_malformed",
-                   action=argparse.BooleanOptionalAction)
+    p.add_argument("--include-passive", action=argparse.BooleanOptionalAction)
+    p.add_argument("--skip-malformed", action=argparse.BooleanOptionalAction)
     _add_common(p)
     p.set_defaults(func=cmd_extract)
 
@@ -496,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lemma<TAB>pos vocabulary file")
     p.add_argument("--relation", required=True)
     p.add_argument("--seed", type=_int, required=True)
-    p.add_argument("--heads-per-relation", dest="heads_per_relation", type=_int)
-    p.add_argument("--frequent-per-head", dest="frequent_per_head", type=_int)
-    p.add_argument("--random-per-head", dest="random_per_head", type=_int)
+    p.add_argument("--heads-per-relation", type=_int)
+    p.add_argument("--frequent-per-head", type=_int)
+    p.add_argument("--random-per-head", type=_int)
     p.add_argument("--out")
     _add_common(p)
     p.set_defaults(func=cmd_candidates)
@@ -515,13 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--out", required=True, help="model .npz path")
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=_int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=_int)
+    p.add_argument("--embedding-dim", type=_int)
+    p.add_argument("--hidden-dim", type=_int)
     p.add_argument("--margin", type=_float)
     p.add_argument("--negatives", type=_int)
     p.add_argument("--epochs", type=_int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=_float)
-    p.add_argument("--batch-size", dest="batch_size", type=_int)
+    p.add_argument("--learning-rate", type=_float)
+    p.add_argument("--batch-size", type=_int)
     _add_common(p)
     p.set_defaults(func=cmd_train_nn)
 
@@ -546,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("aggregate",
                         help="filter ratings and aggregate to plausibility")
     p.add_argument("--ratings", required=True, help="ratings CSV")
-    p.add_argument("--min-ratings", dest="min_ratings", type=_int)
+    p.add_argument("--min-ratings", type=_int)
     p.add_argument("--out", help="gold-format TSV path")
     p.add_argument("--report", help="JSON rejection/underrated report path")
     _add_common(p)

@@ -40,29 +40,24 @@ SUBJECT_DEPRELS = {"nsubj"}
 PASSIVE_SUBJECT_DEPRELS = {"nsubjpass", "nsubj:pass"}
 NOUN_UPOS = {"NOUN", "PROPN"}
 
-# The rules name a relation by its position here, so a caller can index its
-# own per-relation objects without hashing an enum member.
-_RELATION_ORDER = tuple(SPRelation)
-_DOBJ, _NSUBJ, _AMOD, _DOBJ_AMOD, _NSUBJ_AMOD = range(len(_RELATION_ORDER))
 
-
-def _argument_relations(include_passive: bool) -> dict[str, tuple[int, int]]:
+def _argument_relations(include_passive: bool) -> dict[str, tuple[SPRelation, SPRelation]]:
     """deprel of a verb's noun argument -> (one-hop, two-hop) relation."""
     subjects = SUBJECT_DEPRELS | (PASSIVE_SUBJECT_DEPRELS if include_passive else set())
-    return {**{d: (_DOBJ, _DOBJ_AMOD) for d in OBJECT_DEPRELS},
-            **{d: (_NSUBJ, _NSUBJ_AMOD) for d in subjects}}
+    return {**{d: (SPRelation.DOBJ, SPRelation.DOBJ_AMOD) for d in OBJECT_DEPRELS},
+            **{d: (SPRelation.NSUBJ, SPRelation.NSUBJ_AMOD) for d in subjects}}
 
 
 _ARGUMENT_RELATIONS = {flag: _argument_relations(flag) for flag in (False, True)}
 
 
-def _rule_pairs(rows: list[tuple], include_passive: bool) -> list[tuple[int, tuple, tuple]]:
+def _rule_pairs(rows: list[tuple], include_passive: bool) -> list[tuple[SPRelation, tuple, tuple]]:
     """Apply the five extraction rules to one sentence's token rows.
 
     A row is ``(index, lemma, upos, head, deprel, ...)`` with contiguous
-    indices from 1.  Returns ``(relation position, head row, dependent
-    row)`` per pair: each verb argument in token order, followed by its
-    two-hop adjectives, then the amod pairs by noun index.  A passive
+    indices from 1.  Returns ``(relation, head row, dependent row)`` per
+    pair: each verb argument in token order, followed by its two-hop
+    adjectives, then the amod pairs by noun index.  A passive
     subject is semantically an object, so nsubjpass/nsubj:pass edges are
     dropped unless ``include_passive`` is set.  Dependents are restricted
     to NOUN/PROPN (pronouns excluded) for the verb relations and to ADJ
@@ -90,7 +85,7 @@ def _rule_pairs(rows: list[tuple], include_passive: bool) -> list[tuple[int, tup
     for noun_index in sorted(amods):
         noun = rows[noun_index - 1]
         for adj in amods[noun_index]:
-            pairs.append((_AMOD, noun, adj))
+            pairs.append((SPRelation.AMOD, noun, adj))
     return pairs
 
 
@@ -162,7 +157,7 @@ def count_conllu(fh: TextIO, source: str = "<stream>", skip_malformed: bool = Fa
     Logs one summary line at info level.
     """
     table = CountTable()
-    stores = [table._heads[rel] for rel in _RELATION_ORDER]
+    store = table._heads
     lowered: dict[str, str] = {}  # lemmas that passed the check -> lowercased
     read = skipped = tokens = 0
     for rows in read_conllu(fh, source, skip_malformed):
@@ -180,16 +175,16 @@ def count_conllu(fh: TextIO, source: str = "<stream>", skip_malformed: bool = Fa
             continue
         tokens += len(rows)
         for rel, head, dep in keys:
-            stores[rel][head][dep] += 1
+            store[rel][head][dep] += 1
     log.info("%d sentences read, %d skipped, %d tokens counted; pairs %s",
              read, skipped, tokens,
-             " ".join(f"{rel.value}={table.total(rel)}" for rel in _RELATION_ORDER))
+             " ".join(f"{rel.value}={table.total(rel)}" for rel in SPRelation))
     return table
 
 
-def _pair_keys(pairs: list[tuple[int, tuple, tuple]], lowered: dict[str, str],
-               source: str) -> list[tuple[int, str, str]]:
-    """(relation position, head, dependent) per pair, with the lemmas
+def _pair_keys(pairs: list[tuple[SPRelation, tuple, tuple]], lowered: dict[str, str],
+               source: str) -> list[tuple[SPRelation, str, str]]:
+    """(relation, head, dependent) per pair, with the lemmas
     checked and lowercased as ``SPPair`` does; ``lowered`` caches the
     lemmas that passed.  The first lemma that fails raises
     ``CorpusFormatError`` at its token's line."""

@@ -284,10 +284,8 @@ def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
                 )
         table_heads, table_deps, repeats = np.array(rows, dtype=np.int64).T
         attested = np.sort(table_heads * n_deps + table_deps)
-        try:
-            instance_heads = np.repeat(table_heads, repeats)
-            instance_deps = np.repeat(table_deps, repeats)
-            order = np.arange(len(instance_heads))
+        try:  # one table row id per instance; shuffling it shuffles the instances
+            order = np.repeat(np.arange(len(rows)), repeats)
         except MemoryError:
             raise NNError(f"{rel.value}: {sizes[rel]} training instances "
                           "do not fit in memory") from None
@@ -300,8 +298,8 @@ def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
             rng.shuffle(order)
             total = 0.0
             for first in range(0, len(order), batch):
-                picked = order[first:first + batch]
-                hs = instance_heads[picked]
+                ids = order[first:first + batch]
+                hs = table_heads[ids]
                 negatives = np.empty((n_neg, len(hs)), dtype=np.int64)
                 for slot in negatives:  # one draw per instance, then redraws of the attested
                     slot[:] = rng.integers(n_deps, size=len(hs))
@@ -309,7 +307,7 @@ def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
                     while len(redraw):
                         slot[redraw] = rng.integers(n_deps, size=len(redraw))
                         redraw = redraw[is_attested(hs[redraw], slot[redraw])]
-                total += net.sgd_step(hs, instance_deps[picked], negatives,
+                total += net.sgd_step(hs, table_deps[ids], negatives,
                                       config.margin, config.learning_rate)
             net.losses.append(total / (len(order) * n_neg))
         model.nets[rel] = net

@@ -221,7 +221,7 @@ def test_library_entry_points_agree_with_cli(tmp_path):
 def test_version_names_formats():
     proc = subprocess.run(
         [sys.executable, "-m", "selpref.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0
     assert "selpref" in proc.stdout

@@ -25,10 +25,12 @@ import numpy as np
 import pytest
 
 from selpref.commonsense import OMCSIndex, _witnesses
-from selpref.core import SPPair, SPRelation
+from selpref.core import Lexicon, SPPair, SPRelation
 from selpref.embeddings import EmbeddingTable
 from selpref.extract import CountTable
-from selpref.scorers import ds_score, pp_score
+from selpref.nn import NNConfig, nn_train
+from selpref.scorers import DSModel, PPModel, ds_score, pp_score
+from selpref.winograd import SUBJECT, Mention, WinogradQuestion, resolve
 
 R = SPRelation.DOBJ
 HEADS, NOUNS, DEGREE = 50, 1000, 8  # the 1x world
@@ -83,6 +85,8 @@ class World:
                 self.triplets.append(((dep,), "UsedFor", (head,)))
                 if j % 2:
                     self.triplets.append(((head, "it"), "CapableOf", ("a", dep)))
+        self.lexicon = Lexicon(verbs=frozenset(heads), nouns=frozenset(nouns),
+                               adjectives=frozenset())
         self.words = nouns + heads
         rng = np.random.default_rng(7)
         self.embeddings = EmbeddingTable(self.words, rng.standard_normal((len(self.words), 8)))
@@ -138,3 +142,31 @@ def test_omcs_witnesses(worlds):
     for w in worlds:  # every triplet holds index words on both sides
         assert len(indexes[id(w)].triplets) == len(w.triplets)
     assert_flat(worlds, lambda w, pair: _witnesses(pair, indexes[id(w)]))
+
+
+def test_nn_score(worlds):
+    config = NNConfig(embedding_dim=4, hidden_dim=4, epochs=0)
+    models = {id(w): nn_train(w.counts, config, w.lexicon) for w in worlds}
+    assert_flat(worlds, lambda w, pair: models[id(w)].score(pair))
+
+
+@pytest.mark.parametrize("scorer", ["pp", "ds"])
+def test_winograd_resolve(worlds, scorer):
+    # a question per queried pair, its adjective the pair's dependent; the
+    # world's pairs stand in for both readings, so each side gets a score
+    models = {}
+    for w in worlds:
+        counts = CountTable()
+        for rel in (SPRelation.DOBJ_AMOD, SPRelation.NSUBJ_AMOD):
+            counts._heads[rel] = w.counts._heads[R]
+        models[id(w)] = PPModel(counts) if scorer == "pp" else DSModel(counts, w.embeddings)
+    questions = {pair: WinogradQuestion(id=str(i), sentence="", verb=pair.head,
+                                        adjective=pair.dependent,
+                                        candidate_subject=Mention("cat", "cat"),
+                                        candidate_object=Mention("dog", "dog"), gold=SUBJECT)
+                 for i, pair in enumerate(worlds[0].queries)}
+    for w in worlds:
+        for q in questions.values():
+            p = resolve(q, models[id(w)])
+            assert p.subject_score is not None and p.object_score is not None
+    assert_flat(worlds, lambda w, pair: resolve(questions[pair], models[id(w)]))

@@ -8,7 +8,6 @@ import pytest
 from selpref.conllu import read_conllu
 from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
 from selpref.extract import (
-    _RELATION_ORDER,
     CandidatePoolError,
     CountTable,
     CountTableError,
@@ -62,7 +61,7 @@ def oracle_pairs(rows, include_passive=False):
 
 def rule_pairs(rows, include_passive=False):
     """The pairs _rule_pairs finds in one sentence's rows, as SPPairs."""
-    return [SPPair(_RELATION_ORDER[rel], head[1], dep[1])
+    return [SPPair(rel, head[1], dep[1])
             for rel, head, dep in _rule_pairs(rows, include_passive)]
 
 

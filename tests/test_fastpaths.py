@@ -130,7 +130,6 @@ from selpref.extract import (
     OBJECT_DEPRELS,
     PASSIVE_SUBJECT_DEPRELS,
     SUBJECT_DEPRELS,
-    _RELATION_ORDER,
     Candidate,
     CountTable,
     CountTableError,
@@ -881,7 +880,7 @@ class TestCountConllu:
                         except BadLemmaError as err:
                             want_pairs = ("lemma", str(err))
                         try:
-                            got_pairs = [SPPair(_RELATION_ORDER[rel], head[1], dep[1])
+                            got_pairs = [SPPair(rel, head[1], dep[1])
                                          for rel, head, dep in _rule_pairs(new, passive)]
                         except BadLemmaError as err:
                             got_pairs = ("lemma", str(err))

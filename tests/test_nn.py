@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -276,6 +277,34 @@ def test_multiple_negatives_per_positive():
     model = nn_train(planted_corpus(), cfg, VOCAB)
     wins = comparisons(model)
     assert sum(wins) >= 0.9 * len(wins)
+
+
+def test_training_memory_per_instance():
+    """An epoch holds one int64 row id per counted occurrence, not the
+    occurrence's head and dependent too: ten times the counts on the same
+    pairs raise the traced peak of one epoch by at most 9 bytes per added
+    instance. The batch temporaries do not grow with the counts."""
+    rng = random.Random(11)
+    heads = [f"h{i}" for i in range(20)]
+    deps = [f"d{j}" for j in range(50)]
+    pairs = {(h, d): rng.randint(1, 9) for h in heads for d in rng.sample(deps, 25)}
+    vocab = Lexicon(verbs=frozenset(heads), nouns=frozenset(deps), adjectives=frozenset())
+    config = NNConfig(embedding_dim=2, hidden_dim=2, epochs=1, batch_size=4096)
+
+    def peak(scale):
+        table = CountTable()
+        for (h, d), n in pairs.items():
+            table._heads[R][h][d] = n * scale
+        tracemalloc.start()
+        try:
+            nn_train(table, config, vocab)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    added = 90 * sum(pairs.values())
+    small, large = peak(10), peak(100)
+    assert large - small <= 9 * added, ((large - small) / added, small, large)
 
 
 @pytest.mark.parametrize("bias", [0.5, -1e-300, float("nan")])
