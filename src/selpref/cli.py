@@ -12,9 +12,10 @@ beats built-in defaults. The only environment override is
 SELPREF_LOG_LEVEL. Subcommands that draw random numbers refuse to run
 without an explicit --seed.
 
-The numpy-backed modules (embeddings, nn) are imported where a handler
-builds their objects, so a run that computes nothing with numpy never
-loads it.
+The numpy-backed modules (embeddings, nn) and the pipelines of one
+paper section each (annotate, commonsense, winograd) are imported by the
+handlers that run them, so a run loads numpy only when it computes with
+it, and no module it does not run.
 """
 
 from __future__ import annotations
@@ -26,28 +27,9 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .annotate import (
-    AnnotationError,
-    InsufficientOverlapError,
-    aggregate,
-    filter_annotations,
-    generate_survey,
-    iaa,
-    read_checkpoints,
-    read_ratings,
-    read_survey_pairs,
-)
-from .commonsense import (
-    OMCSIndex,
-    _omcs_rows,
-    coverage_by_group,
-    coverage_table,
-    import_conceptnet_csv,
-    relation_matrix,
-)
 from .core import (
     EmptyPoolError,
     Lexicon,
@@ -82,14 +64,9 @@ from .extract import (
     write_counts,
 )
 from .scorers import DSModel, LookupModel, PPModel, ScoreModel
-from .winograd import (
-    SCHEMA_VERSION,
-    bundled_questions,
-    load_questions,
-    resolve,
-    score_accuracy,
-    write_predictions,
-)
+
+if TYPE_CHECKING:
+    from .commonsense import OMCSIndex
 
 log = logging.getLogger("selpref")
 
@@ -257,6 +234,8 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> S
 def _load_omcs_index(args: argparse.Namespace, parser: argparse.ArgumentParser,
                      gold: GoldSet) -> OMCSIndex:
     """The index for the gold's words, built as the --omcs/--conceptnet file is read."""
+    from .commonsense import OMCSIndex, _omcs_rows, import_conceptnet_csv
+
     if bool(args.omcs) == bool(args.conceptnet):
         parser.error("exactly one of --omcs / --conceptnet is required")
     words = {w for pair in gold.pairs() for w in (pair.head, pair.dependent)}
@@ -347,6 +326,8 @@ def cmd_pseudo(args, parser) -> int:
 
 
 def cmd_aggregate(args, parser) -> int:
+    from .annotate import aggregate, filter_annotations, read_ratings
+
     kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
     scores, underrated = aggregate(kept, min_ratings=args.min_ratings)
     with _open_echoed(args.out, args, GOLD_HEADER) as out:
@@ -366,6 +347,8 @@ def cmd_aggregate(args, parser) -> int:
 
 
 def cmd_iaa(args, parser) -> int:
+    from .annotate import InsufficientOverlapError, filter_annotations, iaa, read_ratings
+
     kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
     with _naming(args.ratings, InsufficientOverlapError):
         per_relation, overall = iaa(kept)
@@ -379,6 +362,8 @@ def cmd_iaa(args, parser) -> int:
 
 
 def cmd_survey(args, parser) -> int:
+    from .annotate import AnnotationError, generate_survey, read_checkpoints, read_survey_pairs
+
     pairs = _read(read_survey_pairs, args.pairs)
     checkpoints = _read(read_checkpoints, args.checkpoints,
                         relation=pairs[0].relation if pairs else None)
@@ -389,6 +374,8 @@ def cmd_survey(args, parser) -> int:
 
 
 def cmd_omcs_match(args, parser) -> int:
+    from .commonsense import coverage_by_group, coverage_table
+
     gold = load_gold_file(args.gold)
     index = _load_omcs_index(args, parser, gold)
     stats = coverage_by_group(gold, index)
@@ -408,6 +395,8 @@ def cmd_omcs_match(args, parser) -> int:
 
 
 def cmd_omcs_matrix(args, parser) -> int:
+    from .commonsense import relation_matrix
+
     gold = load_gold_file(args.gold)
     index = _load_omcs_index(args, parser, gold)
     matrix = relation_matrix(gold, index)
@@ -419,6 +408,9 @@ def cmd_omcs_matrix(args, parser) -> int:
 
 
 def cmd_winograd(args, parser) -> int:
+    from .winograd import (bundled_questions, load_questions, resolve, score_accuracy,
+                           write_predictions)
+
     model = _build_model(args, parser)
     if args.questions:
         questions = _read(load_questions, args.questions)
@@ -449,6 +441,17 @@ def _typed(convert):
 _int, _float = _typed(int), _typed(float)
 
 
+class _Version(argparse._VersionAction):
+    """argparse's --version, whose text names the questions schema: it is
+    formatted when asked for, so only then is winograd imported."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .winograd import SCHEMA_VERSION
+
+        self.version = self.version.format(schema=SCHEMA_VERSION)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=CHOICES["backend"],
                      help="scoring backend (default: pp)")
@@ -472,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     formats = (f"formats: counts '{COUNTS_HEADER}', candidates "
                f"'{CANDIDATES_HEADER}', scores '{SCORES_HEADER}', gold "
-               f"'{GOLD_HEADER}', questions schema {SCHEMA_VERSION}")
-    parser.add_argument("--version", action="version",
+               f"'{GOLD_HEADER}', questions schema {{schema}}")
+    parser.add_argument("--version", action=_Version,
                         version=f"selpref {__version__} ({formats})")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 

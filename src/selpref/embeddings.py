@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import logging
 from array import array
+from typing import TextIO
 
 import numpy as np
 
-from .core import SelPrefError, _clip, open_input
+from .core import _DECODE_ERRORS, SelPrefError, _clip, open_input
 
 log = logging.getLogger(__name__)
 
@@ -64,36 +65,89 @@ def load_embeddings(path) -> EmbeddingTable:
 
     Duplicate words keep their first occurrence; a dimension change
     mid-file or a kept non-finite vector is an error naming its line.
-    The components go straight into one flat buffer, read once.
+    The file is opened once. numpy parses the numbers of a plain file
+    (``_read_plain``); any other file, or one numpy refuses, is read
+    again from the start by ``_read_lines``, which names a faulty line.
     """
-    words: dict[str, int] = {}  # kept word -> its line, in row order
-    buf = array("d")
-    dim = None
     with open_input(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise EmbeddingError(f"{path}:{lineno}: no vector components")
-            word = parts[0]
-            try:
-                vec = [float(x) for x in parts[1:]]
-            except ValueError:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from None
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: dimension {len(vec)} != {dim}"
-                )
-            if word not in words:
-                words[word] = lineno
-                buf.extend(vec)
-    if not words:
-        raise EmptyEmbeddingFile(f"{path}: empty embedding file")
-    if lineno > len(words):  # every line read is kept or a duplicate
-        log.warning("%s: %d duplicate words ignored (first kept)", path, lineno - len(words))
-    matrix = np.frombuffer(buf).reshape(len(words), dim)
+        parsed = _read_plain(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_lines(fh, path)
+    words, lines, matrix = parsed
+    if lines > len(words):  # every line read is kept or a duplicate
+        log.warning("%s: %d duplicate words ignored (first kept)", path, lines - len(words))
     if (row := _non_finite_row(matrix)) is not None:
         word, lineno = list(words.items())[row]
         raise EmbeddingError(f"{path}:{lineno}: non-finite component in vector for {_clip(word)}")
     return EmbeddingTable(list(words), matrix)
+
+
+def _read_plain(fh: TextIO):
+    """(kept word -> its line, lines read, kept rows) of a file whose
+    every line is plain, else None.
+
+    A line is plain when it is printable and holds as many spaces as
+    the first line, at least one. One pass checks that and notes each
+    word's first line; then ``np.loadtxt`` parses the numbers from the
+    start of the handle, and a number it refuses gives None. It takes
+    no printable number that float() refuses; it strips the separators
+    U+001C-U+001F from a number, which float() refuses, so a line with
+    one is not plain.
+    """
+    words: dict[str, int] = {}
+    dim = lineno = 0
+    try:
+        for lineno, line in enumerate(fh, 1):
+            text = line.rstrip("\n")
+            spaces = text.count(" ")
+            dim = dim or spaces
+            if not spaces or spaces != dim or not text.isprintable():
+                return None
+            words.setdefault(text[:text.index(" ")], lineno)
+    except _DECODE_ERRORS:
+        if not lineno:  # no line comes first, and a gzip header cut short reads again as empty
+            raise
+        return None  # _read_lines meets it after the lines before it
+    if not words:
+        return None
+    fh.seek(0)
+    try:
+        matrix = np.loadtxt(fh, delimiter=" ", usecols=range(1, dim + 1), comments=None,
+                            quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if len(matrix) != lineno:
+        return None
+    if len(words) < lineno:
+        matrix = matrix[[i - 1 for i in words.values()]]
+    return words, lineno, matrix
+
+
+def _read_lines(fh: TextIO, path):
+    """``_read_plain``'s result for any file, each line split and its
+    components parsed by float(); a line's fault is an error naming it."""
+    words: dict[str, int] = {}  # kept word -> its line, in row order
+    buf = array("d")
+    dim = None
+    for lineno, line in enumerate(fh, 1):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) < 2:
+            raise EmbeddingError(f"{path}:{lineno}: no vector components")
+        word = parts[0]
+        try:
+            vec = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from None
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise EmbeddingError(
+                f"{path}:{lineno}: dimension {len(vec)} != {dim}"
+            )
+        if word not in words:
+            words[word] = lineno
+            buf.extend(vec)
+    if not words:
+        raise EmptyEmbeddingFile(f"{path}: empty embedding file")
+    return words, lineno, np.frombuffer(buf).reshape(len(words), dim)

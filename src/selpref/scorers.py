@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Protocol
 
-from .core import SPPair
+from .core import SPPair, SPRelation
 from .extract import CountTable
 
 if TYPE_CHECKING:
@@ -32,7 +32,7 @@ def pp_score(counts: CountTable, pair: SPPair) -> Optional[float]:
 
 
 def ds_score(
-    counts: CountTable, emb: EmbeddingTable, pair: SPPair
+    counts: CountTable, emb: EmbeddingTable, pair: SPPair, head: Optional[tuple] = None
 ) -> Optional[float]:
     """Frequency-weighted mean cosine between the candidate dependent and
     the head's attested dependents.
@@ -42,33 +42,44 @@ def ds_score(
     when the head is unseen, the candidate has no vector, or nothing
     attested has one. The cosines are one mat-vec over the attested rows
     (Erk 2007), each clamped to [-1, 1], which rounding can pass by an ulp
-    for (anti)parallel vectors.
+    for (anti)parallel vectors. ``head`` is the pair's head as
+    ``_attested`` prepares it, for a caller that scores several
+    dependents of one head; without it the head is prepared here.
     """
     import numpy as np
 
     target = emb.index.get(pair.dependent)
     if target is None:
         return None
-    index = emb.index
-    rows = []
-    weights = []
-    for dep, weight in counts.dependents_of(pair.relation, pair.head).items():
-        row = index.get(dep)
-        if row is not None:
-            rows.append(row)
-            weights.append(weight)
-    if not rows:
+    if head is None:
+        head = _attested(counts, emb, pair.relation, pair.head)
+    rows, norms, weights, total = head
+    if not len(weights):
         return None
-    norms = emb.norms[rows]
     target_norm = emb.norms[target]
     if target_norm == 0.0 or not norms.all():
         from .embeddings import ZeroVectorError
 
         raise ZeroVectorError("cosine of a zero-norm vector is undefined")
-    dots = emb.matrix[rows] @ emb.matrix[target]
-    sims = np.clip(dots / (norms * target_norm), -1.0, 1.0)
+    sims = np.clip(rows @ emb.matrix[target] / (norms * target_norm), -1.0, 1.0)
+    return float(weights @ sims / total)
+
+
+def _attested(counts: CountTable, emb: EmbeddingTable, relation: SPRelation, head: str) -> tuple:
+    """A head's attested dependents that have a vector: their rows of the
+    matrix, their norms, their weights and the weights' sum."""
+    import numpy as np
+
+    index = emb.index
+    rows = []
+    weights = []
+    for dep, weight in counts.dependents_of(relation, head).items():
+        row = index.get(dep)
+        if row is not None:
+            rows.append(row)
+            weights.append(weight)
     w = np.array(weights, dtype=np.float64)
-    return float(w @ sims / w.sum())
+    return emb.matrix[rows], emb.norms[rows], w, w.sum()
 
 
 class PPModel:
@@ -82,14 +93,23 @@ class PPModel:
 
 
 class DSModel:
+    """``ds_score`` with the last head it was asked about kept prepared:
+    callers score pairs grouped by head, and one head keeps the memory
+    to that head's degree."""
+
     name = "ds"
 
     def __init__(self, counts: CountTable, emb: EmbeddingTable):
         self.counts = counts
         self.emb = emb
+        self._key = None
+        self._head = None
 
     def score(self, pair: SPPair) -> Optional[float]:
-        return ds_score(self.counts, self.emb, pair)
+        key = (pair.relation, pair.head)
+        if key != self._key:
+            self._key, self._head = key, _attested(self.counts, self.emb, *key)
+        return ds_score(self.counts, self.emb, pair, self._head)
 
 
 class LookupModel:

@@ -227,6 +227,7 @@ def test_version_names_formats():
     assert "selpref" in proc.stdout
     assert "sp-counts v1" in proc.stdout
     assert "sp10k v1" in proc.stdout
+    assert "questions schema 1)" in " ".join(proc.stdout.split())  # winograd's, read when asked
 
 
 def test_candidates_deterministic_bytes(tmp_path, corpus):
@@ -777,12 +778,13 @@ def test_bad_ratings_header_is_clipped_and_located(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {ratings}:1: bad header '{'x' * 40}'...\n"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "9" * 5000],
-                         ids=["nan", "inf", "1e400", "5000 nines"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "9" * 5000, "1_0e400"],
+                         ids=["nan", "inf", "1e400", "5000 nines", "underscored 1e401"])
 def test_non_finite_embedding_exit_1_with_coordinates(tmp_path, capsys, monkeypatch, corpus,
                                                       value):
     """The skipped duplicate `eat` on line 3 is not reported, line 4 is,
-    and the vectors file, plain or gzipped, is opened once."""
+    and the vectors file, plain or gzipped, is opened once. numpy refuses
+    `1_0e400`, so that file is read again line by line."""
     text = f"eat 1 2\nfish 1 2\neat 3 {value}\n{'w' * 50} {value} 1\n"
     opened = []
     monkeypatch.setattr(embeddings, "open_input",
@@ -1622,10 +1624,21 @@ def test_a_blank_lemma_is_one_located_error(golden_inputs, tmp_path, name, flag,
 # the golden commands that compute with numpy: train-nn and the ds and nn
 # backends; rank correlations are pure Python, so no other command may load it
 NUMPY_COMMANDS = {"train-nn", "score-ds", "score-nn", "eval-ds", "eval-nn"}
+# every command loads the cli and what it imports; beyond those, a command
+# loads the modules it runs and no other
+CLI_MODULES = {"selpref", "selpref.cli", "selpref.core", "selpref.conllu", "selpref.extract",
+               "selpref.evaluation", "selpref.scorers"}
+RUN_MODULES = {"train-nn": {"nn"}, "score-ds": {"embeddings"}, "eval-ds": {"embeddings"},
+               "score-nn": {"nn"}, "eval-nn": {"nn"}, "aggregate": {"annotate"},
+               "iaa": {"annotate"}, "survey": {"annotate"},
+               "omcs-match": {"commonsense", "lemmatize"},
+               "omcs-matrix": {"commonsense", "lemmatize"},
+               "winograd-gold": {"winograd"}, "winograd-pp": {"winograd"}}
 NUMPY_PROBE = """\
 import sys
 from selpref.cli import main
 assert main(sys.argv[1:]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "selpref")), file=sys.stderr)
 print("numpy" in sys.modules, file=sys.stderr)
 """
 
@@ -1637,4 +1650,6 @@ def test_numpy_is_loaded_only_where_numbers_are_crunched(golden_inputs, tmp_path
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.splitlines()[-2].split())
+    assert modules == CLI_MODULES | {f"selpref.{m}" for m in RUN_MODULES.get(name, ())}
     assert proc.stderr.splitlines()[-1] == str(name in NUMPY_COMMANDS)

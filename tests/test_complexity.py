@@ -129,6 +129,13 @@ def test_ds_score(worlds):
     assert_flat(worlds, lambda w, pair: ds_score(w.counts, w.embeddings, pair))
 
 
+def test_ds_model_score(worlds):
+    # the queries come grouped by head, so most pairs meet the head
+    # DSModel kept prepared; it keeps one, whatever the table's size
+    models = {id(w): DSModel(w.counts, w.embeddings) for w in worlds}
+    assert_flat(worlds, lambda w, pair: models[id(w)].score(pair))
+
+
 def test_dependents_of(worlds):
     assert_flat(worlds, lambda w, pair: w.counts.dependents_of(pair.relation, pair.head))
 

@@ -21,9 +21,12 @@ row faults, with the writers that wrote their own header and
 other annotator for each pair, the average ranks that walked each
 tie group in a Python loop, the Spearman over those numpy ranks with
 the bootstrap that called it once per resample, and the ratings reader
-that built a pair for every row.
+that built a pair for every row, and the vectors reader that split every
+line and parsed each component with float(). ``ds_score`` pair by pair
+is the reference for ``DSModel``, which keeps its last head prepared.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
-another order), with the same None / ZeroVectorError outcomes; CoNLL-U
+another order), with the same None / ZeroVectorError outcomes, and
+``DSModel`` bit for bit, or the same ZeroVectorError; CoNLL-U
 counting with the same error text and the same warnings in order, the
 reader's rows as the old tokens and the rules' pairs as the old pairs
 or the same lemma error; OMCS index tables, witnesses and matrices
@@ -36,16 +39,19 @@ order or the same error type and text; the written artifacts byte for
 byte; leave-one-out rhos exactly, or the same error text; ranks byte
 for byte, or the same error text, rhos bit for bit, or the same error
 type and text, and bootstrap p-values exactly; the ratings exactly, or
-the same error text.
+the same error text; the vectors' words and matrix bytes exactly, with
+the same duplicate warning, or the same error type and text.
 """
 
 import csv
+import gzip
 import io
 import json
 import logging
 import math
 import random
 import tracemalloc
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,8 +95,10 @@ from selpref.commonsense import (
     relation_matrix,
 )
 from selpref.conllu import CorpusFormatError, read_conllu
+from selpref import embeddings
 from selpref.core import (
     BadLemmaError,
+    InputDecodeError,
     Lexicon,
     SelPrefError,
     SPPair,
@@ -99,12 +107,15 @@ from selpref.core import (
     _pair,
     _rows,
     check_plausibility,
+    open_input,
     parse_relation,
 )
 from selpref.embeddings import (
     EmbeddingError,
     EmbeddingTable,
+    EmptyEmbeddingFile,
     ZeroVectorError,
+    _non_finite_row,
     load_embeddings,
 )
 from selpref.evaluation import (
@@ -483,6 +494,74 @@ class TestDS:
             EmbeddingTable(["a", "c"], np.array([[1.0, 1.0], [np.nan, 1.0]]))
 
 
+    @staticmethod
+    def memo_case(rng):
+        """A table over two relations whose heads share names, word
+        vectors (a zero one in some cases) and the queries: every head,
+        an unseen one too, with words of the table and one without a
+        vector."""
+        words = [f"d{i}" for i in range(10)]
+        emb = random_embeddings(rng, words, rng.randint(1, 5), with_zero=rng.random() < 0.3)
+        pairs = [SPPair(rel, f"h{h}", dep)
+                 for rel in (SPRelation.DOBJ, SPRelation.NSUBJ) for h in range(rng.randint(1, 4))
+                 for dep in rng.sample(words, rng.choice([1, 2, 5]))
+                 for _ in range(rng.choice([1, 3]))]
+        queries = [SPPair(rel, f"h{h}", dep)
+                   for rel in (SPRelation.DOBJ, SPRelation.NSUBJ) for h in range(5)
+                   for dep in words[:6] + ["no-vector"]]
+        return CountTable.from_pairs(pairs), emb, queries
+
+    @staticmethod
+    def bits(value):
+        return value if value is None or value is ZeroVectorError else np.float64(value).tobytes()
+
+    def test_model_memo_matches_ds_score_bit_for_bit(self):
+        rng = random.Random(707)
+        checked = Counter()
+        for _ in range(80):
+            table, emb, grouped = self.memo_case(rng)
+            interleaved = sorted(grouped, key=lambda p: (p.dependent, p.relation, p.head))
+            repeated = [p for p in grouped for _ in range(2)] + grouped
+            shuffled = grouped[:]
+            rng.shuffle(shuffled)
+            for order in (grouped, interleaved, repeated, shuffled):
+                model = DSModel(table, emb)  # each order starts cold
+                for pair in order:
+                    want = self.bits(outcome(ds_score, table, emb, pair))
+                    assert self.bits(outcome(model.score, pair)) == want, pair
+                    checked["value" if isinstance(want, bytes) else str(want)] += 1
+        assert len(checked) == 3 and min(checked.values()) > 500, checked
+
+    def test_model_keeps_one_head_alive(self):
+        """Scoring every head of a 10,000-head table keeps at most one
+        head's prepared rows, norms and weights alive."""
+        heads, degree, dim = 10_000, 8, 256
+        rng = np.random.default_rng(3)
+        nouns = [f"n{j}" for j in range(50)]
+        emb = EmbeddingTable(nouns, rng.standard_normal((len(nouns), dim)))
+        table = CountTable()
+        for i in range(heads):
+            for j in range(degree):
+                table._heads[SPRelation.DOBJ][f"v{i}"][nouns[(i + 7 * j) % len(nouns)]] += 1
+        queries = [SPPair(SPRelation.DOBJ, f"v{i}", "n0") for i in range(heads)]
+        one_head = (degree * dim + 2 * degree) * 8  # rows, norms and weights
+        model = DSModel(table, emb)
+        warm, rest = queries[:2], queries[2:]
+        for pair in warm:
+            model.score(pair)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for pair in rest:
+                model.score(pair)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the last head's slice, and the one before it while it is replaced
+        assert kept - base < 2 * one_head, (kept - base, one_head)
+        assert peak - base < 3 * one_head, (peak - base, one_head)
+
+
 class TestCosine:
     def test_parallel(self):
         assert cosine(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == pytest.approx(1.0)
@@ -493,6 +572,178 @@ class TestCosine:
     def test_zero_norm_rejected(self):
         with pytest.raises(ZeroVectorError):
             cosine(np.zeros(2), np.ones(2))
+
+
+
+
+
+# The vectors reader that load_embeddings replaced, verbatim but for names.
+
+old_vectors_log = logging.getLogger("reference.embeddings")
+
+
+def old_load_embeddings(path) -> EmbeddingTable:
+    """Read GloVe text format: `word v1 v2 ... vd`, one entry per line.
+
+    Duplicate words keep their first occurrence; a dimension change
+    mid-file or a kept non-finite vector is an error naming its line.
+    The components go straight into one flat buffer, read once.
+    """
+    words: dict[str, int] = {}  # kept word -> its line, in row order
+    buf = array("d")
+    dim = None
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) < 2:
+                raise EmbeddingError(f"{path}:{lineno}: no vector components")
+            word = parts[0]
+            try:
+                vec = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from None
+            if dim is None:
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise EmbeddingError(
+                    f"{path}:{lineno}: dimension {len(vec)} != {dim}"
+                )
+            if word not in words:
+                words[word] = lineno
+                buf.extend(vec)
+    if not words:
+        raise EmptyEmbeddingFile(f"{path}: empty embedding file")
+    if lineno > len(words):  # every line read is kept or a duplicate
+        old_vectors_log.warning("%s: %d duplicate words ignored (first kept)", path,
+                                lineno - len(words))
+    matrix = np.frombuffer(buf).reshape(len(words), dim)
+    if (row := _non_finite_row(matrix)) is not None:
+        word, lineno = list(words.items())[row]
+        raise EmbeddingError(f"{path}:{lineno}: non-finite component in vector for {_clip(word)}")
+    return EmbeddingTable(list(words), matrix)
+
+
+NUMBERS = ["1", "-0.5", "2.50", "+3", ".5", "5.", "1e-3", "-0", "0", "0.1", "-7.25e+2",
+           "123456789012345678901234567890"]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e400", "9" * 400, "infinity"]
+# tokens float() and numpy may read apart: separators \x1c-\x1f around or
+# inside a number, other whitespace, underscores and non-ASCII digits
+ODD_NUMBERS = ["1_0", "١٢", "１",
+               "1\x1c", "\x1d1", "1\x1e2", "\x1f", "1\t", "\t1", "1\x0b", "\xa01", "1\x85", "x",
+               "", "0x1", "1,5", "1e", "--1"]
+VECTOR_WORDS = ["a", "b", "c", "dog", "#c", '"q"', "﻿a", "w\x1cx", "caf\xe9", "x" * 50]
+
+
+def random_vectors_file(rng, tmp_path, case):
+    """A vectors file of a few lines, most of them plain, some bent:
+    odd numbers, blank and whitespace-only lines, leading, trailing
+    and double spaces, tabs, a dimension change, duplicates, CRLF or CR
+    line ends, no last newline, gzip, bad UTF-8 or a cut gzip stream."""
+    dim = rng.randint(1, 4)
+    bend = rng.random() < 0.6
+    lines = []
+    for _ in range(rng.choice([0, 1, 2, 3, 5, 8])):
+        word = rng.choice(VECTOR_WORDS[:4] if not bend else VECTOR_WORDS)
+        numbers = [rng.choice(ODD_NUMBERS if bend and roll < 0.1 else
+                              NON_FINITE if roll > 0.98 else NUMBERS)
+                   for roll in (rng.random() for _ in range(dim))]
+        line = " ".join([word, *numbers])
+        if bend and rng.random() < 0.3:
+            line = rng.choice([
+                lambda s: "", lambda s: " ", lambda s: "  ", lambda s: "\t",
+                lambda s: " " + s, lambda s: s + " ", lambda s: s.replace(" ", "  ", 1),
+                lambda s: s.replace(" ", "\t", 1), lambda s: s.rsplit(" ", 1)[0],
+                lambda s: s + " 1",
+            ])(line)
+        lines.append(line)
+    end = rng.choice(["\n"] * 6 + ["\r\n", "\r"])
+    text = end.join(lines) + (end if lines and rng.random() < 0.9 else "")
+    data = text.encode()
+    if bend and lines and rng.random() < 0.2:
+        cut = rng.randint(0, len(data))
+        data = data[:cut] + b"\xff" + data[cut:]
+    gz = rng.random() < 0.25
+    if gz:
+        data = gzip.compress(data)
+        if bend and rng.random() < 0.15:
+            data = data[:rng.randint(1, len(data) - 1)]
+    path = tmp_path / f"v{case}.txt{'.gz' if gz else ''}"
+    path.write_bytes(data)
+    return path
+
+
+def vectors_outcome(load, path, caplog):
+    """(words, matrix shape and bytes) or (error type, text), and the
+    duplicate warnings logged."""
+    caplog.clear()
+    try:
+        emb = load(path)
+        got = (list(emb.index), emb.matrix.shape, emb.matrix.tobytes())
+    except SelPrefError as err:
+        got = (type(err), str(err))
+    return got, [r.getMessage() for r in caplog.records if "duplicate" in r.getMessage()]
+
+
+class TestLoadEmbeddings:
+    def test_matches_reference_reader(self, tmp_path, monkeypatch, caplog):
+        rng = random.Random(808)
+        opened, line_reads = [], []
+        monkeypatch.setattr(embeddings, "open_input",
+                            lambda path, _open=embeddings.open_input:
+                            opened.append(path) or _open(path))
+        monkeypatch.setattr(embeddings, "_read_lines",
+                            lambda fh, path, _read=embeddings._read_lines:
+                            line_reads.append(path) or _read(fh, path))
+        checked = Counter()
+        for case in range(700):
+            path = random_vectors_file(rng, tmp_path, case)
+            want = vectors_outcome(old_load_embeddings, path, caplog)
+            opened.clear()
+            got = vectors_outcome(load_embeddings, path, caplog)
+            assert got == want, (case, path.read_bytes()[:200])
+            assert opened == [path]
+            kind = "ok" if isinstance(want[0][0], list) else want[0][0].__name__
+            checked[kind] += 1
+            checked[kind, "lines" if line_reads[-1:] == [path] else "numpy"] += 1
+            checked["duplicates"] += bool(want[1])
+        for kind in [("ok", "numpy"), ("ok", "lines"), ("EmbeddingError", "numpy"),
+                     ("EmbeddingError", "lines"), "EmptyEmbeddingFile", "InputDecodeError",
+                     "duplicates"]:
+            assert checked[kind] >= 10, checked
+
+    @pytest.mark.parametrize("fault, error", [
+        (None, InputDecodeError), ("1_0", InputDecodeError), ("x", EmbeddingError),
+        ("1\x1c", EmbeddingError)], ids=["none", "underscore", "letter", "separator"])
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    def test_a_late_decode_error_comes_after_the_lines_before_it(self, tmp_path, monkeypatch,
+                                                                 caplog, fault, error, gz):
+        """Past the first chunk the text wrapper decodes, a bad byte or a
+        cut gzip stream meets the first pass after lines it has read; the
+        per-line reader reads them again and faults first on a number
+        float() refuses in one of them, as the reference does."""
+        lines = [f"w{i} {i} 0.5" for i in range(2000)]
+        if fault:
+            lines[1500] = f"w1500 {fault} 0.5"
+        data = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / ("v.txt.gz" if gz else "v.txt")
+        path.write_bytes(gzip.compress(data)[:-20] if gz else data + b"\xff\n")
+        opened = []
+        monkeypatch.setattr(embeddings, "open_input",
+                            lambda path, _open=embeddings.open_input:
+                            opened.append(path) or _open(path))
+        got = vectors_outcome(load_embeddings, path, caplog)
+        assert got == vectors_outcome(old_load_embeddings, path, caplog)
+        assert opened == [path]
+        assert got[0][0] is error
+
+    @pytest.mark.parametrize("text", ["a 1 2\na 1\t2\n", "a 1 2\nb 1_0 2\n", "a 1 2\nb 1\x1c 2\n",
+                                      "a 1 2\n\nb 1 2\n"],
+                             ids=["tab", "underscore", "separator", "blank line"])
+    def test_a_line_numpy_cannot_take_is_read_by_float(self, tmp_path, caplog, text):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        assert vectors_outcome(load_embeddings, path, caplog) == \
+            vectors_outcome(old_load_embeddings, path, caplog)
 
 
 class TestPseudoDisambiguation:

@@ -131,7 +131,11 @@ class TestLoadEmbeddings:
         ("a 1 2\nb 3 4\n", 0, None),
         ("a 1 2\na 9 9\nb 3 4\nb 5 6\n", 2, None),
         ("a 1 2\na 9 inf\nb nan 4\n", 1, ":3: non-finite component in vector for 'b'"),
-    ], ids=["plain", "duplicates", "non-finite"])
+        ("a 1 2\nb 3\t 4\nb 5 6\n", 1, None),
+        ("a 1 2\nb 1_0 inf\n", 0, ":2: non-finite component in vector for 'b'"),
+        ("a 1 2\nb 1 2 3\n", 0, ":2: dimension 3 != 2"),
+    ], ids=["plain", "duplicates", "non-finite", "per-line", "per-line non-finite",
+            "per-line fault"])
     def test_file_is_opened_once(self, tmp_path, monkeypatch, caplog, text, dupes, fault):
         p = tmp_path / "emb.txt"
         p.write_text(text)
