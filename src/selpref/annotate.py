@@ -206,8 +206,9 @@ def _leave_one_out(by_annotator: dict[str, dict[SPPair, float]]) -> list[float]:
     rhos = []
     for ann_id in sorted(by_annotator):
         mine = by_annotator[ann_id]
+        # in table order: the ranks and fsum of spearman do not see the order
         shared = [(mine[pair], (total[pair] - mine[pair]) / (count[pair] - 1))
-                  for pair in sorted(mine) if count[pair] > 1]
+                  for pair in mine if count[pair] > 1]
         if len(shared) < 2:
             raise InsufficientOverlapError(
                 f"annotator {_clip(ann_id)} shares fewer than 2 pairs with the rest"
@@ -323,12 +324,9 @@ def read_ratings(fh: TextIO, source: str = "<stream>") -> list[RawRating]:
                 pair = pairs.get((rel, head, dep))
                 if pair is None:
                     pair = pairs[rel, head, dep] = _pair(row[1:4])
-                r = RawRating(
-                    annotator_id=annotators.setdefault(ann_id, ann_id),
-                    pair=pair,
-                    rating=int(rating),
-                    expected=parse_rating_set(expected) if expected else None,
-                )
+                # positional: the slots dataclass builds faster than by keyword
+                r = RawRating(annotators.setdefault(ann_id, ann_id), pair, int(rating),
+                              parse_rating_set(expected) if expected else None)
                 if is_cp not in ("0", "1"):
                     raise AnnotationError(f"bad is_checkpoint {_clip(is_cp)}")
                 if r.is_checkpoint != (is_cp == "1"):

@@ -24,6 +24,7 @@ from .core import (
     check_plausibility,
     open_input,
 )
+from .extract import _Excluding
 from .scorers import ScoreModel
 
 
@@ -154,7 +155,9 @@ def _value(text: str, gold: bool) -> float:
 
 def write_gold(gold: GoldSet | Mapping[SPPair, float], fh: TextIO) -> None:
     """Write the gold rows, sorted by pair, without a header."""
-    for pair, value in sorted(gold.items()):
+    # the order SPPairs sort in, keyed on plain strings
+    rows = sorted(gold.items(), key=lambda r: (r[0].relation.value, r[0].head, r[0].dependent))
+    for pair, value in rows:
         fh.write(f"{pair.relation.value}\t{pair.head}\t{pair.dependent}\t{value:.2f}\n")
 
 
@@ -412,16 +415,23 @@ def pseudo_disambiguation(
     relation's vocabulary pool, excluding dependents that would form
     another test pair for the same head. Scoring: win 1, tie or any
     missing score 0.5, loss 0.
+
+    Each (relation, head) draws from one view of the sorted pool that
+    skips its test dependents, so a pair costs O(its head's test
+    dependents), not O(pool).
     """
     if not test_pairs:
         raise NoTestPairsError("no test pairs")
-    positives = {(p.relation, p.head, p.dependent) for p in test_pairs}
+    excluded: dict[tuple[SPRelation, str], set[str]] = {}
+    for p in test_pairs:
+        excluded.setdefault((p.relation, p.head), set()).add(p.dependent)
     pools = {r: sorted(vocab.dependents_for(r)) for r in sorted({p.relation for p in test_pairs})}
+    views = {key: _Excluding(pools[key[0]], deps) for key, deps in excluded.items()}
     rng = random.Random(seed)
     total = 0.0
     for pair in test_pairs:
         rel, head = pair.relation, pair.head
-        usable = [d for d in pools[rel] if (rel, head, d) not in positives]
+        usable = views[rel, head]
         if not usable:
             raise ConfounderPoolError(
                 f"no confounder available for {rel.value} head "

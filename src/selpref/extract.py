@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_left
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, TextIO
@@ -206,11 +208,19 @@ COUNTS_HEADER = "#sp-counts v1"
 
 
 def write_counts(table: CountTable, fh: TextIO) -> None:
-    """Write the counts rows, sorted by (relation, head, count desc), without a header."""
+    """Write the counts rows, without a header: relations in ``SPRelation``
+    order, then heads sorted, then each head's dependents by count
+    descending, then dependent.
+
+    One head at a time: a head's rows are sorted and written with one
+    ``fh.write``, so the writer holds one head's rows (and the sorted head
+    names), never a relation's."""
     for rel in SPRelation:
-        rows = sorted(table.items(rel), key=lambda r: (r[0], -r[2], r[1]))
-        for head, dep, count in rows:
-            fh.write(f"{rel.value}\t{head}\t{dep}\t{count}\n")
+        heads = table._heads[rel]
+        for head in sorted(heads):
+            prefix = f"{rel.value}\t{head}\t"
+            rows = sorted(heads[head].items(), key=lambda r: (-r[1], r[0]))
+            fh.write("".join([f"{prefix}{dep}\t{count}\n" for dep, count in rows]))
 
 
 _RELATIONS = {r.value: r for r in SPRelation}
@@ -254,6 +264,40 @@ class CandidatePoolError(SelPrefError, ValueError):
     pass
 
 
+class _Excluding(Sequence):
+    """A sorted word pool less some of its words, as a read-only sequence.
+
+    The excluded words' positions are found by ``bisect`` once; ``len`` and
+    ``[k]`` then cost O(excluded), so a draw from the view costs the
+    excluded words, not the pool.  ``random.choice`` and ``random.sample``
+    only take its length and index it, so they draw what they would from
+    the list of the kept words.
+    """
+
+    __slots__ = ("_pool", "_gaps")
+
+    def __init__(self, pool: list[str], excluded: Iterable[str]):
+        self._pool = pool
+        gaps = []
+        for word in set(excluded):
+            i = bisect_left(pool, word)
+            if i < len(pool) and pool[i] == word:
+                gaps.append(i)
+        self._gaps = sorted(gaps)
+
+    def __len__(self) -> int:
+        return len(self._pool) - len(self._gaps)
+
+    def __getitem__(self, k: int) -> str:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        for gap in self._gaps:  # step over each excluded word at or before k
+            if gap > k:
+                break
+            k += 1
+        return self._pool[k]
+
+
 @dataclass(frozen=True)
 class Candidate:
     pair: SPPair
@@ -274,7 +318,9 @@ def generate_candidates(
 
     Heads are ranked by marginal count (ties broken lexicographically);
     random dependents are drawn without replacement, excluding dependents
-    already chosen for that head.
+    already chosen for that head.  They are drawn from a view of the sorted
+    pool that skips those dependents, so a head costs O(its degree), not
+    O(pool).
     """
     for name, value in (("heads_per_relation", heads_per_relation),
                         ("frequent_per_head", frequent_per_head),
@@ -296,8 +342,7 @@ def generate_candidates(
         attested = counts.dependents_of(relation, head)
         frequent = sorted(attested, key=lambda d: (-attested[d], d))[:frequent_per_head]
         out.extend(Candidate(SPPair(relation, head, d), "frequent") for d in frequent)
-        chosen = set(frequent)
-        available = [d for d in pool if d not in chosen]
+        available = _Excluding(pool, frequent)
         if len(available) < random_per_head:
             raise CandidatePoolError(
                 f"lexicon pool for {relation.value} too small: need {random_per_head} "

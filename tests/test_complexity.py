@@ -27,7 +27,8 @@ import pytest
 from selpref.commonsense import OMCSIndex, _witnesses
 from selpref.core import Lexicon, SPPair, SPRelation
 from selpref.embeddings import EmbeddingTable
-from selpref.extract import CountTable
+from selpref.evaluation import pseudo_disambiguation
+from selpref.extract import CountTable, generate_candidates
 from selpref.nn import NNConfig, nn_train
 from selpref.scorers import DSModel, PPModel, ds_score, pp_score
 from selpref.winograd import SUBJECT, Mention, WinogradQuestion, resolve
@@ -63,6 +64,13 @@ def events(call, queries) -> int:
 def events_per_query(call, queries) -> float:
     assert len(queries) >= 2 * K
     return (events(call, queries[:2 * K]) - events(call, queries[:K])) / K
+
+
+def events_per_item(run, items) -> float:
+    """Events per item of one ``run(items)`` call over 2K items less one
+    over K, per item, so the call's own set-up drops out."""
+    assert len(items) >= 2 * K
+    return (events(run, [items[:2 * K]]) - events(run, [items[:K]])) / K
 
 
 class World:
@@ -119,6 +127,31 @@ def test_the_count_sees_a_python_scan_of_the_table(worlds):
     small, grown = (events_per_query(lambda pair: w.counts.total(pair.relation), w.queries)
                     for w in worlds)
     assert grown > GROWN * 0.9 * small
+
+
+def test_worlds_grow_their_lexicon_pools(worlds):
+    small, grown = worlds
+    assert len(grown.lexicon.dependents_for(R)) == GROWN * len(small.lexicon.dependents_for(R))
+
+
+def test_pseudo_disambiguation(worlds):
+    # per test pair, with every queried head's dependents as the test pairs
+    models = {id(w): PPModel(w.counts) for w in worlds}
+    small, grown = (events_per_item(
+        lambda pairs: pseudo_disambiguation(models[id(w)], pairs, w.lexicon, seed=3),
+        w.queries) for w in worlds)
+    assert small > 0
+    assert grown <= GROWTH * small, (small, grown)
+
+
+def test_generate_candidates(worlds):
+    # per ranked head: a call for 2K heads against one for K
+    small, grown = (events_per_item(
+        lambda heads: generate_candidates(w.counts, w.lexicon, R,
+                                          heads_per_relation=len(heads), seed=3),
+        w.counts.heads(R)) for w in worlds)
+    assert small > 0
+    assert grown <= GROWTH * small, (small, grown)
 
 
 def test_pp_score(worlds):

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from collections import Counter, namedtuple
 from pathlib import Path
 
@@ -221,6 +222,38 @@ class TestCountTable:
             out = io.StringIO()
             write_counts(table, out)
             assert out.getvalue() == text.getvalue()
+
+    def test_writer_holds_one_head_at_a_time(self):
+        # H heads of degree 8 against 8H: the writer's peak may grow by one
+        # head's rows, and by the sorted head names (a list pointer each,
+        # plus the sort's merge buffer of at most half as many), not with
+        # the relation's rows, as a writer that sorts them all at once does
+        class Sink:
+            def write(self, text):
+                pass
+
+        def table(heads, degree=8):
+            t = CountTable()
+            store = t._heads[SPRelation.DOBJ]
+            for i in range(heads):
+                rng = random.Random(i)
+                for _ in range(degree):
+                    store[f"verb{i}"][f"noun{rng.randrange(10**6)}"] += rng.randint(1, 20)
+            return t
+
+        def peak(t):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_counts(t, Sink())
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        heads = 200
+        one_head = peak(table(1))
+        small, grown = peak(table(heads)), peak(table(8 * heads))
+        assert grown - small <= one_head + 16 * 7 * heads, (one_head, small, grown)
 
     def test_read_rejects_zero_count(self):
         with pytest.raises(CountTableError):

@@ -22,7 +22,10 @@ other annotator for each pair, the average ranks that walked each
 tie group in a Python loop, the Spearman over those numpy ranks with
 the bootstrap that called it once per resample, and the ratings reader
 that built a pair for every row, and the vectors reader that split every
-line and parsed each component with float(). ``ds_score`` pair by pair
+line and parsed each component with float(), the counts writer that
+sorted a relation's rows at once, and the candidate and confounder
+draws that rebuilt the lexicon pool for every head and every pair.
+``ds_score`` pair by pair
 is the reference for ``DSModel``, which keeps its last head prepared.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / ZeroVectorError outcomes, and
@@ -40,7 +43,9 @@ byte; leave-one-out rhos exactly, or the same error text; ranks byte
 for byte, or the same error text, rhos bit for bit, or the same error
 type and text, and bootstrap p-values exactly; the ratings exactly, or
 the same error text; the vectors' words and matrix bytes exactly, with
-the same duplicate warning, or the same error type and text.
+the same duplicate warning, or the same error type and text; the counts
+rows byte for byte; candidate lists and pseudo-disambiguation accuracies
+exactly, or the same error type and text.
 """
 
 import csv
@@ -98,6 +103,7 @@ from selpref.conllu import CorpusFormatError, read_conllu
 from selpref import embeddings
 from selpref.core import (
     BadLemmaError,
+    EmptyPoolError,
     InputDecodeError,
     Lexicon,
     SelPrefError,
@@ -106,6 +112,7 @@ from selpref.core import (
     _clip,
     _pair,
     _rows,
+    _shown,
     check_plausibility,
     open_input,
     parse_relation,
@@ -120,11 +127,13 @@ from selpref.embeddings import (
 )
 from selpref.evaluation import (
     GOLD_HEADER,
+    ConfounderPoolError,
     ConstantInputError,
     CorrelationError,
     DuplicatePairError,
     GoldFormatError,
     GoldSet,
+    NoTestPairsError,
     _average_ranks,
     _value,
     load_gold,
@@ -142,10 +151,13 @@ from selpref.extract import (
     PASSIVE_SUBJECT_DEPRELS,
     SUBJECT_DEPRELS,
     Candidate,
+    CandidatePoolError,
     CountTable,
     CountTableError,
+    _Excluding,
     _rule_pairs,
     count_conllu,
+    generate_candidates,
     read_counts,
     read_pairs,
     write_candidates,
@@ -2392,6 +2404,28 @@ class TestLeaveOneOut:
         assert read_outcome(_leave_one_out, by_annotator) == expected
 
 
+def test_leave_one_out_ignores_table_order():
+    # each annotator's pairs are walked in table order; the exact ranks
+    # and sums of spearman give the same rhos, bit for bit, in any order
+    rng = random.Random(1717)
+    seen = Counter()
+    for trial in range(300):
+        by_annotator = random_ratings(rng)
+        shuffled = {}
+        for ann_id, table in by_annotator.items():
+            items = list(table.items())
+            rng.shuffle(items)
+            shuffled[ann_id] = dict(items)
+        want = read_outcome(_leave_one_out, by_annotator)
+        got = read_outcome(_leave_one_out, shuffled)
+        if isinstance(want, list):
+            assert [rho.hex() for rho in got] == [rho.hex() for rho in want], trial
+            seen["ok"] += 1
+        else:
+            assert got == want, trial
+    assert seen["ok"] > 100, seen
+
+
 # -- Average ranks that walked ties in a Python loop ------------------------------
 
 def old_average_ranks(values):
@@ -2713,3 +2747,244 @@ class TestReadRatings:
         ratings = read_ratings(io.StringIO(text))
         assert ratings == old_read_ratings(io.StringIO(text))
         assert len({id(r.pair) for r in ratings}) == 2
+
+
+# -- The counts writer that sorted a relation's rows at once -----------------------
+
+# ties, non-ASCII and lemmas that share a prefix ("a" < "ab" < "aé")
+WRITER_WORDS = ["a", "ab", "aé", "é", "b", "ba", "straße", "日本", "a b", "z"]
+
+
+def random_store_table(rng):
+    """A table filled through its store; some relations stay empty."""
+    table = CountTable()
+    for rel in rng.sample(RELATIONS, rng.randint(0, len(RELATIONS))):
+        for _ in range(rng.randint(0, 40)):
+            head, dep = rng.choice(WRITER_WORDS), rng.choice(WRITER_WORDS)
+            table._heads[rel][head][dep] += rng.choice([1, 1, 2, 3, 2**63 - 1])
+    return table
+
+
+def random_read_table(rng):
+    """A table read from rows whose repeated pairs, in any case, sum."""
+    rows = []
+    for _ in range(rng.randint(0, 60)):
+        words = [rng.choice(WRITER_WORDS) for _ in range(2)]
+        words = [w.upper() if rng.random() < 0.2 else w for w in words]
+        rows.append(f"{rng.choice(RELATIONS).value}\t{words[0]}\t{words[1]}\t"
+                    f"{rng.randint(1, 3)}\n")
+    return read_counts(io.StringIO("".join(rows)))
+
+
+class TestWriteCounts:
+    def test_random_tables_match_reference(self):
+        rng = random.Random(2828)
+        for trial in range(300):
+            table = (random_store_table if trial % 2 else random_read_table)(rng)
+            old, new = io.StringIO(), io.StringIO()
+            old_write_counts(table, old)
+            write_counts(table, new)
+            assert COUNTS_HEADER + "\n" + new.getvalue() == old.getvalue(), trial
+
+    def test_order_is_relation_head_count_desc_dependent(self):
+        table = CountTable()
+        store = table._heads
+        for head, dep, count in [("ab", "z", 1), ("a", "aé", 2), ("aé", "a", 5),
+                                 ("a", "ab", 2), ("a", "b", 7)]:
+            store[SPRelation.NSUBJ][head][dep] += count
+        store[SPRelation.DOBJ]["b"]["a"] += 1
+        out = io.StringIO()
+        write_counts(table, out)
+        assert out.getvalue() == ("dobj\tb\ta\t1\n"
+                                  "nsubj\ta\tb\t7\n" "nsubj\ta\tab\t2\n" "nsubj\ta\taé\t2\n"
+                                  "nsubj\tab\tz\t1\n" "nsubj\taé\ta\t5\n")
+
+
+# -- Candidate and confounder draws that rebuilt the pool per head and per pair -----
+
+def old_generate_candidates(
+    counts: CountTable,
+    lexicon: Lexicon,
+    relation: SPRelation,
+    heads_per_relation: int = 500,
+    frequent_per_head: int = 2,
+    random_per_head: int = 2,
+    seed: int = 0,
+) -> list[Candidate]:
+    """Pick annotation candidates: per frequent head, its most frequent
+    dependents plus uniform draws from the lexicon pool.
+
+    Heads are ranked by marginal count (ties broken lexicographically);
+    random dependents are drawn without replacement, excluding dependents
+    already chosen for that head.
+    """
+    for name, value in (("heads_per_relation", heads_per_relation),
+                        ("frequent_per_head", frequent_per_head),
+                        ("random_per_head", random_per_head)):
+        if value < 0:
+            raise CandidatePoolError(f"{name} must be >= 0, got {_shown(str(value))}")
+    if counts.total(relation) == 0:
+        raise CandidatePoolError(f"no counts for relation {relation.value}")
+    rng = random.Random(seed)
+    ranked_heads = sorted(
+        counts.heads(relation),
+        key=lambda h: (-counts.marginal(relation, h), h),
+    )[:heads_per_relation]
+    # only the random draws need a pool, so an empty one is no fault without them
+    pool = sorted(lexicon.dependents_for(relation)) if random_per_head else []
+
+    out: list[Candidate] = []
+    for head in ranked_heads:
+        attested = counts.dependents_of(relation, head)
+        frequent = sorted(attested, key=lambda d: (-attested[d], d))[:frequent_per_head]
+        out.extend(Candidate(SPPair(relation, head, d), "frequent") for d in frequent)
+        chosen = set(frequent)
+        available = [d for d in pool if d not in chosen]
+        if len(available) < random_per_head:
+            raise CandidatePoolError(
+                f"lexicon pool for {relation.value} too small: need {random_per_head} "
+                f"unchosen dependents for head {_clip(head)}, have {len(available)}"
+            )
+        out.extend(
+            Candidate(SPPair(relation, head, d), "random")
+            for d in rng.sample(available, random_per_head)
+        )
+    return out
+
+
+def old_pseudo_disambiguation(model, test_pairs, vocab, seed=0):
+    """Positive-vs-corrupted accuracy.
+
+    Each test pair gets one confounder dependent drawn uniformly from the
+    relation's vocabulary pool, excluding dependents that would form
+    another test pair for the same head. Scoring: win 1, tie or any
+    missing score 0.5, loss 0.
+    """
+    if not test_pairs:
+        raise NoTestPairsError("no test pairs")
+    positives = {(p.relation, p.head, p.dependent) for p in test_pairs}
+    pools = {r: sorted(vocab.dependents_for(r)) for r in sorted({p.relation for p in test_pairs})}
+    rng = random.Random(seed)
+    total = 0.0
+    for pair in test_pairs:
+        rel, head = pair.relation, pair.head
+        usable = [d for d in pools[rel] if (rel, head, d) not in positives]
+        if not usable:
+            raise ConfounderPoolError(
+                f"no confounder available for {rel.value} head "
+                f"{_clip(head)}: pool exhausted by attested pairs"
+            )
+        confounder = rng.choice(usable)
+        pos = model.score(pair)
+        neg = model.score(SPPair(rel, head, confounder))
+        if pos is None or neg is None or pos == neg:
+            total += 0.5
+        elif pos > neg:
+            total += 1.0
+    return total / len(test_pairs)
+
+
+def pool_words(rng, n):
+    """n distinct words in sorted order, some sharing a prefix."""
+    return sorted({f"w{rng.randrange(4 * n + 10)}" for _ in range(n)} | {"w1", "w10"})
+
+
+class TestPoolView:
+    def test_draws_match_the_built_list(self):
+        # pools of 1 to 5,000 words, some excluded words outside the pool
+        rng = random.Random(2929)
+        for probe in range(600):
+            pool = pool_words(rng, int(5000 ** rng.random()))[:rng.randint(1, 5000)]
+            excluded = rng.sample(pool, min(len(pool), rng.randint(0, 12)))
+            excluded += [f"x{i}" for i in range(rng.randint(0, 2))] + ["w1"] * rng.randint(0, 2)
+            kept = [w for w in pool if w not in set(excluded)]
+            view = _Excluding(pool, excluded)
+            assert len(view) == len(kept)
+            if len(kept) < 50:
+                assert list(view) == kept
+            for k in {0, len(kept) - 1, *rng.sample(range(len(kept)), min(5, len(kept)))}:
+                if 0 <= k < len(kept):
+                    assert view[k] == kept[k]
+            for bad in (len(kept), -1):
+                with pytest.raises(IndexError):
+                    view[bad]
+            seed = rng.getrandbits(32)
+            a, b = random.Random(seed), random.Random(seed)
+            k = rng.randint(0, min(len(kept), 30))
+            assert a.sample(view, k) == b.sample(kept, k)
+            if kept:
+                assert a.choice(view) == b.choice(kept)
+            assert a.getstate() == b.getstate()
+
+
+def candidate_case(rng):
+    """A seeded table, lexicon and candidates call, some of whose pools are
+    too small or empty."""
+    nouns = [f"n{i}" for i in range(rng.choice([0, 2, 3, 5, 40, 300]))]
+    attested = nouns + [f"m{i}" for i in range(5)]
+    table = CountTable()
+    for _ in range(rng.randint(0, 120)):
+        head = f"v{rng.randrange(12)}"
+        table._heads[SPRelation.DOBJ][head][rng.choice(attested)] += rng.randint(1, 4)
+    lexicon = Lexicon(verbs=frozenset(f"v{i}" for i in range(12)), nouns=frozenset(nouns),
+                      adjectives=frozenset())
+    return (table, lexicon, SPRelation.DOBJ, rng.randint(0, 14), rng.randint(0, 4),
+            rng.randint(0, 4), rng.randrange(100))
+
+
+class TestCandidatesReference:
+    def test_random_cases_match_reference(self):
+        rng = random.Random(3030)
+        seen = Counter()
+        for trial in range(400):
+            case = candidate_case(rng)
+            old = read_outcome(old_generate_candidates, *case)
+            assert read_outcome(generate_candidates, *case) == old, trial
+            seen["ok" if isinstance(old, list) else old[1].split(" ")[0]] += 1
+        # drawn lists, no counts, a pool too small for a head, an empty pool
+        assert {"ok", "no", "lexicon"} <= set(seen), seen
+        assert seen["ok"] > 100 and seen["lexicon"] > 20, seen
+
+    def test_pool_too_small_names_the_same_count(self):
+        table = CountTable()
+        table._heads[SPRelation.DOBJ]["eat"].update({"a": 3, "b": 2, "c": 1})
+        lexicon = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset("abcd"),
+                          adjectives=frozenset())
+        args = (table, lexicon, SPRelation.DOBJ, 5, 2, 3, 0)
+        expected = (CandidatePoolError, "lexicon pool for dobj too small: need 3 "
+                    "unchosen dependents for head 'eat', have 2")
+        assert read_outcome(old_generate_candidates, *args) == expected
+        assert read_outcome(generate_candidates, *args) == expected
+
+
+def pseudo_case(rng):
+    """A seeded model, test pairs and vocabulary, some of whose pools the
+    test pairs exhaust."""
+    nouns = [f"n{i}" for i in range(rng.choice([1, 2, 4, 30, 400]))]
+    adjs = [f"a{i}" for i in range(rng.choice([0, 3, 20]))]
+    rels = [SPRelation.DOBJ, SPRelation.NSUBJ] + ([SPRelation.AMOD] if rng.random() < 0.3 else [])
+    pairs = [SPPair(rel, f"v{rng.randrange(5)}" if rel is not SPRelation.AMOD
+                    else rng.choice(nouns),
+                    rng.choice(adjs or ["x"]) if rel is SPRelation.AMOD else rng.choice(nouns))
+             for rel in rng.choices(rels, k=rng.randint(0, 40))]
+    vocab = Lexicon(verbs=frozenset(f"v{i}" for i in range(5)), nouns=frozenset(nouns),
+                    adjectives=frozenset(adjs))
+    table = CountTable.from_pairs(pairs + rng.sample(pairs, len(pairs) // 2))
+    model = rng.choice([PPModel(table),
+                        LookupModel({p: float(rng.randint(0, 2)) for p in set(pairs)})])
+    return model, list(dict.fromkeys(pairs)), vocab, rng.randrange(100)
+
+
+class TestPseudoReference:
+    def test_random_cases_match_reference(self):
+        rng = random.Random(3131)
+        seen = Counter()
+        for trial in range(400):
+            case = pseudo_case(rng)
+            old = read_outcome(old_pseudo_disambiguation, *case)
+            got = read_outcome(pseudo_disambiguation, *case)
+            assert got == old and type(got) is type(old), trial
+            seen["ok" if isinstance(old, float) else old[0].__name__] += 1
+        assert {"ok", "ConfounderPoolError", "NoTestPairsError", "EmptyPoolError"} <= set(seen), \
+            seen
+        assert seen["ok"] > 100 and seen["ConfounderPoolError"] > 20, seen
