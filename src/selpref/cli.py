@@ -12,10 +12,11 @@ beats built-in defaults. The only environment override is
 SELPREF_LOG_LEVEL. Subcommands that draw random numbers refuse to run
 without an explicit --seed.
 
-The numpy-backed modules (embeddings, nn) and the pipelines of one
-paper section each (annotate, commonsense, winograd) are imported by the
-handlers that run them, so a run loads numpy only when it computes with
-it, and no module it does not run.
+The vectors loader (embeddings), the NN (nn, the one module that loads
+numpy with itself) and the pipelines of one paper section each
+(annotate, commonsense, winograd) are imported by the handlers that run
+them, so a run loads numpy only when it computes with it, and no module
+it does not run.
 """
 
 from __future__ import annotations

@@ -1,14 +1,19 @@
-"""Word embedding table, read from GloVe-style text files."""
+"""Word embedding table, read from GloVe-style text files.
+
+numpy is imported by the functions that compute with it, so importing
+this module does not load it; the first vectors file read does.
+"""
 
 from __future__ import annotations
 
 import logging
 from array import array
-from typing import TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, TextIO
 
 from .core import _DECODE_ERRORS, SelPrefError, _clip, open_input
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +39,8 @@ class EmbeddingTable:
     """
 
     def __init__(self, words: list[str], matrix: np.ndarray):
+        import numpy as np
+
         if (row := _non_finite_row(matrix)) is not None:
             raise EmbeddingError(f"non-finite components in vector for {words[row]!r}")
         self.index = {w: i for i, w in enumerate(words)}
@@ -56,6 +63,8 @@ class EmbeddingTable:
 
 def _non_finite_row(matrix: np.ndarray) -> int | None:
     """The first row with a NaN or infinite component, or None."""
+    import numpy as np
+
     finite = np.isfinite(matrix).all(axis=1)
     return None if finite.all() else int(np.argmin(finite))
 
@@ -111,6 +120,8 @@ def _read_plain(fh: TextIO):
         return None  # _read_lines meets it after the lines before it
     if not words:
         return None
+    import numpy as np
+
     fh.seek(0)
     try:
         matrix = np.loadtxt(fh, delimiter=" ", usecols=range(1, dim + 1), comments=None,
@@ -127,6 +138,8 @@ def _read_plain(fh: TextIO):
 def _read_lines(fh: TextIO, path):
     """``_read_plain``'s result for any file, each line split and its
     components parsed by float(); a line's fault is an error naming it."""
+    import numpy as np
+
     words: dict[str, int] = {}  # kept word -> its line, in row order
     buf = array("d")
     dim = None

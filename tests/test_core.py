@@ -1,7 +1,11 @@
 import ast
 import csv
 import io
+import json
+import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -371,7 +375,7 @@ def load_time_imports(source: str) -> set[str]:
 
 
 # the modules that compute with numpy at every call, and so load it with themselves
-NUMPY_MODULES = {"embeddings", "nn"}
+NUMPY_MODULES = {"nn"}
 
 
 def test_only_the_numeric_modules_load_numpy_with_themselves():
@@ -379,8 +383,35 @@ def test_only_the_numeric_modules_load_numpy_with_themselves():
     loaders = {"numpy", *("." + m for m in NUMPY_MODULES)}
     loading = {p.stem: sorted(load_time_imports(p.read_text(encoding="utf-8")) & loaders)
                for p in sorted(src.glob("*.py"))}
-    assert {name: found for name, found in loading.items() if found} == {
-        "embeddings": ["numpy"], "nn": ["numpy"]}
+    assert {name: found for name, found in loading.items() if found} == {"nn": ["numpy"]}
+
+
+NUMPY_FREE_PROBE = """\
+import importlib, json, sys
+for name in sys.argv[2:]:
+    importlib.import_module("selpref." + name)
+    assert "numpy" not in sys.modules, name
+from selpref.embeddings import load_embeddings
+emb = load_embeddings(sys.argv[1])
+print(json.dumps(["numpy" in sys.modules, emb.matrix.tolist(), emb.norms.tolist(), emb.index]))
+"""
+
+
+def test_importing_any_module_but_nn_leaves_numpy_out(tmp_path):
+    # a fresh interpreter sees what the AST gate cannot: a module that
+    # loads numpy through another one
+    modules = sorted(m.name for m in pkgutil.iter_modules(selpref.__path__)
+                     if m.name not in NUMPY_MODULES)
+    assert "embeddings" in modules and "cli" in modules
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("a 3 4\nb 1 0\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_PROBE, str(vectors), *modules],
+        capture_output=True, text=True, timeout=120,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(selpref.__file__).parent.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, [[3.0, 4.0], [1.0, 0.0]], [5.0, 1.0],
+                                       {"a": 0, "b": 1}]
 
 
 def test_rank_correlation_imports_nothing_at_call_time():
