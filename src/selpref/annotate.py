@@ -18,10 +18,6 @@ class AnnotationError(SelPrefError, ValueError):
     pass
 
 
-class MixedRelationError(AnnotationError):
-    pass
-
-
 class InsufficientOverlapError(AnnotationError):
     pass
 
@@ -102,7 +98,7 @@ def generate_survey(pairs: list[SPPair], checkpoints: list[SPPair], seed: int = 
     questions = pairs + checkpoints
     relations = {p.relation for p in questions}
     if len(relations) != 1:
-        raise MixedRelationError(f"survey mixes relations: {sorted(r.value for r in relations)}")
+        raise AnnotationError(f"survey mixes relations: {sorted(r.value for r in relations)}")
     (relation,) = relations
     random.Random(seed).shuffle(questions)
     return Survey(relation=relation, questions=questions)
@@ -286,8 +282,8 @@ def _of_relation(rows, source, relation, kind: str, need: Optional[int] = None) 
         pair = row[0]
         relation = relation or pair.relation
         if pair.relation is not relation:
-            raise MixedRelationError(f"{source}:{lineno}: {kind} relation "
-                                     f"{pair.relation}, survey relation {relation}")
+            raise AnnotationError(f"{source}:{lineno}: {kind} relation "
+                                  f"{pair.relation}, survey relation {relation}")
         if pair in out:
             raise AnnotationError(f"{source}:{lineno}: duplicate pair {pair.relation} "
                                   f"{_clip(pair.head)} {_clip(pair.dependent)}")

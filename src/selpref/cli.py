@@ -225,11 +225,10 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> S
         from .nn import NNModel
 
         return NNModel.load(args.model)
-    if backend == "lookup":
-        if not args.scores:
-            parser.error("backend lookup requires --scores")
-        return LookupModel(load_scores_file(args.scores))
-    parser.error(f"unknown backend {backend!r}")
+    # lookup: argparse choices and the --config check bound the backend
+    if not args.scores:
+        parser.error("backend lookup requires --scores")
+    return LookupModel(load_scores_file(args.scores))
 
 
 def _load_omcs_index(args: argparse.Namespace, parser: argparse.ArgumentParser,

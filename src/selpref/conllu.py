@@ -22,7 +22,6 @@ class CorpusFormatError(SelPrefError, ValueError):
 
     def __init__(self, source: str, lineno: int, message: str):
         super().__init__(f"{source}:{lineno}: {message}")
-        self.source = source
         self.lineno = lineno
         self.message = message
 

@@ -17,9 +17,7 @@ class SelPrefError(Exception):
 
 
 class UnknownRelationError(SelPrefError, ValueError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown selectional relation: {_clip(name)}")
-        self.name = name
+    pass
 
 
 class BadLemmaError(SelPrefError, ValueError):
@@ -70,7 +68,7 @@ def parse_relation(name: str) -> SPRelation:
     try:
         return SPRelation(name.strip().lower())
     except ValueError:
-        raise UnknownRelationError(name) from None
+        raise UnknownRelationError(f"unknown selectional relation: {_clip(name)}") from None
 
 
 def _check_lemma(role: str, lemma: str) -> str:

@@ -22,14 +22,6 @@ class EmbeddingError(SelPrefError, ValueError):
     pass
 
 
-class EmptyEmbeddingFile(EmbeddingError):
-    pass
-
-
-class ZeroVectorError(EmbeddingError, ArithmeticError):
-    pass
-
-
 class EmbeddingTable:
     """lemma -> fixed-dimension vector, loaded once and then read-only.
 
@@ -42,23 +34,13 @@ class EmbeddingTable:
         import numpy as np
 
         if (row := _non_finite_row(matrix)) is not None:
-            raise EmbeddingError(f"non-finite components in vector for {words[row]!r}")
+            raise EmbeddingError(f"non-finite components in vector for {_clip(words[row])}")
         self.index = {w: i for i, w in enumerate(words)}
         self.matrix = matrix
         self.matrix.flags.writeable = False
         # row-wise dot products, without an (n, d) temporary of squares
         self.norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         self.norms.flags.writeable = False
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def get(self, word: str) -> np.ndarray | None:
-        i = self.index.get(word)
-        return None if i is None else self.matrix[i]
 
 
 def _non_finite_row(matrix: np.ndarray) -> int | None:
@@ -162,5 +144,5 @@ def _read_lines(fh: TextIO, path):
             words[word] = lineno
             buf.extend(vec)
     if not words:
-        raise EmptyEmbeddingFile(f"{path}: empty embedding file")
+        raise EmbeddingError(f"{path}: empty embedding file")
     return words, lineno, np.frombuffer(buf).reshape(len(words), dim)

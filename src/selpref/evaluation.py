@@ -32,15 +32,7 @@ class GoldFormatError(SelPrefError, ValueError):
     pass
 
 
-class DuplicatePairError(GoldFormatError):
-    pass
-
-
 class CorrelationError(SelPrefError, ValueError):
-    pass
-
-
-class LengthMismatchError(CorrelationError):
     pass
 
 
@@ -73,14 +65,8 @@ class GoldSet:
             check_plausibility(value)
             values = self._by_rel[pair.relation]
             if pair in values:
-                raise DuplicatePairError(f"duplicate gold pair: {pair}")
+                raise GoldFormatError(f"duplicate gold pair: {pair}")
             values[pair] = value
-
-    def __len__(self) -> int:
-        return sum(map(len, self._by_rel.values()))
-
-    def __contains__(self, pair: SPPair) -> bool:
-        return pair in self._by_rel[pair.relation]
 
     def value(self, pair: SPPair) -> float:
         return self._by_rel[pair.relation][pair]
@@ -134,8 +120,8 @@ def _unique(rows: Iterable[tuple[int, tuple[SPPair, Any]]], source) -> dict[SPPa
     values = {}
     for lineno, (pair, value) in rows:
         if pair in values:
-            raise DuplicatePairError(f"{source}:{lineno}: duplicate pair {pair.relation} "
-                                     f"{_clip(pair.head)} {_clip(pair.dependent)}")
+            raise GoldFormatError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                                  f"{_clip(pair.head)} {_clip(pair.dependent)}")
         values[pair] = value
     return values
 
@@ -210,7 +196,7 @@ def spearman(x, y) -> float:
     centred ranks, their products and every partial sum below are exact
     in float64 for n up to 300,000; past that, fsum rounds each sum once."""
     if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
+        raise CorrelationError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise CorrelationError(f"need at least 2 observations, got {len(x)}")
     mean = (len(x) + 1) / 2
@@ -346,7 +332,7 @@ def significance(
     b = np.asarray(scores_b, dtype=np.float64)
     g = np.asarray(gold_values, dtype=np.float64)
     if not (len(a) == len(b) == len(g)):
-        raise LengthMismatchError(
+        raise CorrelationError(
             f"score/gold vectors not aligned: {len(a)}, {len(b)}, {len(g)}"
         )
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(g).all()):

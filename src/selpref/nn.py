@@ -34,18 +34,6 @@ class NNError(SelPrefError, ValueError):
     pass
 
 
-class VocabCoverageError(NNError):
-    pass
-
-
-class NegativePoolError(NNError):
-    pass
-
-
-class UntrainedRelationError(NNError):
-    pass
-
-
 @dataclass(frozen=True)
 class NNConfig:
     embedding_dim: int = 50
@@ -174,9 +162,7 @@ class NNModel:
     def score(self, pair: SPPair) -> Optional[float]:
         net = self.nets.get(pair.relation)
         if net is None:
-            raise UntrainedRelationError(
-                f"no network trained for relation {pair.relation.value}"
-            )
+            raise NNError(f"no network trained for relation {pair.relation.value}")
         hi = net.head_index.get(pair.head)
         di = net.dep_index.get(pair.dependent)
         if hi is None or di is None:
@@ -258,11 +244,11 @@ def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
         dep_pool = vocab.dependents_for(rel)
         for head, dep, _ in counts.items(rel):
             if head not in head_pool:
-                raise VocabCoverageError(
+                raise NNError(
                     f"{rel.value}: head {_clip(head)} not in the {rel.head_pos} pool")
             if dep not in dep_pool:
-                raise VocabCoverageError(f"{rel.value}: dependent {_clip(dep)} "
-                                         f"not in the {rel.dependent_pos} pool")
+                raise NNError(f"{rel.value}: dependent {_clip(dep)} "
+                              f"not in the {rel.dependent_pos} pool")
 
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -278,7 +264,7 @@ def nn_train(counts: CountTable, config: NNConfig, vocab: Lexicon) -> NNModel:
         degree = Counter(hi for hi, _, _ in rows)
         for hi, n in degree.items():
             if n == n_deps:
-                raise NegativePoolError(
+                raise NNError(
                     f"{rel.value}: every dependent attested for head {_clip(heads[hi])}, "
                     "nothing left to corrupt with"
                 )

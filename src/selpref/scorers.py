@@ -31,9 +31,7 @@ def pp_score(counts: CountTable, pair: SPPair) -> Optional[float]:
     return counts.count(pair.relation, pair.head, pair.dependent) / denom
 
 
-def ds_score(
-    counts: CountTable, emb: EmbeddingTable, pair: SPPair, head: Optional[tuple] = None
-) -> Optional[float]:
+def ds_score(emb: EmbeddingTable, head: tuple, pair: SPPair) -> Optional[float]:
     """Frequency-weighted mean cosine between the candidate dependent and
     the head's attested dependents.
 
@@ -43,24 +41,21 @@ def ds_score(
     attested has one. The cosines are one mat-vec over the attested rows
     (Erk 2007), each clamped to [-1, 1], which rounding can pass by an ulp
     for (anti)parallel vectors. ``head`` is the pair's head as
-    ``_attested`` prepares it, for a caller that scores several
-    dependents of one head; without it the head is prepared here.
+    ``_attested`` prepares it.
     """
     import numpy as np
 
     target = emb.index.get(pair.dependent)
     if target is None:
         return None
-    if head is None:
-        head = _attested(counts, emb, pair.relation, pair.head)
     rows, norms, weights, total = head
     if not len(weights):
         return None
     target_norm = emb.norms[target]
     if target_norm == 0.0 or not norms.all():
-        from .embeddings import ZeroVectorError
+        from .embeddings import EmbeddingError
 
-        raise ZeroVectorError("cosine of a zero-norm vector is undefined")
+        raise EmbeddingError("cosine of a zero-norm vector is undefined")
     sims = np.clip(rows @ emb.matrix[target] / (norms * target_norm), -1.0, 1.0)
     return float(weights @ sims / total)
 
@@ -109,7 +104,7 @@ class DSModel:
         key = (pair.relation, pair.head)
         if key != self._key:
             self._key, self._head = key, _attested(self.counts, self.emb, *key)
-        return ds_score(self.counts, self.emb, pair, self._head)
+        return ds_score(self.emb, self._head, pair)
 
 
 class LookupModel:

@@ -39,7 +39,7 @@ from selpref.evaluation import (
 )
 from selpref.extract import CountTable, count_conllu
 from selpref.nn import NNConfig, nn_train
-from selpref.scorers import LookupModel, ds_score, pp_score
+from selpref.scorers import DSModel, LookupModel, pp_score
 from selpref.winograd import (
     Outcome,
     bundled_questions,
@@ -173,7 +173,7 @@ def test_c03_ds_hand_example_bounds_and_identity():
         "worm": unit_vector_at(math.acos(0.8)),
         "bread": unit_vector_at(math.acos(0.4)),
     })
-    got = ds_score(counts, emb, SPPair(SPRelation.DOBJ, "eat", "apple"))
+    got = DSModel(counts, emb).score(SPPair(SPRelation.DOBJ, "eat", "apple"))
     assert abs(got - (3 * 0.8 + 1 * 0.4) / 4.0) <= 1e-12
 
     # every defined score on the corpus fixture is a valid cosine average
@@ -187,10 +187,11 @@ def test_c03_ds_hand_example_bounds_and_identity():
     table = embedding_table(
         {w: rng.standard_normal(10) for w in sorted(words)}
     )
+    model = DSModel(fixture_counts, table)
     scored = 0
     for rel in SPRelation:
         for head, dep, _ in fixture_counts.items(rel):
-            value = ds_score(fixture_counts, table, SPPair(rel, head, dep))
+            value = model.score(SPPair(rel, head, dep))
             if value is not None:
                 assert -1.0 <= value <= 1.0
                 scored += 1
@@ -200,7 +201,7 @@ def test_c03_ds_hand_example_bounds_and_identity():
     # dependent: the weighted average collapses to cos(v, v)
     single = CountTable.from_pairs([SPPair(SPRelation.DOBJ, "eat", "worm")])
     basis = embedding_table({"worm": np.array([0.0, 2.5, 0.0])})
-    assert ds_score(single, basis, SPPair(SPRelation.DOBJ, "eat", "worm")) == 1.0
+    assert DSModel(single, basis).score(SPPair(SPRelation.DOBJ, "eat", "worm")) == 1.0
 
 
 # ---- criterion 4: rank correlation ----

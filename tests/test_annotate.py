@@ -8,7 +8,6 @@ import pytest
 from selpref.annotate import (
     RATINGS_COLUMNS,
     AnnotationError,
-    MixedRelationError,
     InsufficientOverlapError,
     RawRating,
     Survey,
@@ -88,7 +87,8 @@ class TestGenerateSurvey:
 
     def test_mixed_relations_rejected(self):
         bad = self.pairs()[:99] + [SPPair(SPRelation.AMOD, "sky", "blue")]
-        with pytest.raises(MixedRelationError):
+        with pytest.raises(AnnotationError,
+                           match=r"^survey mixes relations: \['amod', 'dobj'\]$"):
             generate_survey(bad, self.checkpoints(), seed=1)
 
     def test_json_export(self):

@@ -30,7 +30,7 @@ from selpref.embeddings import EmbeddingTable
 from selpref.evaluation import pseudo_disambiguation
 from selpref.extract import CountTable, generate_candidates
 from selpref.nn import NNConfig, nn_train
-from selpref.scorers import DSModel, PPModel, ds_score, pp_score
+from selpref.scorers import DSModel, PPModel, _attested, ds_score, pp_score
 from selpref.winograd import SUBJECT, Mention, WinogradQuestion, resolve
 
 R = SPRelation.DOBJ
@@ -118,7 +118,7 @@ def test_worlds_grow_around_fixed_queries(worlds):
     small, grown = worlds
     assert small.queries == grown.queries
     assert len(grown.counts.heads(R)) == GROWN * len(small.counts.heads(R))
-    assert len(grown.embeddings) == GROWN * len(small.embeddings)
+    assert len(grown.embeddings.index) == GROWN * len(small.embeddings.index)
     assert len(grown.triplets) == GROWN * len(small.triplets)
 
 
@@ -159,7 +159,9 @@ def test_pp_score(worlds):
 
 
 def test_ds_score(worlds):
-    assert_flat(worlds, lambda w, pair: ds_score(w.counts, w.embeddings, pair))
+    # each query prepares its head afresh
+    assert_flat(worlds, lambda w, pair: ds_score(
+        w.embeddings, _attested(w.counts, w.embeddings, pair.relation, pair.head), pair))
 
 
 def test_ds_model_score(worlds):

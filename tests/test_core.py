@@ -341,6 +341,51 @@ def test_every_public_symbol_is_named_in_the_package_or_perfbench():
     assert sorted(NAMED_NOWHERE_ON_PURPOSE.keys() - set(unnamed)) == []
 
 
+def error_subclasses(sources: list[str]) -> set[str]:
+    """The classes of the modules that derive from an error class of the
+    package other than ``SelPrefError`` itself."""
+    classes = [(node.name, {getattr(b, "id", None) or getattr(b, "attr", None)
+                            for b in node.bases})
+               for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    errors = {"SelPrefError"}
+    while grown := {name for name, bases in classes if bases & errors} - errors:
+        errors |= grown
+    return {name for name, bases in classes if bases & (errors - {"SelPrefError"})}
+
+
+def caught_names(source: str) -> set[str]:
+    """The classes a module's ``except`` clauses and ``_naming(path, error)``
+    calls name."""
+    given = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            given += node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_naming":
+            given += node.args[1:]
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in given}
+
+
+def test_every_error_subclass_is_caught_by_name():
+    """An error class derived from another package error is kept only
+    where code tells it from its parent: by an ``except`` clause or a
+    ``_naming(...)`` call in the package."""
+    src = Path(selpref.__file__).parent
+    sources = [p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))]
+    caught = set().union(*map(caught_names, sources))
+    assert sorted(error_subclasses(sources) - caught) == []
+
+
+def test_error_subclasses_and_caught_names():
+    source = ("class SelPrefError(Exception): pass\n"
+              "class A(SelPrefError, ValueError): pass\n"
+              "class B(A): pass\nclass C(B, ArithmeticError): pass\nclass D(ValueError): pass\n"
+              "try: f()\nexcept (B, m.C) as err: pass\nexcept OSError: pass\n"
+              "with _naming(path.x, A): pass\n")
+    assert error_subclasses([source]) == {"B", "C"}
+    assert caught_names(source) == {"B", "C", "OSError", "A"}
+
+
 def test_public_definitions_and_named_identifiers():
     source = ("import os.path\nfrom .core import SPPair as P\nclass A:\n"
               "    def run(self): return os.path.join(P, self.go, 'nn.NNModel.save', 'a b')\n"

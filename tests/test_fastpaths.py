@@ -25,11 +25,12 @@ that built a pair for every row, and the vectors reader that split every
 line and parsed each component with float(), the counts writer that
 sorted a relation's rows at once, and the candidate and confounder
 draws that rebuilt the lexicon pool for every head and every pair.
-``ds_score`` pair by pair
-is the reference for ``DSModel``, which keeps its last head prepared.
+``ds_score`` with each
+pair's head prepared afresh is the reference for ``DSModel``, which
+keeps its last head prepared.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
-another order), with the same None / ZeroVectorError outcomes, and
-``DSModel`` bit for bit, or the same ZeroVectorError; CoNLL-U
+another order), with the same None / zero-norm EmbeddingError outcomes, and
+``DSModel`` bit for bit, or the same EmbeddingError; CoNLL-U
 counting with the same error text and the same warnings in order, the
 reader's rows as the old tokens and the rules' pairs as the old pairs
 or the same lemma error; OMCS index tables, witnesses and matrices
@@ -74,7 +75,6 @@ from selpref.annotate import (
     RATINGS_COLUMNS,
     AnnotationError,
     InsufficientOverlapError,
-    MixedRelationError,
     RawRating,
     _leave_one_out,
     generate_survey,
@@ -120,8 +120,6 @@ from selpref.core import (
 from selpref.embeddings import (
     EmbeddingError,
     EmbeddingTable,
-    EmptyEmbeddingFile,
-    ZeroVectorError,
     _non_finite_row,
     load_embeddings,
 )
@@ -130,7 +128,6 @@ from selpref.evaluation import (
     ConfounderPoolError,
     ConstantInputError,
     CorrelationError,
-    DuplicatePairError,
     GoldFormatError,
     GoldSet,
     NoTestPairsError,
@@ -164,8 +161,8 @@ from selpref.extract import (
     write_counts,
 )
 from selpref.lemmatize import lemmatize
-from selpref.nn import NegativePoolError, NNConfig, NNError, NNModel, VocabCoverageError, nn_train
-from selpref.scorers import DSModel, LookupModel, PPModel, ds_score
+from selpref.nn import NNConfig, NNError, NNModel, nn_train
+from selpref.scorers import DSModel, LookupModel, PPModel, _attested, ds_score
 from selpref.winograd import (
     OBJECT,
     SUBJECT,
@@ -247,25 +244,25 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine of a zero-norm vector is undefined")
+        raise EmbeddingError("cosine of a zero-norm vector is undefined")
     # rounding can push dot/(na*nb) an ulp past +-1 for (anti)parallel
     # vectors; clamp so downstream averages stay inside [-1, 1]
     return max(-1.0, min(1.0, float(np.dot(a, b) / (na * nb))))
 
 
 def scalar_ds_score(counts, emb, pair):
-    target = emb.get(pair.dependent)
-    if target is None:
+    if pair.dependent not in emb.index:
         return None
+    target = emb.matrix[emb.index[pair.dependent]]
     attested = counts.dependents_of(pair.relation, pair.head)
     if not attested:
         return None
     num = 0.0
     z = 0.0
     for dep, weight in attested.items():
-        vec = emb.get(dep)
-        if vec is None:
+        if dep not in emb.index:
             continue
+        vec = emb.matrix[emb.index[dep]]
         num += weight * cosine(target, vec)
         z += weight
     if z == 0.0:
@@ -420,11 +417,20 @@ def random_embeddings(rng, words, dim, with_zero):
     return embedding_table(vectors)
 
 
+ZERO_NORM = "cosine of a zero-norm vector is undefined"
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except ZeroVectorError:
-        return ZeroVectorError
+    except EmbeddingError as err:
+        assert str(err) == ZERO_NORM
+        return EmbeddingError
+
+
+def fresh_ds_score(counts, emb, pair):
+    """``ds_score`` with the pair's head prepared for this pair alone."""
+    return ds_score(emb, _attested(counts, emb, pair.relation, pair.head), pair)
 
 
 class TestDS:
@@ -443,12 +449,13 @@ class TestDS:
                     pairs += [SPPair(SPRelation.DOBJ, f"h{h}", dep)] * rng.choice([1, 1, 3])
             table = CountTable.from_pairs(pairs)
             flat = FlatCountTable.from_pairs(pairs)
+            model = DSModel(table, emb)
             for head in [f"h{h}" for h in range(6)]:  # h5 is never seen
                 for dep in words + ["no-vector"]:
                     pair = SPPair(SPRelation.DOBJ, head, dep)
                     want = outcome(scalar_ds_score, flat, emb, pair)
-                    got = outcome(ds_score, table, emb, pair)
-                    if want is None or want is ZeroVectorError:
+                    got = outcome(model.score, pair)
+                    if want is None or want is EmbeddingError:
                         assert got is want, (trial, pair)
                         checked["none" if want is None else "zero"] += 1
                     else:
@@ -462,7 +469,7 @@ class TestDS:
         table = CountTable.from_pairs([SPPair(SPRelation.DOBJ, "eat", "fish")])
         pair = SPPair(SPRelation.DOBJ, "drink", "zero")
         assert scalar_ds_score(table, emb, pair) is None
-        assert ds_score(table, emb, pair) is None
+        assert DSModel(table, emb).score(pair) is None
 
     def test_zero_norm_target_raises_only_with_an_embedded_attested(self):
         emb = embedding_table({"zero": np.zeros(2), "fish": np.ones(2)})
@@ -470,20 +477,20 @@ class TestDS:
             SPPair(SPRelation.DOBJ, "eat", "fish"),
             SPPair(SPRelation.DOBJ, "drink", "no-vector"),
         ])
-        with pytest.raises(ZeroVectorError):
-            ds_score(table, emb, SPPair(SPRelation.DOBJ, "eat", "zero"))
-        assert ds_score(table, emb, SPPair(SPRelation.DOBJ, "drink", "zero")) is None
+        with pytest.raises(EmbeddingError, match=f"^{ZERO_NORM}$"):
+            DSModel(table, emb).score(SPPair(SPRelation.DOBJ, "eat", "zero"))
+        assert DSModel(table, emb).score(SPPair(SPRelation.DOBJ, "drink", "zero")) is None
 
     def test_embedding_rows_are_the_given_vectors(self):
         rng = np.random.default_rng(7)
         vectors = {f"w{i}": rng.normal(size=5) for i in range(20)}
         emb = EmbeddingTable(list(vectors), np.array(list(vectors.values())))
         for w, v in vectors.items():
-            assert np.array_equal(emb.get(w), v)
+            assert np.array_equal(emb.matrix[emb.index[w]], v)
             assert emb.norms[emb.index[w]] == pytest.approx(np.linalg.norm(v), rel=1e-15)
-        assert emb.get("absent") is None
+        assert "absent" not in emb.index
         with pytest.raises(ValueError):
-            emb.get("w0")[0] = 1.0
+            emb.matrix[emb.index["w0"]][0] = 1.0
 
 
     def test_loaded_matrix_matches_per_word_vectors(self, tmp_path):
@@ -525,7 +532,7 @@ class TestDS:
 
     @staticmethod
     def bits(value):
-        return value if value is None or value is ZeroVectorError else np.float64(value).tobytes()
+        return value if value is None or value is EmbeddingError else np.float64(value).tobytes()
 
     def test_model_memo_matches_ds_score_bit_for_bit(self):
         rng = random.Random(707)
@@ -539,7 +546,7 @@ class TestDS:
             for order in (grouped, interleaved, repeated, shuffled):
                 model = DSModel(table, emb)  # each order starts cold
                 for pair in order:
-                    want = self.bits(outcome(ds_score, table, emb, pair))
+                    want = self.bits(outcome(fresh_ds_score, table, emb, pair))
                     assert self.bits(outcome(model.score, pair)) == want, pair
                     checked["value" if isinstance(want, bytes) else str(want)] += 1
         assert len(checked) == 3 and min(checked.values()) > 500, checked
@@ -582,7 +589,7 @@ class TestCosine:
         assert cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == pytest.approx(0.0)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(EmbeddingError, match=f"^{ZERO_NORM}$"):
             cosine(np.zeros(2), np.ones(2))
 
 
@@ -624,7 +631,7 @@ def old_load_embeddings(path) -> EmbeddingTable:
                 words[word] = lineno
                 buf.extend(vec)
     if not words:
-        raise EmptyEmbeddingFile(f"{path}: empty embedding file")
+        raise EmbeddingError(f"{path}: empty embedding file")
     if lineno > len(words):  # every line read is kept or a duplicate
         old_vectors_log.warning("%s: %d duplicate words ignored (first kept)", path,
                                 lineno - len(words))
@@ -714,12 +721,17 @@ class TestLoadEmbeddings:
             got = vectors_outcome(load_embeddings, path, caplog)
             assert got == want, (case, path.read_bytes()[:200])
             assert opened == [path]
-            kind = "ok" if isinstance(want[0][0], list) else want[0][0].__name__
+            if isinstance(want[0][0], list):
+                kind = "ok"
+            elif want[0][1].endswith(": empty embedding file"):
+                kind = "empty"
+            else:
+                kind = want[0][0].__name__
             checked[kind] += 1
             checked[kind, "lines" if line_reads[-1:] == [path] else "numpy"] += 1
             checked["duplicates"] += bool(want[1])
         for kind in [("ok", "numpy"), ("ok", "lines"), ("EmbeddingError", "numpy"),
-                     ("EmbeddingError", "lines"), "EmptyEmbeddingFile", "InputDecodeError",
+                     ("EmbeddingError", "lines"), "empty", "InputDecodeError",
                      "duplicates"]:
             assert checked[kind] >= 10, checked
 
@@ -1623,11 +1635,11 @@ def old_nn_train(corpus_pairs, config, vocab):
         dep_pool = vocab.pool(rel.dependent_pos)
         for p in pairs:
             if p.head not in head_pool:
-                raise VocabCoverageError(
+                raise NNError(
                     f"{rel.value}: head {p.head!r} not in the {rel.head_pos} pool"
                 )
             if p.dependent not in dep_pool:
-                raise VocabCoverageError(
+                raise NNError(
                     f"{rel.value}: dependent {p.dependent!r} not in the "
                     f"{rel.dependent_pos} pool"
                 )
@@ -1650,7 +1662,7 @@ def old_nn_train(corpus_pairs, config, vocab):
         for hi, seen in attested.items():
             if len(seen) == len(deps):
                 head = heads[hi] if hi < len(heads) else hi
-                raise NegativePoolError(
+                raise NNError(
                     f"{rel.value}: every dependent attested for head {head!r}, "
                     "nothing left to corrupt with"
                 )
@@ -1865,7 +1877,7 @@ class OldSurvey:
         if n_cp != CHECKPOINTS_PER_SURVEY:
             raise AnnotationError(f"survey must hold 3 checkpoints, got {n_cp}")
         if any(q.pair.relation is not self.relation for q in self.questions):
-            raise MixedRelationError("survey mixes relations")
+            raise AnnotationError("survey mixes relations")
 
     def to_dict(self) -> dict:
         return {
@@ -1905,7 +1917,7 @@ def old_generate_survey(pairs, checkpoints, seed=0):
         )
     relations = {p.relation for p in pairs} | {p.relation for p, _ in checkpoints}
     if len(relations) != 1:
-        raise MixedRelationError(f"survey mixes relations: {sorted(r.value for r in relations)}")
+        raise AnnotationError(f"survey mixes relations: {sorted(r.value for r in relations)}")
     (relation,) = relations
     for _, expected in checkpoints:
         if not expected or not all(RATING_MIN <= e <= RATING_MAX for e in expected):
@@ -1930,7 +1942,7 @@ class OldGoldSet:
         for pair, value in entries:
             check_plausibility(value)
             if pair in self._scores:
-                raise DuplicatePairError(f"duplicate gold pair: {pair}")
+                raise GoldFormatError(f"duplicate gold pair: {pair}")
             self._scores[pair] = value
             self._by_rel[pair.relation].append(pair)
 
@@ -2066,9 +2078,9 @@ class TestGoldSet:
                 assert new.pairs(rel) == old.pairs(rel)
             assert list(new.items()) == list(old.items())
             assert new.relations() == old.relations()
-            assert len(new) == len(old)
+            assert len(new.pairs()) == len(old)
             for pair in probes:
-                assert (pair in new) == (pair in old)
+                assert (pair in new.pairs()) == (pair in old)
                 if pair in old:
                     assert new.value(pair) == old.value(pair)
         assert min(seen.values()) > 20, seen
@@ -2104,8 +2116,8 @@ def old_add_value(values, source, lineno, fields, gold):
     except SelPrefError as err:
         raise GoldFormatError(f"{source}:{lineno}: {err}") from None
     if pair in values:
-        raise DuplicatePairError(f"{source}:{lineno}: duplicate pair {pair.relation} "
-                                 f"{_clip(pair.head)} {_clip(pair.dependent)}")
+        raise GoldFormatError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                              f"{_clip(pair.head)} {_clip(pair.dependent)}")
     values[pair] = value
 
 
@@ -2124,8 +2136,8 @@ def old_read_checkpoints(fh, source, relation):
         except SelPrefError as err:
             raise AnnotationError(f"{source}:{lineno}: {err}") from None
         if relation not in (None, pair.relation):
-            raise MixedRelationError(f"{source}:{lineno}: checkpoint relation "
-                                     f"{pair.relation}, survey relation {relation}")
+            raise AnnotationError(f"{source}:{lineno}: checkpoint relation "
+                                  f"{pair.relation}, survey relation {relation}")
         out.append((pair, expected))
     if len(out) != CHECKPOINTS_PER_SURVEY:
         raise AnnotationError(f"{source}: need exactly {CHECKPOINTS_PER_SURVEY} "
@@ -2274,7 +2286,8 @@ class TestRowReaders:
                 assert list(new_scores.items()) == list(old_scores.items())
             for outcome_ in (old, old_scores):
                 seen[outcome_[0].__name__ if isinstance(outcome_, tuple) else "ok"] += 1
-        assert {"ok", "GoldFormatError", "DuplicatePairError"} <= set(seen), seen
+                seen["duplicate"] += isinstance(outcome_, tuple) and "duplicate pair" in outcome_[1]
+        assert {"ok", "GoldFormatError", "duplicate"} <= set(seen), seen
         assert min(seen.values()) > 40, seen
 
     def test_checkpoints_match_reference(self):
@@ -2293,10 +2306,11 @@ class TestRowReaders:
                 assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv", relation) == old
                 seen[old[0].__name__ if isinstance(old, tuple) else "ok"] += 1
                 seen["duplicate"] += isinstance(old, tuple) and "duplicate pair" in old[1]
+                seen["mixed"] += isinstance(old, tuple) and "survey relation" in old[1]
             # without a relation, the rows must share the first row's
             old = checkpoints_outcome(text, first_relation(text))
             assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv") == old
-        assert {"ok", "AnnotationError", "MixedRelationError", "duplicate"} <= set(seen), seen
+        assert {"ok", "AnnotationError", "mixed", "duplicate"} <= set(seen), seen
         assert min(seen.values()) > 40, seen
 
 

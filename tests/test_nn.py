@@ -14,12 +14,9 @@ import selpref
 from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
 from selpref.extract import CountTable
 from selpref.nn import (
-    NegativePoolError,
     NNConfig,
     NNError,
     NNModel,
-    UntrainedRelationError,
-    VocabCoverageError,
     _RelationNet,
     nn_train,
 )
@@ -108,7 +105,7 @@ def test_oov_returns_missing():
 
 def test_untrained_relation_raises():
     model = nn_train(planted_corpus(n=50), SMALL, VOCAB)
-    with pytest.raises(UntrainedRelationError):
+    with pytest.raises(NNError, match="^no network trained for relation amod$"):
         model.score(SPPair(SPRelation.AMOD, "fish", "fresh"))
 
 
@@ -125,7 +122,7 @@ def test_vocab_coverage_enforced():
         nouns=frozenset({"x", "y", "u", "v"}),
         adjectives=frozenset(),
     )
-    with pytest.raises(VocabCoverageError):
+    with pytest.raises(NNError, match="^dobj: head 'b' not in the verb pool$"):
         nn_train(planted_corpus(n=50), SMALL, bad_vocab)
 
 
@@ -135,7 +132,8 @@ def test_negative_pool_exhaustion():
         nouns=frozenset({"x"}),
         adjectives=frozenset(),
     )
-    with pytest.raises(NegativePoolError):
+    with pytest.raises(NNError, match="^dobj: every dependent attested for head 'a', "
+                                      "nothing left to corrupt with$"):
         nn_train(CountTable.from_pairs([SPPair(R, "a", "x")]),
                  NNConfig(embedding_dim=4, hidden_dim=4), vocab)
 

@@ -9,12 +9,10 @@ from selpref.core import SPPair, SPRelation
 from selpref.embeddings import (
     EmbeddingError,
     EmbeddingTable,
-    EmptyEmbeddingFile,
-    ZeroVectorError,
     load_embeddings,
 )
 from selpref.extract import CountTable
-from selpref.scorers import DSModel, LookupModel, PPModel, ds_score, pp_score
+from selpref.scorers import DSModel, LookupModel, PPModel, pp_score
 
 R = SPRelation.DOBJ
 
@@ -22,6 +20,11 @@ R = SPRelation.DOBJ
 def embedding_table(vectors: dict) -> EmbeddingTable:
     """The table of a word -> vector dict, rows in its order."""
     return EmbeddingTable(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
+
+
+def ds(counts, emb, pair):
+    """``ds_score`` through its one caller, the ``ds`` model."""
+    return DSModel(counts, emb).score(pair)
 
 
 def table(*entries):
@@ -80,30 +83,30 @@ class TestDS:
 
     def test_hand_example(self):
         t = table(("eat", "close", 3), ("eat", "far", 1))
-        got = ds_score(t, self.emb(), SPPair(R, "eat", "query"))
+        got = ds(t, self.emb(), SPPair(R, "eat", "query"))
         assert got == pytest.approx((3 * 0.8 + 1 * 0.4) / 4, abs=1e-12)
 
     def test_identity_dependent(self):
         t = table(("eat", "same", 5))
-        got = ds_score(t, self.emb(), SPPair(R, "eat", "query"))
+        got = ds(t, self.emb(), SPPair(R, "eat", "query"))
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_unseen_head_missing(self):
         t = table(("eat", "close", 1))
-        assert ds_score(t, self.emb(), SPPair(R, "drink", "query")) is None
+        assert ds(t, self.emb(), SPPair(R, "drink", "query")) is None
 
     def test_no_embedding_for_dependent_missing(self):
         t = table(("eat", "close", 1))
-        assert ds_score(t, self.emb(), SPPair(R, "eat", "zebra")) is None
+        assert ds(t, self.emb(), SPPair(R, "eat", "zebra")) is None
 
     def test_attested_without_embeddings_drop_from_z(self):
         t = table(("eat", "close", 3), ("eat", "zebra", 97))
-        got = ds_score(t, self.emb(), SPPair(R, "eat", "query"))
+        got = ds(t, self.emb(), SPPair(R, "eat", "query"))
         assert got == pytest.approx(0.8, abs=1e-12)
 
     def test_all_attested_unembedded_missing(self):
         t = table(("eat", "zebra", 4))
-        assert ds_score(t, self.emb(), SPPair(R, "eat", "query")) is None
+        assert ds(t, self.emb(), SPPair(R, "eat", "query")) is None
 
     def test_bounded(self):
         rng = random.Random(23)
@@ -115,15 +118,15 @@ class TestDS:
         entries = [("eat", w, rng.randint(1, 9)) for w in words[:20]]
         t = table(*entries)
         for w in words:
-            got = ds_score(t, emb, SPPair(R, "eat", w))
+            got = ds(t, emb, SPPair(R, "eat", w))
             assert got is not None
             assert -1.0 - 1e-12 <= got <= 1.0 + 1e-12
 
     def test_zero_vector_is_an_error(self):
         emb = embedding_table({"a": np.zeros(3), "b": np.ones(3)})
         t = table(("eat", "a", 1))
-        with pytest.raises(ZeroVectorError):
-            ds_score(t, emb, SPPair(R, "eat", "b"))
+        with pytest.raises(EmbeddingError, match="^cosine of a zero-norm vector is undefined$"):
+            ds(t, emb, SPPair(R, "eat", "b"))
 
 
 class TestLoadEmbeddings:
@@ -144,7 +147,7 @@ class TestLoadEmbeddings:
                             lambda path, _open=embeddings.open_input:
                             opened.append(path) or _open(path))
         if fault is None:
-            assert len(load_embeddings(p)) == 2
+            assert len(load_embeddings(p).index) == 2
         else:
             with pytest.raises(EmbeddingError) as exc:
                 load_embeddings(p)
@@ -158,13 +161,13 @@ class TestLoadEmbeddings:
         p.write_text("air 0.1 0.2\nwater -1 2.5\n")
         emb = load_embeddings(p)
         assert emb.matrix.shape == (2, 2)
-        assert len(emb) == 2
-        assert np.allclose(emb.get("water"), [-1.0, 2.5])
+        assert len(emb.index) == 2
+        assert np.allclose(emb.matrix[emb.index["water"]], [-1.0, 2.5])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("")
-        with pytest.raises(EmptyEmbeddingFile):
+        with pytest.raises(EmbeddingError, match="empty embedding file$"):
             load_embeddings(p)
 
     def test_dimension_change_names_line(self, tmp_path):
@@ -178,7 +181,12 @@ class TestLoadEmbeddings:
         p = tmp_path / "emb.txt"
         p.write_text("a 1 2\na 9 9\n")
         emb = load_embeddings(p)
-        assert np.allclose(emb.get("a"), [1.0, 2.0])
+        assert np.allclose(emb.matrix[emb.index["a"]], [1.0, 2.0])
+
+    def test_non_finite_row_echoes_a_clipped_word(self):
+        with pytest.raises(EmbeddingError) as exc:
+            EmbeddingTable(["a", "w" * 5000], np.array([[1.0, 1.0], [np.nan, 1.0]]))
+        assert len(str(exc.value)) < 100
 
     def test_non_numeric_component(self, tmp_path):
         p = tmp_path / "emb.txt"
