@@ -25,9 +25,8 @@ that built a pair for every row, and the vectors reader that split every
 line and parsed each component with float(), the counts writer that
 sorted a relation's rows at once, and the candidate and confounder
 draws that rebuilt the lexicon pool for every head and every pair.
-``ds_score`` with each
-pair's head prepared afresh is the reference for ``DSModel``, which
-keeps its last head prepared.
+``ds_score`` with each pair's head prepared afresh is the reference
+for ``DSModel``, which keeps its last head prepared.
 Counts must match exactly; ``ds`` within 1e-12 (the mat-vec sums in
 another order), with the same None / zero-norm EmbeddingError outcomes, and
 ``DSModel`` bit for bit, or the same EmbeddingError; CoNLL-U
