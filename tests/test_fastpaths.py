@@ -2283,9 +2283,10 @@ class TestRowReaders:
             assert new_scores == old_scores
             if isinstance(new_scores, dict):
                 assert list(new_scores.items()) == list(old_scores.items())
-            for outcome_ in (old, old_scores):
-                seen[outcome_[0].__name__ if isinstance(outcome_, tuple) else "ok"] += 1
-                seen["duplicate"] += isinstance(outcome_, tuple) and "duplicate pair" in outcome_[1]
+            for outcome_ in (old, old_scores):  # each outcome counts under one key
+                seen["ok" if not isinstance(outcome_, tuple) else
+                     "duplicate" if "duplicate pair" in outcome_[1] else
+                     outcome_[0].__name__] += 1
         assert {"ok", "GoldFormatError", "duplicate"} <= set(seen), seen
         assert min(seen.values()) > 40, seen
 
@@ -2303,9 +2304,9 @@ class TestRowReaders:
             for relation in (SPRelation.DOBJ, SPRelation.NSUBJ):
                 old = checkpoints_outcome(text, relation)
                 assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv", relation) == old
-                seen[old[0].__name__ if isinstance(old, tuple) else "ok"] += 1
-                seen["duplicate"] += isinstance(old, tuple) and "duplicate pair" in old[1]
-                seen["mixed"] += isinstance(old, tuple) and "survey relation" in old[1]
+                seen["ok" if not isinstance(old, tuple) else
+                     "duplicate" if "duplicate pair" in old[1] else
+                     "mixed" if "survey relation" in old[1] else old[0].__name__] += 1
             # without a relation, the rows must share the first row's
             old = checkpoints_outcome(text, first_relation(text))
             assert read_outcome(read_checkpoints, io.StringIO(text), "t.tsv") == old
