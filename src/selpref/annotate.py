@@ -18,10 +18,6 @@ class AnnotationError(SelPrefError, ValueError):
     pass
 
 
-class InsufficientOverlapError(AnnotationError):
-    pass
-
-
 RATING_MIN = 1
 RATING_MAX = 5
 
@@ -206,13 +202,13 @@ def _leave_one_out(by_annotator: dict[str, dict[SPPair, float]]) -> list[float]:
         shared = [(mine[pair], (total[pair] - mine[pair]) / (count[pair] - 1))
                   for pair in mine if count[pair] > 1]
         if len(shared) < 2:
-            raise InsufficientOverlapError(
+            raise AnnotationError(
                 f"annotator {_clip(ann_id)} shares fewer than 2 pairs with the rest"
             )
         try:
             rhos.append(spearman([a for a, _ in shared], [b for _, b in shared]))
         except ConstantInputError as err:
-            raise InsufficientOverlapError(f"annotator {_clip(ann_id)}: {err}") from None
+            raise AnnotationError(f"annotator {_clip(ann_id)}: {err}") from None
     return rhos
 
 
@@ -228,12 +224,12 @@ def iaa(kept: list[RawRating]) -> tuple[dict[SPRelation, float], float]:
             r.annotator_id, {}
         )[r.pair] = float(r.rating)
     if not by_rel:
-        raise InsufficientOverlapError("no non-checkpoint ratings")
+        raise AnnotationError("no non-checkpoint ratings")
     per_relation = {}
     for rel in sorted(by_rel):
         annotators = by_rel[rel]
         if len(annotators) < 2:
-            raise InsufficientOverlapError(
+            raise AnnotationError(
                 f"{rel.value}: need at least 2 annotators, got {len(annotators)}"
             )
         rhos = _leave_one_out(annotators)

@@ -26,19 +26,21 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .core import (
-    EmptyPoolError,
+    SCHEMA_VERSION,
     Lexicon,
+    LexiconError,
     SelPrefError,
     _clip,
     _load_json,
     _shown,
     open_input,
+    open_output,
     parse_relation,
 )
 from .evaluation import (
@@ -163,13 +165,10 @@ def _config(args: argparse.Namespace) -> dict:
     return config
 
 
-@contextmanager
 def _open_out(path: Optional[str]):
     if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return nullcontext(sys.stdout)
+    return open_output(path, encoding="utf-8", newline="")
 
 
 def _write_json(path: Optional[str], doc: dict, args: argparse.Namespace) -> None:
@@ -260,7 +259,7 @@ def cmd_candidates(args, parser) -> int:
     args.relation = relation.value  # echoed normalized
     counts = _read(read_counts, args.counts)
     lexicon = Lexicon.from_tsv(args.lexicon)
-    with _naming(args.lexicon, EmptyPoolError):
+    with _naming(args.lexicon, LexiconError):
         cands = generate_candidates(
             counts, lexicon, relation,
             heads_per_relation=args.heads_per_relation,
@@ -282,7 +281,7 @@ def cmd_score(args, parser) -> int:
 
 
 def cmd_train_nn(args, parser) -> int:
-    from .nn import NNConfig, nn_train
+    from .nn import NNConfig, NNError, nn_train
 
     nn_config = NNConfig(
         embedding_dim=args.embedding_dim,
@@ -296,7 +295,7 @@ def cmd_train_nn(args, parser) -> int:
     )
     counts = _read(read_counts, args.counts)
     vocab = Lexicon.from_tsv(args.lexicon)
-    with _naming(args.lexicon, EmptyPoolError):
+    with _naming(args.lexicon, LexiconError), _naming(args.counts, NNError):
         model = nn_train(counts, nn_config, vocab)
     model.save(args.out)
     for rel, net in sorted(model.nets.items()):
@@ -319,7 +318,7 @@ def cmd_pseudo(args, parser) -> int:
     model = _build_model(args, parser)
     pairs = _read(read_pairs, args.pairs)
     vocab = Lexicon.from_tsv(args.lexicon)
-    with _naming(args.pairs, NoTestPairsError), _naming(args.lexicon, EmptyPoolError):
+    with _naming(args.pairs, NoTestPairsError), _naming(args.lexicon, LexiconError):
         accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
     _write_json(args.out, {"accuracy": accuracy, "n_pairs": len(pairs)}, args)
     return 0
@@ -347,10 +346,10 @@ def cmd_aggregate(args, parser) -> int:
 
 
 def cmd_iaa(args, parser) -> int:
-    from .annotate import InsufficientOverlapError, filter_annotations, iaa, read_ratings
+    from .annotate import AnnotationError, filter_annotations, iaa, read_ratings
 
     kept, rejections = filter_annotations(_read(read_ratings, args.ratings))
-    with _naming(args.ratings, InsufficientOverlapError):
+    with _naming(args.ratings, AnnotationError):
         per_relation, overall = iaa(kept)
     _write_json(args.out, {
         "per_relation": {r.value: v for r, v in sorted(per_relation.items())},
@@ -441,17 +440,6 @@ def _typed(convert):
 _int, _float = _typed(int), _typed(float)
 
 
-class _Version(argparse._VersionAction):
-    """argparse's --version, whose text names the questions schema: it is
-    formatted when asked for, so only then is winograd imported."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from .winograd import SCHEMA_VERSION
-
-        self.version = self.version.format(schema=SCHEMA_VERSION)
-        super().__call__(parser, namespace, values, option_string)
-
-
 def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=CHOICES["backend"],
                      help="scoring backend (default: pp)")
@@ -475,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     formats = (f"formats: counts '{COUNTS_HEADER}', candidates "
                f"'{CANDIDATES_HEADER}', scores '{SCORES_HEADER}', gold "
-               f"'{GOLD_HEADER}', questions schema {{schema}}")
-    parser.add_argument("--version", action=_Version,
+               f"'{GOLD_HEADER}', questions schema {SCHEMA_VERSION}")
+    parser.add_argument("--version", action="version",
                         version=f"selpref {__version__} ({formats})")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -1,15 +1,17 @@
 """Shared domain types: relations, pairs, plausibility range, vocabulary,
-and the opener every input file goes through."""
+and the openers every input and every output file goes through."""
 
 from __future__ import annotations
 
 import enum
 import gzip
 import json
+import os
+import tempfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import IO, Any, Callable, Iterable, Iterator, TextIO
 
 
 class SelPrefError(Exception):
@@ -118,6 +120,9 @@ class SPPair:
 PLAUSIBILITY_MIN = 0.0
 PLAUSIBILITY_MAX = 10.0
 
+# the winograd questions schema, here so that --version names it without winograd
+SCHEMA_VERSION = 1
+
 
 def check_plausibility(value: float) -> float:
     """Validate a plausibility score, returning it unchanged."""
@@ -187,13 +192,33 @@ def _first_bad_line(path, gz: bool, err: Exception) -> str:
     return f"{path}: {err}"
 
 
+@contextmanager
+def open_output(path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open ``path`` for writing through a temporary file beside it that replaces ``path``
+    as the block ends or is deleted if it raises; /dev/null and the like are written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # a symlink is written through, as open() does
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".selpref-")
+    except OSError as err:  # named as given, not by the temporary name
+        raise type(err)(err.errno, err.strerror, os.fspath(path)) from None
+    os.umask(umask := os.umask(0))  # the umask, read by setting it back
+    try:
+        with open(fd, mode, **kwargs) as fh:  # with the mode open(path, "w") gives, not 0600
+            os.fchmod(fd, os.stat(path).st_mode & 0o7777 if os.path.isfile(path)
+                      else 0o666 & ~umask)
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class LexiconError(SelPrefError, ValueError):
     pass
-
-
-class EmptyPoolError(LexiconError):
-    """The lexicon has no word of the class a relation draws from. It
-    names no file: a caller that knows the lexicon's path puts it first."""
 
 
 @dataclass(frozen=True)
@@ -237,7 +262,7 @@ class Lexicon:
         """The non-empty pool a relation's heads or dependents come from."""
         words = self.pool(pos)
         if not words:
-            raise EmptyPoolError(f"no {pos} entries, needed for {relation.value} {role}s")
+            raise LexiconError(f"no {pos} entries, needed for {relation.value} {role}s")
         return words
 
     @classmethod

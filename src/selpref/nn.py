@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import Lexicon, SelPrefError, SPPair, SPRelation, _clip, _shown, parse_relation
+from .core import (Lexicon, SelPrefError, SPPair, SPRelation, _clip, _shown, open_output,
+                   parse_relation)
 
 if TYPE_CHECKING:
     from .extract import CountTable
@@ -187,7 +188,7 @@ class NNModel:
         # np.savez stamps zip entries with the current time; write the
         # archive by hand with a fixed date so identical models produce
         # identical bytes
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        with open_output(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
             for name in sorted(arrays):
                 buf = io.BytesIO()
                 np.lib.format.write_array(buf, np.asarray(arrays[name]),

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, TextIO
 
-from .core import SelPrefError, SPPair, SPRelation, _check_lemma, _load_json, _shown
+from .core import (SCHEMA_VERSION, SelPrefError, SPPair, SPRelation, _check_lemma, _load_json,
+                   _shown)
 from .scorers import ScoreModel
 
 
 class WinogradError(SelPrefError, ValueError):
     pass
 
-
-SCHEMA_VERSION = 1
 
 SUBJECT, OBJECT = "subject", "object"
 
@@ -125,29 +125,15 @@ class AccuracySummary:
         return (self.correct + self.na / 2.0) / self.total
 
     def to_dict(self) -> dict:
-        return {
-            "correct": self.correct,
-            "wrong": self.wrong,
-            "na": self.na,
-            "total": self.total,
-            "ap": self.ap,
-            "ao": self.ao,
-        }
+        return {**asdict(self), "total": self.total, "ap": self.ap, "ao": self.ao}
 
 
 def score_accuracy(predictions: Iterable[Prediction]) -> AccuracySummary:
-    counts = {Outcome.CORRECT: 0, Outcome.WRONG: 0, Outcome.NA: 0}
-    n = 0
-    for p in predictions:
-        counts[p.outcome] += 1
-        n += 1
-    if n == 0:
+    counts = Counter(p.outcome for p in predictions)
+    if not counts:
         raise WinogradError("no predictions to score")
-    return AccuracySummary(
-        correct=counts[Outcome.CORRECT],
-        wrong=counts[Outcome.WRONG],
-        na=counts[Outcome.NA],
-    )
+    return AccuracySummary(correct=counts[Outcome.CORRECT], wrong=counts[Outcome.WRONG],
+                           na=counts[Outcome.NA])
 
 
 def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestion]:
@@ -159,8 +145,7 @@ def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestio
     if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1
         raise WinogradError(f"{source}: unsupported schema_version "
                             f"{_shown(repr(version))}")
-    out = []
-    seen = set()
+    out: dict[str, WinogradQuestion] = {}
     for i, rec in enumerate(doc["questions"]):
         try:
             q = WinogradQuestion(
@@ -177,11 +162,10 @@ def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestio
             )
         except (KeyError, TypeError, SelPrefError) as err:
             raise WinogradError(f"{source}: question #{i}: {err}") from None
-        if q.id in seen:
+        if q.id in out:
             raise WinogradError(f"{source}: duplicate question id {_shown(q.id)}")
-        seen.add(q.id)
-        out.append(q)
-    return out
+        out[q.id] = q
+    return list(out.values())
 
 
 def bundled_questions() -> list[WinogradQuestion]:

@@ -476,7 +476,17 @@ def test_train_nn_instances_past_memory_exit_1(tmp_path, corpus, capsys, monkeyp
                "--seed", "1", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: dobj: 1000000000000 training instances do not fit in memory\n")
+        f"error: {counts}: dobj: 1000000000000 training instances do not fit in memory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "#sp-counts v1\n"], ids=["empty", "header only"])
+def test_train_nn_on_counts_without_rows_names_the_file(tmp_path, capsys, text):
+    counts = write(tmp_path / "counts.tsv", text)
+    out = tmp_path / "model.npz"
+    assert main(["train-nn", "--counts", counts, "--lexicon", make_lexicon(tmp_path),
+                 "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {counts}: empty training stream\n"
     assert not out.exists()
 
 
@@ -1062,6 +1072,22 @@ def test_score_output_reads_back_as_lookup_scores(tmp_path, corpus, capsys):
     assert "nsubj     0.5000  0.667" in direct   # the NA pair counts as uncovered
 
 
+@pytest.mark.parametrize("before", [None, "#an earlier artifact\n"], ids=["new", "existing"])
+def test_a_failed_score_leaves_no_partial_artifact(tmp_path, capsys, before):
+    counts = write(tmp_path / "counts.tsv", "dobj\teat\tapple\t3\n")
+    vectors = write(tmp_path / "vectors.txt", "eat 1 0\napple 1 0\npear 0 0\n")
+    pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tapple\ndobj\teat\tpear\n")
+    out = tmp_path / "out.tsv"
+    if before is not None:
+        out.write_text(before, encoding="utf-8")
+    assert main(["score", "--backend", "ds", "--counts", counts, "--embeddings", vectors,
+                 "--pairs", pairs, "--out", str(out)]) == 1
+    assert "zero-norm vector" in capsys.readouterr().err
+    left = {"counts.tsv", "vectors.txt", "pairs.tsv"} | ({"out.tsv"} if before else set())
+    assert {p.name for p in tmp_path.iterdir()} == left  # no temporary file either
+    assert (out.read_text(encoding="utf-8") if before else None) == before
+
+
 def test_nn_model_that_is_not_npz_exit_1(tmp_path, capsys):
     lexicon = make_lexicon(tmp_path)
     pairs = write(tmp_path / "pairs.tsv", "dobj\teat\tworm\n")
@@ -1421,11 +1447,11 @@ def long_lemma_inputs(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["train-nn", "--counts", "COUNTS", "--lexicon", "SHORT_LEX", "--seed", "1",
-                  "--out", "OUT"], f"dobj: head {LONG_SHOWN} not in the verb pool",
+                  "--out", "OUT"], f"{{COUNTS}}: dobj: head {LONG_SHOWN} not in the verb pool",
                  id="train-nn vocabulary"),
     pytest.param(["train-nn", "--counts", "COUNTS", "--lexicon", "LEX", "--seed", "1",
                   "--out", "OUT"],
-                 f"dobj: every dependent attested for head {LONG_SHOWN}, "
+                 f"{{COUNTS}}: dobj: every dependent attested for head {LONG_SHOWN}, "
                  "nothing left to corrupt with", id="train-nn negatives"),
     pytest.param(["candidates", "--counts", "COUNTS", "--lexicon", "LEX", "--relation", "dobj",
                   "--seed", "1"],
@@ -1440,8 +1466,8 @@ def test_lemma_in_an_error_is_clipped(tmp_path, capsys, argv, message):
     files = long_lemma_inputs(tmp_path)
     assert main([files.get(arg, arg) for arg in argv]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
-    assert len(err.encode()) < 200
+    assert err == f"error: {message.format(**files)}\n"
+    assert len(err.replace(files["COUNTS"], "").encode()) < 200  # the path is the user's
 
 
 def test_untrained_relation_error_is_not_quoted(tmp_path, capsys):
@@ -1641,6 +1667,25 @@ assert main(sys.argv[1:]) == 0
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "selpref")), file=sys.stderr)
 print("numpy" in sys.modules, file=sys.stderr)
 """
+
+
+VERSION_PROBE = """\
+import sys
+from selpref.cli import main
+try:
+    main(["--version"])
+except SystemExit as stop:
+    assert stop.code == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "selpref")), file=sys.stderr)
+"""
+
+
+def test_version_loads_only_the_cli_modules():
+    proc = subprocess.run([sys.executable, "-c", VERSION_PROBE], capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert "questions schema 1)" in " ".join(proc.stdout.split())
+    assert set(proc.stderr.split()) == CLI_MODULES
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_COMMANDS, ids=[name for name, _ in GOLDEN_COMMANDS])

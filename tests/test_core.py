@@ -2,8 +2,10 @@ import ast
 import csv
 import io
 import json
+import os
 import pkgutil
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,6 @@ import selpref
 from selpref.annotate import RATINGS_COLUMNS, read_ratings
 from selpref.core import (
     BadLemmaError,
-    EmptyPoolError,
     Lexicon,
     LexiconError,
     PlausibilityRangeError,
@@ -24,6 +25,7 @@ from selpref.core import (
     UnknownRelationError,
     _check_lemma,
     check_plausibility,
+    open_output,
     parse_relation,
 )
 from selpref.evaluation import load_gold
@@ -208,10 +210,10 @@ class TestLexicon:
     def test_empty_pool_names_its_class_and_role(self):
         lex = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset(), adjectives=frozenset())
         assert lex.heads_for(SPRelation.DOBJ_AMOD) == frozenset({"eat"})
-        with pytest.raises(EmptyPoolError) as exc:
+        with pytest.raises(LexiconError) as exc:
             lex.dependents_for(SPRelation.DOBJ_AMOD)
         assert str(exc.value) == "no adj entries, needed for dobj_amod dependents"
-        with pytest.raises(EmptyPoolError) as exc:
+        with pytest.raises(LexiconError) as exc:
             lex.heads_for(SPRelation.AMOD)
         assert str(exc.value) == "no noun entries, needed for amod heads"
 
@@ -326,6 +328,58 @@ NAMED_NOWHERE_ON_PURPOSE = {
     "evaluation.import_sp10k_directory": "the SP10K_DIR acceptance adapter",
     "extract.CountTable.from_pairs": "the in-memory constructor for tests",
 }
+
+
+class TestOpenOutput:
+    def test_a_new_file_gets_the_mode_open_gives_and_a_file_keeps_its_own(self, tmp_path):
+        with open(tmp_path / "plain", "w"):
+            pass
+        out = tmp_path / "out"
+        with open_output(out) as fh:
+            fh.write("one")
+        assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        out.chmod(0o640)
+        with open_output(out) as fh:
+            fh.write("two")
+        assert out.read_text() == "two" and stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_a_raising_block_leaves_the_file_and_no_temporary_one(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("old")
+        with pytest.raises(SelPrefError, match="midway"), open_output(out) as fh:
+            fh.write("new")
+            raise SelPrefError("midway")
+        assert out.read_text() == "old" and os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("where", ["missing/out", "file/out", "."])
+    def test_an_unwritable_path_fails_as_open_does(self, tmp_path, where):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / where
+        with pytest.raises(OSError) as direct:
+            open(path, "w")
+        with pytest.raises(OSError) as exc, open_output(path):
+            pass
+        assert (type(exc.value), str(exc.value)) == (type(direct.value), str(direct.value))
+        assert sorted(os.listdir(tmp_path)) == ["file"]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "target").write_text("old")
+        (tmp_path / "link").symlink_to("target")
+        with open_output(tmp_path / "link") as fh:
+            fh.write("new")
+        assert (tmp_path / "link").is_symlink() and (tmp_path / "target").read_text() == "new"
+
+    def test_a_file_that_is_not_regular_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with open_output(fifo, "wb") as fh:
+                fh.write(b"through")
+            assert os.read(reader, 16) == b"through"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_every_public_symbol_is_named_in_the_package_or_perfbench():

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
+from selpref.core import Lexicon, LexiconError, SPPair, SPRelation
 from selpref.evaluation import (
     ConfounderPoolError,
     ConstantInputError,
@@ -437,7 +437,7 @@ class TestPseudoDisambiguation:
         vocab = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset(), adjectives=frozenset())
         pairs = [SPPair(R, "eat", "meal"), SPPair(SPRelation.AMOD, "meal", "hot")]
         # the relations' pools are checked in name order, amod first
-        with pytest.raises(EmptyPoolError, match="^no adj entries, needed for amod dependents$"):
+        with pytest.raises(LexiconError, match="^no adj entries, needed for amod dependents$"):
             pseudo_disambiguation(LookupModel({}), pairs, vocab, seed=1)
 
     def test_empty_pairs_rejected(self):

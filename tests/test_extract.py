@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from selpref.conllu import read_conllu
-from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
+from selpref.core import Lexicon, LexiconError, SPPair, SPRelation
 from selpref.extract import (
     CandidatePoolError,
     CountTable,
@@ -321,7 +321,7 @@ class TestCandidates:
 
     def test_empty_pool_is_told_from_an_exhausted_one(self):
         empty = Lexicon(verbs=frozenset({"v0"}), nouns=frozenset(), adjectives=frozenset())
-        with pytest.raises(EmptyPoolError, match="^no noun entries, needed for dobj dependents$"):
+        with pytest.raises(LexiconError, match="^no noun entries, needed for dobj dependents$"):
             generate_candidates(self.table(), empty, SPRelation.DOBJ, seed=1)
         cands = generate_candidates(self.table(), empty, SPRelation.DOBJ, random_per_head=0,
                                     seed=1)

@@ -73,7 +73,6 @@ from selpref.annotate import (
     RATING_OPTIONS,
     RATINGS_COLUMNS,
     AnnotationError,
-    InsufficientOverlapError,
     RawRating,
     _leave_one_out,
     generate_survey,
@@ -102,9 +101,9 @@ from selpref.conllu import CorpusFormatError, read_conllu
 from selpref import embeddings
 from selpref.core import (
     BadLemmaError,
-    EmptyPoolError,
     InputDecodeError,
     Lexicon,
+    LexiconError,
     SelPrefError,
     SPPair,
     SPRelation,
@@ -2370,13 +2369,13 @@ def old_leave_one_out(by_annotator: dict[str, dict[SPPair, float]]) -> list[floa
             if others:
                 shared.append((mine[pair], sum(others) / len(others)))
         if len(shared) < 2:
-            raise InsufficientOverlapError(
+            raise AnnotationError(
                 f"annotator {_clip(ann_id)} shares fewer than 2 pairs with the rest"
             )
         try:
             rhos.append(spearman([a for a, _ in shared], [b for _, b in shared]))
         except ConstantInputError as err:
-            raise InsufficientOverlapError(f"annotator {_clip(ann_id)}: {err}") from None
+            raise AnnotationError(f"annotator {_clip(ann_id)}: {err}") from None
     return rhos
 
 
@@ -2413,7 +2412,7 @@ class TestLeaveOneOut:
     def test_errors_match_reference(self, by_annotator, message):
         by_annotator = {ann: {SPPair(SPRelation.DOBJ, "eat", p): r for p, r in table.items()}
                         for ann, table in by_annotator.items()}
-        expected = (InsufficientOverlapError, message)
+        expected = (AnnotationError, message)
         assert read_outcome(old_leave_one_out, by_annotator) == expected
         assert read_outcome(_leave_one_out, by_annotator) == expected
 
@@ -2999,6 +2998,6 @@ class TestPseudoReference:
             got = read_outcome(pseudo_disambiguation, *case)
             assert got == old and type(got) is type(old), trial
             seen["ok" if isinstance(old, float) else old[0].__name__] += 1
-        assert {"ok", "ConfounderPoolError", "NoTestPairsError", "EmptyPoolError"} <= set(seen), \
+        assert {"ok", "ConfounderPoolError", "NoTestPairsError", "LexiconError"} <= set(seen), \
             seen
         assert seen["ok"] > 100 and seen["ConfounderPoolError"] > 20, seen

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import selpref
-from selpref.core import EmptyPoolError, Lexicon, SPPair, SPRelation
+from selpref.core import Lexicon, LexiconError, SPPair, SPRelation
 from selpref.extract import CountTable
 from selpref.nn import (
     NNConfig,
@@ -140,7 +140,7 @@ def test_negative_pool_exhaustion():
 
 def test_empty_pool_is_blamed_on_the_lexicon():
     vocab = Lexicon(verbs=frozenset(), nouns=frozenset({"x"}), adjectives=frozenset())
-    with pytest.raises(EmptyPoolError, match="^no verb entries, needed for dobj heads$"):
+    with pytest.raises(LexiconError, match="^no verb entries, needed for dobj heads$"):
         nn_train(CountTable.from_pairs([SPPair(R, "a", "x")]),
                  NNConfig(embedding_dim=4, hidden_dim=4), vocab)
 
@@ -209,6 +209,23 @@ def test_npz_roundtrip_is_exact(tmp_path):
         for dep in ["x", "y", "u", "v"]:
             p = SPPair(R, head, dep)
             assert model.score(p) == back.score(p)
+
+
+def test_a_failed_save_leaves_the_earlier_file_whole(tmp_path, monkeypatch):
+    model = nn_train(planted_corpus(n=50), SMALL, VOCAB)
+    path = tmp_path / "model.npz"
+    path.write_bytes(b"earlier")
+    write_array, written = np.lib.format.write_array, []
+
+    def full_after_two(fh, array, **kwargs):
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        written.append(write_array(fh, array, **kwargs))
+
+    monkeypatch.setattr(np.lib.format, "write_array", full_after_two)
+    with pytest.raises(OSError, match="No space"):
+        model.save(path)
+    assert path.read_bytes() == b"earlier" and list(tmp_path.iterdir()) == [path]
 
 
 def test_model_without_a_batch_size_loads_and_scores_the_same(tmp_path):
