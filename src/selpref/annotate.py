@@ -14,7 +14,7 @@ from .core import SelPrefError, SPPair, SPRelation, _clip, _pair, _parsed_rows, 
 from .evaluation import ConstantInputError, spearman
 
 
-class AnnotationError(SelPrefError, ValueError):
+class AnnotationError(SelPrefError):
     pass
 
 

@@ -59,6 +59,7 @@ from .evaluation import (
 from .extract import (
     CANDIDATES_HEADER,
     COUNTS_HEADER,
+    CountTableError,
     count_conllu,
     generate_candidates,
     read_counts,
@@ -107,19 +108,15 @@ _CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                  float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-class ConfigError(SelPrefError, ValueError):
-    pass
-
-
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    doc = _read(_load_json, path, error=ConfigError)
+    doc = _read(_load_json, path)
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise SelPrefError(f"{path}: config must be a JSON object")
     unknown = sorted(doc.keys() - DEFAULTS.keys())  # anything else is a typo
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {_shown(', '.join(unknown))}")
+        raise SelPrefError(f"{path}: unknown config keys: {_shown(', '.join(unknown))}")
     for key, value in doc.items():
         kind = type(DEFAULTS[key])
         types, wanted = _CONFIG_TYPES[kind]
@@ -132,8 +129,8 @@ def _load_config_file(path: Optional[str]) -> dict:
                     continue
                 except OverflowError:
                     wanted = "a number in float range"
-        raise ConfigError(f"{path}: key {key!r} must be {wanted}, "
-                          f"got {_shown(json.dumps(value))}")
+        raise SelPrefError(f"{path}: key {key!r} must be {wanted}, "
+                           f"got {_shown(json.dumps(value))}")
     return doc
 
 
@@ -145,8 +142,8 @@ def _resolve(args: argparse.Namespace) -> None:
     env = os.environ.get("SELPREF_LOG_LEVEL")
     if args.log_level is None and env:
         if env.lower() not in CHOICES["log_level"]:
-            raise ConfigError(f"SELPREF_LOG_LEVEL: must be one of "
-                              f"{', '.join(CHOICES['log_level'])}, got {_clip(env)}")
+            raise SelPrefError(f"SELPREF_LOG_LEVEL: must be one of "
+                               f"{', '.join(CHOICES['log_level'])}, got {_clip(env)}")
         args.log_level = env.lower()
     for key in DEFAULTS.keys() & vars(args).keys():
         if getattr(args, key) is None:
@@ -230,6 +227,20 @@ def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> S
     return LookupModel(load_scores_file(args.scores))
 
 
+def _scoring(args: argparse.Namespace):
+    """A block that scores with the backend, its scoring errors naming the
+    backend's file: the vectors for ds, the model for nn."""
+    if args.backend == "ds":
+        from .embeddings import EmbeddingError
+
+        return _naming(args.embeddings, EmbeddingError)
+    if args.backend == "nn":
+        from .nn import NNError
+
+        return _naming(args.model, NNError)
+    return nullcontext()
+
+
 def _load_omcs_index(args: argparse.Namespace, parser: argparse.ArgumentParser,
                      gold: GoldSet) -> OMCSIndex:
     """The index for the gold's words, built as the --omcs/--conceptnet file is read."""
@@ -259,7 +270,7 @@ def cmd_candidates(args, parser) -> int:
     args.relation = relation.value  # echoed normalized
     counts = _read(read_counts, args.counts)
     lexicon = Lexicon.from_tsv(args.lexicon)
-    with _naming(args.lexicon, LexiconError):
+    with _naming(args.counts, CountTableError), _naming(args.lexicon, LexiconError):
         cands = generate_candidates(
             counts, lexicon, relation,
             heads_per_relation=args.heads_per_relation,
@@ -275,7 +286,7 @@ def cmd_candidates(args, parser) -> int:
 def cmd_score(args, parser) -> int:
     model = _build_model(args, parser)
     pairs = _read(read_pairs, args.pairs)
-    with _open_echoed(args.out, args, SCORES_HEADER) as out:
+    with _scoring(args), _open_echoed(args.out, args, SCORES_HEADER) as out:
         write_scores(((pair, model.score(pair)) for pair in pairs), out)
     return 0
 
@@ -307,7 +318,8 @@ def cmd_train_nn(args, parser) -> int:
 def cmd_eval(args, parser) -> int:
     model = _build_model(args, parser)
     gold = load_gold_file(args.gold)
-    report = evaluate(model, gold, missing_policy=args.missing)
+    with _scoring(args):
+        report = evaluate(model, gold, missing_policy=args.missing)
     print(report.to_table())
     if args.out:
         _write_json(args.out, report.to_dict(), args)
@@ -318,7 +330,8 @@ def cmd_pseudo(args, parser) -> int:
     model = _build_model(args, parser)
     pairs = _read(read_pairs, args.pairs)
     vocab = Lexicon.from_tsv(args.lexicon)
-    with _naming(args.pairs, NoTestPairsError), _naming(args.lexicon, LexiconError):
+    with (_naming(args.pairs, NoTestPairsError), _naming(args.lexicon, LexiconError),
+          _scoring(args)):
         accuracy = pseudo_disambiguation(model, pairs, vocab, seed=args.seed)
     _write_json(args.out, {"accuracy": accuracy, "n_pairs": len(pairs)}, args)
     return 0
@@ -415,7 +428,8 @@ def cmd_winograd(args, parser) -> int:
         questions = _read(load_questions, args.questions)
     else:
         questions = bundled_questions()
-    predictions = [resolve(q, model) for q in questions]
+    with _scoring(args):
+        predictions = [resolve(q, model) for q in questions]
     summary = score_accuracy(predictions)
     if args.predictions:
         with _open_out(args.predictions) as out:

@@ -22,10 +22,6 @@ from .lemmatize import lemmatize
 log = logging.getLogger(__name__)
 
 
-class OMCSFormatError(SelPrefError, ValueError):
-    pass
-
-
 class OMCSTriplet(NamedTuple):
     start: tuple[str, ...]
     relation: str
@@ -259,14 +255,14 @@ def _omcs_rows(fh: TextIO, source: str) -> Iterator[_Row]:
     """(start tokens, relation, end tokens) per row of an OMCS TSV: start
     phrase, relation label, end phrase, each non-empty. Blank and ``#``
     lines are skipped; any other row that breaks a rule raises
-    OMCSFormatError at ``source:line``. Rows are plain tuples: most are
+    SelPrefError at ``source:line``. Rows are plain tuples: most are
     dropped by the index, and a named tuple costs far more to build."""
-    for lineno, (start, relation, end) in _rows(fh, source, 3, OMCSFormatError):
+    for lineno, (start, relation, end) in _rows(fh, source, 3, SelPrefError):
         start, end = start.split(), end.split()
         if not start or not end:
-            raise OMCSFormatError(f"{source}:{lineno}: triplet phrases must be non-empty")
+            raise SelPrefError(f"{source}:{lineno}: triplet phrases must be non-empty")
         if not relation:
-            raise OMCSFormatError(f"{source}:{lineno}: triplet relation label must be non-empty")
+            raise SelPrefError(f"{source}:{lineno}: triplet relation label must be non-empty")
         yield tuple(start), relation, tuple(end)
 
 

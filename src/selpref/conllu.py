@@ -17,7 +17,7 @@ log = logging.getLogger(__name__)
 N_COLUMNS = 10
 
 
-class CorpusFormatError(SelPrefError, ValueError):
+class CorpusFormatError(SelPrefError):
     """Malformed CoNLL-U input, carrying file/line coordinates."""
 
     def __init__(self, source: str, lineno: int, message: str):

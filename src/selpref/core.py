@@ -14,19 +14,16 @@ from dataclasses import dataclass
 from typing import IO, Any, Callable, Iterable, Iterator, TextIO
 
 
-class SelPrefError(Exception):
-    """Base class for all toolkit errors."""
+class SelPrefError(ValueError):
+    """Base class for all toolkit errors. A subclass exists only where code
+    tells it apart, and it blames one input."""
 
 
-class UnknownRelationError(SelPrefError, ValueError):
+class UnknownRelationError(SelPrefError):
     pass
 
 
-class BadLemmaError(SelPrefError, ValueError):
-    pass
-
-
-class PlausibilityRangeError(SelPrefError, ValueError):
+class BadLemmaError(SelPrefError):
     pass
 
 
@@ -127,14 +124,9 @@ SCHEMA_VERSION = 1
 def check_plausibility(value: float) -> float:
     """Validate a plausibility score, returning it unchanged."""
     if not PLAUSIBILITY_MIN <= value <= PLAUSIBILITY_MAX:
-        raise PlausibilityRangeError(
-            f"plausibility {value} outside [{PLAUSIBILITY_MIN}, {PLAUSIBILITY_MAX}]"
-        )
+        raise SelPrefError(f"plausibility {value} outside "
+                           f"[{PLAUSIBILITY_MIN}, {PLAUSIBILITY_MAX}]")
     return float(value)
-
-
-class InputDecodeError(SelPrefError, ValueError):
-    pass
 
 
 # what a text read raises on bytes that are not UTF-8 or on a broken .gz
@@ -146,7 +138,7 @@ def open_input(path) -> Iterator[TextIO]:
     """Open a UTF-8 text file for reading, gunzipping a `.gz` path.
 
     Bytes that are not UTF-8, and a truncated or corrupt `.gz` stream,
-    end in an InputDecodeError naming the first bad line. Only that error
+    end in a SelPrefError naming the first bad line. Only that error
     path rescans the file, so readers pay nothing per line for it.
     """
     gz = str(path).endswith(".gz")
@@ -155,19 +147,19 @@ def open_input(path) -> Iterator[TextIO]:
         try:
             yield fh
         except _DECODE_ERRORS as err:
-            raise InputDecodeError(_first_bad_line(path, gz, err)) from None
+            raise SelPrefError(_first_bad_line(path, gz, err)) from None
 
 
-def _load_json(fh: TextIO, source, error: type[SelPrefError]):
+def _load_json(fh: TextIO, source):
     """The JSON document of a text stream. Bad syntax, nesting too deep
-    and an int past the digit limit raise ``error`` naming ``source``."""
+    and an int past the digit limit raise a SelPrefError naming ``source``."""
     text = fh.read()  # outside the try: a decode error is open_input's to locate
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise error(f"{source}:{err.lineno}: invalid JSON: {err.msg}") from None
+        raise SelPrefError(f"{source}:{err.lineno}: invalid JSON: {err.msg}") from None
     except (RecursionError, ValueError) as err:
-        raise error(f"{source}: invalid JSON: {_clip(str(err))}") from None
+        raise SelPrefError(f"{source}: invalid JSON: {_clip(str(err))}") from None
 
 
 def _line_ends(raw: bytes) -> int:
@@ -217,7 +209,7 @@ def open_output(path, mode: str = "w", **kwargs) -> Iterator[IO]:
         raise
 
 
-class LexiconError(SelPrefError, ValueError):
+class LexiconError(SelPrefError):
     pass
 
 

@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 
-class EmbeddingError(SelPrefError, ValueError):
+class EmbeddingError(SelPrefError):
     pass
 
 

@@ -14,6 +14,7 @@ from typing import Any, Iterable, Mapping, Optional, TextIO
 
 from .core import (
     Lexicon,
+    LexiconError,
     SelPrefError,
     SPPair,
     SPRelation,
@@ -28,27 +29,11 @@ from .extract import _Excluding
 from .scorers import ScoreModel
 
 
-class GoldFormatError(SelPrefError, ValueError):
+class ConstantInputError(SelPrefError):
     pass
 
 
-class CorrelationError(SelPrefError, ValueError):
-    pass
-
-
-class ConstantInputError(CorrelationError):
-    pass
-
-
-class SignificanceError(SelPrefError, ValueError):
-    pass
-
-
-class ConfounderPoolError(SelPrefError, ValueError):
-    pass
-
-
-class NoTestPairsError(SelPrefError, ValueError):
+class NoTestPairsError(SelPrefError):
     pass
 
 
@@ -65,7 +50,7 @@ class GoldSet:
             check_plausibility(value)
             values = self._by_rel[pair.relation]
             if pair in values:
-                raise GoldFormatError(f"duplicate gold pair: {pair}")
+                raise SelPrefError(f"duplicate gold pair: {pair}")
             values[pair] = value
 
     def value(self, pair: SPPair) -> float:
@@ -86,7 +71,7 @@ class GoldSet:
 
 def load_gold(fh: TextIO, source: str = "<stream>") -> GoldSet:
     """Read the gold TSV: relation, head, dependent, plausibility."""
-    return GoldSet(_unique(_parsed_rows(fh, source, 4, GoldFormatError, lambda f: (
+    return GoldSet(_unique(_parsed_rows(fh, source, 4, SelPrefError, lambda f: (
         _pair(f), _value(f[3], gold=True))), source).items())
 
 
@@ -111,7 +96,7 @@ def load_scores_file(path) -> dict[SPPair, Optional[float]]:
     dependent and any finite value, or NA (read as None) for a pair that
     could not be scored."""
     with open_input(path) as fh:
-        return _unique(_parsed_rows(fh, path, 4, GoldFormatError, lambda f: (
+        return _unique(_parsed_rows(fh, path, 4, SelPrefError, lambda f: (
             _pair(f), None if f[3] == "NA" else _value(f[3], gold=False))), path)
 
 
@@ -120,8 +105,8 @@ def _unique(rows: Iterable[tuple[int, tuple[SPPair, Any]]], source) -> dict[SPPa
     values = {}
     for lineno, (pair, value) in rows:
         if pair in values:
-            raise GoldFormatError(f"{source}:{lineno}: duplicate pair {pair.relation} "
-                                  f"{_clip(pair.head)} {_clip(pair.dependent)}")
+            raise SelPrefError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                               f"{_clip(pair.head)} {_clip(pair.dependent)}")
         values[pair] = value
     return values
 
@@ -131,11 +116,11 @@ def _value(text: str, gold: bool) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise GoldFormatError(f"bad {'plausibility' if gold else 'score'} {_clip(text)}") from None
+        raise SelPrefError(f"bad {'plausibility' if gold else 'score'} {_clip(text)}") from None
     if gold:
         return check_plausibility(value)
     if not math.isfinite(value):
-        raise GoldFormatError(f"non-finite value {_clip(text)}")
+        raise SelPrefError(f"non-finite value {_clip(text)}")
     return value
 
 
@@ -164,10 +149,10 @@ def import_sp10k_directory(root) -> GoldSet:
                       for stem in stems for ext in (".txt", ".tsv"))
         path = next((c for c in candidates if c.is_file()), None)
         if path is None:
-            raise GoldFormatError(f"{root}: no annotation file found for {rel.value}")
+            raise SelPrefError(f"{root}: no annotation file found for {rel.value}")
         with open_input(path) as fh:
             lines = (line.strip() for line in fh)
-            values.update(_unique(_parsed_rows(lines, path, 3, GoldFormatError, lambda f: (
+            values.update(_unique(_parsed_rows(lines, path, 3, SelPrefError, lambda f: (
                 SPPair(rel, f[0], f[1]), _value(f[2], gold=True))), path))
     return GoldSet(values.items())
 
@@ -177,7 +162,7 @@ def _average_ranks(values) -> array:
     positions."""
     values = [float(v) for v in values]
     if not all(map(math.isfinite, values)):
-        raise CorrelationError("non-finite value in correlation input")
+        raise SelPrefError("non-finite value in correlation input")
     # a tie group at sorted positions i..j ends at rank j + 1 and gets the
     # mean rank (i + j) / 2 + 1; the dict ties -0.0 with 0.0 by ==
     counts = Counter(values)
@@ -196,9 +181,9 @@ def spearman(x, y) -> float:
     centred ranks, their products and every partial sum below are exact
     in float64 for n up to 300,000; past that, fsum rounds each sum once."""
     if len(x) != len(y):
-        raise CorrelationError(f"length mismatch: {len(x)} vs {len(y)}")
+        raise SelPrefError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
-        raise CorrelationError(f"need at least 2 observations, got {len(x)}")
+        raise SelPrefError(f"need at least 2 observations, got {len(x)}")
     mean = (len(x) + 1) / 2
     sx = [r - mean for r in _average_ranks(x)]
     sy = [r - mean for r in _average_ranks(y)]
@@ -325,20 +310,18 @@ def significance(
     as ``spearman`` computes it.
     """
     if resamples < 1:
-        raise SignificanceError(f"resamples must be >= 1, got {_shown(str(resamples))}")
+        raise SelPrefError(f"resamples must be >= 1, got {_shown(str(resamples))}")
     import numpy as np
 
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     g = np.asarray(gold_values, dtype=np.float64)
     if not (len(a) == len(b) == len(g)):
-        raise CorrelationError(
-            f"score/gold vectors not aligned: {len(a)}, {len(b)}, {len(g)}"
-        )
+        raise SelPrefError(f"score/gold vectors not aligned: {len(a)}, {len(b)}, {len(g)}")
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(g).all()):
-        raise CorrelationError("non-finite value in correlation input")
+        raise SelPrefError("non-finite value in correlation input")
     if len(a) < 10:
-        raise SignificanceError(f"need at least 10 aligned pairs, got {len(a)}")
+        raise SelPrefError(f"need at least 10 aligned pairs, got {len(a)}")
     n = len(a)
     # each value's code is its place among the distinct values; unique
     # ties -0.0 with 0.0 by ==
@@ -419,10 +402,8 @@ def pseudo_disambiguation(
         rel, head = pair.relation, pair.head
         usable = views[rel, head]
         if not usable:
-            raise ConfounderPoolError(
-                f"no confounder available for {rel.value} head "
-                f"{_clip(head)}: pool exhausted by attested pairs"
-            )
+            raise LexiconError(f"no confounder available for {rel.value} head "
+                               f"{_clip(head)}: pool exhausted by attested pairs")
         confounder = rng.choice(usable)
         pos = model.score(pair)
         neg = model.score(SPPair(rel, head, confounder))

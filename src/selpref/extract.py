@@ -21,6 +21,7 @@ from .conllu import CorpusFormatError, read_conllu
 from .core import (
     BadLemmaError,
     Lexicon,
+    LexiconError,
     SelPrefError,
     SPPair,
     SPRelation,
@@ -91,7 +92,7 @@ def _rule_pairs(rows: list[tuple], include_passive: bool) -> list[tuple[SPRelati
     return pairs
 
 
-class CountTableError(SelPrefError, ValueError):
+class CountTableError(SelPrefError):
     pass
 
 
@@ -260,10 +261,6 @@ def read_counts(fh: TextIO, source: str = "<stream>") -> CountTable:
     return table
 
 
-class CandidatePoolError(SelPrefError, ValueError):
-    pass
-
-
 class _Excluding(Sequence):
     """A sorted word pool less some of its words, as a read-only sequence.
 
@@ -326,9 +323,9 @@ def generate_candidates(
                         ("frequent_per_head", frequent_per_head),
                         ("random_per_head", random_per_head)):
         if value < 0:
-            raise CandidatePoolError(f"{name} must be >= 0, got {_shown(str(value))}")
+            raise SelPrefError(f"{name} must be >= 0, got {_shown(str(value))}")
     if counts.total(relation) == 0:
-        raise CandidatePoolError(f"no counts for relation {relation.value}")
+        raise CountTableError(f"no counts for relation {relation.value}")
     rng = random.Random(seed)
     ranked_heads = sorted(
         counts.heads(relation),
@@ -344,10 +341,9 @@ def generate_candidates(
         out.extend(Candidate(SPPair(relation, head, d), "frequent") for d in frequent)
         available = _Excluding(pool, frequent)
         if len(available) < random_per_head:
-            raise CandidatePoolError(
-                f"lexicon pool for {relation.value} too small: need {random_per_head} "
-                f"unchosen dependents for head {_clip(head)}, have {len(available)}"
-            )
+            raise LexiconError(f"lexicon pool for {relation.value} too small: need "
+                               f"{random_per_head} unchosen dependents for head {_clip(head)}, "
+                               f"have {len(available)}")
         out.extend(
             Candidate(SPPair(relation, head, d), "random")
             for d in rng.sample(available, random_per_head)

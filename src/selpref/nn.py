@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 
-class NNError(SelPrefError, ValueError):
+class NNError(SelPrefError):
     pass
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Protocol
 
-from .core import SPPair, SPRelation
+from .core import SPPair, SPRelation, _clip
 from .extract import CountTable
 
 if TYPE_CHECKING:
@@ -55,7 +55,8 @@ def ds_score(emb: EmbeddingTable, head: tuple, pair: SPPair) -> Optional[float]:
     if target_norm == 0.0 or not norms.all():
         from .embeddings import EmbeddingError
 
-        raise EmbeddingError("cosine of a zero-norm vector is undefined")
+        raise EmbeddingError(f"cosine of a zero-norm vector is undefined for {pair.relation} "
+                             f"pair {_clip(pair.head)} {_clip(pair.dependent)}")
     sims = np.clip(rows @ emb.matrix[target] / (norms * target_norm), -1.0, 1.0)
     return float(weights @ sims / total)
 

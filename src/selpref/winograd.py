@@ -20,10 +20,6 @@ from .core import (SCHEMA_VERSION, SelPrefError, SPPair, SPRelation, _check_lemm
 from .scorers import ScoreModel
 
 
-class WinogradError(SelPrefError, ValueError):
-    pass
-
-
 SUBJECT, OBJECT = "subject", "object"
 
 
@@ -34,7 +30,7 @@ class Mention:
 
     def __post_init__(self):
         if not self.surface or not self.lemma:
-            raise WinogradError("candidate surface and lemma must be non-empty")
+            raise SelPrefError("candidate surface and lemma must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -50,11 +46,11 @@ class WinogradQuestion:
 
     def __post_init__(self):
         if self.gold not in (SUBJECT, OBJECT):
-            raise WinogradError(f"question {_shown(self.id)}: gold must be subject/object")
+            raise SelPrefError(f"question {_shown(self.id)}: gold must be subject/object")
         if self.candidate_subject.lemma == self.candidate_object.lemma:
-            raise WinogradError(f"question {_shown(self.id)}: candidates must differ")
+            raise SelPrefError(f"question {_shown(self.id)}: candidates must differ")
         if not (isinstance(self.verb, str) and isinstance(self.adjective, str)):
-            raise WinogradError(f"question {_shown(self.id)}: verb and adjective must be strings")
+            raise SelPrefError(f"question {_shown(self.id)}: verb and adjective must be strings")
         # resolve pairs them: a lemma SPPair rejects fails here, not while scoring
         _check_lemma("verb", self.verb)
         _check_lemma("adjective", self.adjective)
@@ -131,20 +127,20 @@ class AccuracySummary:
 def score_accuracy(predictions: Iterable[Prediction]) -> AccuracySummary:
     counts = Counter(p.outcome for p in predictions)
     if not counts:
-        raise WinogradError("no predictions to score")
+        raise SelPrefError("no predictions to score")
     return AccuracySummary(correct=counts[Outcome.CORRECT], wrong=counts[Outcome.WRONG],
                            na=counts[Outcome.NA])
 
 
 def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestion]:
-    doc = _load_json(fh, source, WinogradError)
+    doc = _load_json(fh, source)
     if not (isinstance(doc, dict) and isinstance(doc.get("questions"), list)
             and doc["questions"]):
-        raise WinogradError(f"{source}: expected an object with a non-empty questions array")
+        raise SelPrefError(f"{source}: expected an object with a non-empty questions array")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1
-        raise WinogradError(f"{source}: unsupported schema_version "
-                            f"{_shown(repr(version))}")
+        raise SelPrefError(f"{source}: unsupported schema_version "
+                           f"{_shown(repr(version))}")
     out: dict[str, WinogradQuestion] = {}
     for i, rec in enumerate(doc["questions"]):
         try:
@@ -161,9 +157,9 @@ def load_questions(fh: TextIO, source: str = "<stream>") -> list[WinogradQuestio
                 note=rec.get("note", ""),
             )
         except (KeyError, TypeError, SelPrefError) as err:
-            raise WinogradError(f"{source}: question #{i}: {err}") from None
+            raise SelPrefError(f"{source}: question #{i}: {err}") from None
         if q.id in out:
-            raise WinogradError(f"{source}: duplicate question id {_shown(q.id)}")
+            raise SelPrefError(f"{source}: duplicate question id {_shown(q.id)}")
         out[q.id] = q
     return list(out.values())
 

@@ -8,7 +8,6 @@ import pytest
 from selpref.commonsense import (
     GroupStats,
     MatchKind,
-    OMCSFormatError,
     OMCSIndex,
     OMCSTriplet,
     PlausibilityGroup,
@@ -20,7 +19,7 @@ from selpref.commonsense import (
     read_omcs,
     relation_matrix,
 )
-from selpref.core import SPPair, SPRelation
+from selpref.core import SelPrefError, SPPair, SPRelation
 from selpref.evaluation import GoldSet
 from selpref.lemmatize import lemmatize
 
@@ -309,12 +308,12 @@ class TestIO:
         assert read_omcs(io.StringIO(text)) == triplets
 
     def test_bad_column_count(self):
-        with pytest.raises(OMCSFormatError) as exc:
+        with pytest.raises(SelPrefError) as exc:
             read_omcs(io.StringIO("a\tb\n"), source="x.tsv")
         assert "x.tsv:1" in str(exc.value)
 
     def test_empty_phrase_rejected(self):
-        with pytest.raises(OMCSFormatError):
+        with pytest.raises(SelPrefError):
             read_omcs(io.StringIO("\tUsedFor\tsing\n"))
 
     def test_conceptnet_adapter(self):

@@ -6,15 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from selpref.core import Lexicon, LexiconError, SPPair, SPRelation
+from selpref.core import Lexicon, LexiconError, SelPrefError, SPPair, SPRelation
 from selpref.evaluation import (
-    ConfounderPoolError,
     ConstantInputError,
-    CorrelationError,
     EvalReport,
-    GoldFormatError,
     GoldSet,
-    SignificanceError,
     evaluate,
     import_sp10k_directory,
     load_gold,
@@ -103,7 +99,7 @@ class TestSpearman:
         assert spearman([math.exp(v) for v in x], y) == pytest.approx(base, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(CorrelationError, match="^length mismatch: 2 vs 3$"):
+        with pytest.raises(SelPrefError, match="^length mismatch: 2 vs 3$"):
             spearman([1, 2], [1, 2, 3])
 
     def test_constant_vector(self):
@@ -115,9 +111,9 @@ class TestSpearman:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
         # NaN used to sort last and so take the best rank
-        with pytest.raises(CorrelationError):
+        with pytest.raises(SelPrefError, match="^non-finite value in correlation input$"):
             spearman([bad, 2.0, 1.0], [3.0, 2.0, 1.0])
-        with pytest.raises(CorrelationError):
+        with pytest.raises(SelPrefError, match="^non-finite value in correlation input$"):
             spearman([3.0, 2.0, 1.0], [1.0, bad, 0.0])
 
     def test_too_short(self):
@@ -138,27 +134,27 @@ class TestGoldSet:
         assert len(gold.pairs()) == 0
 
     def test_out_of_range_score(self):
-        with pytest.raises(GoldFormatError) as exc:
+        with pytest.raises(SelPrefError) as exc:
             load_gold(io.StringIO("dobj\teat\tmeal\t10.5\n"), source="f")
         assert "f:1" in str(exc.value)
 
     def test_unknown_relation(self):
-        with pytest.raises(GoldFormatError):
+        with pytest.raises(SelPrefError):
             load_gold(io.StringIO("iobj\teat\tmeal\t5\n"))
 
     def test_duplicate_pair(self):
         text = "dobj\teat\tmeal\t10\ndobj\teat\tmeal\t9\n"
-        with pytest.raises(GoldFormatError, match="^<stream>:2: duplicate pair dobj 'eat' 'meal'$"):
+        with pytest.raises(SelPrefError, match="^<stream>:2: duplicate pair dobj 'eat' 'meal'$"):
             load_gold(io.StringIO(text))
 
     def test_duplicate_pair_names_its_line(self):
         text = "#sp10k v1\ndobj\teat\tmeal\t10\nDOBJ\tEat\tmeal\t9\n"
-        with pytest.raises(GoldFormatError) as exc:
+        with pytest.raises(SelPrefError) as exc:
             load_gold(io.StringIO(text), source="g.tsv")
         assert str(exc.value) == "g.tsv:3: duplicate pair dobj 'eat' 'meal'"
 
     def test_na_is_a_bad_plausibility(self):
-        with pytest.raises(GoldFormatError) as exc:
+        with pytest.raises(SelPrefError) as exc:
             load_gold(io.StringIO("dobj\teat\tmeal\t5\ndobj\teat\trock\tNA\n"), source="g")
         assert str(exc.value) == "g:2: bad plausibility 'NA'"
 
@@ -208,7 +204,7 @@ class TestGoldSet:
             (tmp_path / f"{rel.value}.txt").write_text("a\tb\t5\n")
         path = tmp_path / "nsubj.txt"
         path.write_text(f"  a\tb\t5  \n\n{row}\n")
-        with pytest.raises(GoldFormatError) as exc:
+        with pytest.raises(SelPrefError) as exc:
             import_sp10k_directory(tmp_path)
         assert str(exc.value) == f"{path}:3: {message}"
 
@@ -235,7 +231,7 @@ class TestGoldSet:
 
     def test_directory_adapter_missing_relation(self, tmp_path):
         (tmp_path / "dobj.txt").write_text("a\tb\t5\n")
-        with pytest.raises(GoldFormatError):
+        with pytest.raises(SelPrefError, match=": no annotation file found for nsubj$"):
             import_sp10k_directory(tmp_path)
 
 
@@ -354,17 +350,17 @@ class TestSignificance:
         assert p1 == p2
 
     def test_misaligned_vectors(self):
-        with pytest.raises(CorrelationError, match="^score/gold vectors not aligned: 2, 3, 3$"):
+        with pytest.raises(SelPrefError, match="^score/gold vectors not aligned: 2, 3, 3$"):
             significance([1, 2], [1, 2, 3], [1, 2, 3])
 
     def test_too_few_pairs(self):
-        with pytest.raises(SignificanceError):
+        with pytest.raises(SelPrefError, match="^need at least 10 aligned pairs, got 5$"):
             significance(list(range(5)), list(range(5)), list(range(5)))
 
     @pytest.mark.parametrize("resamples", [0, -3])
     def test_fewer_than_one_resample_rejected(self, resamples):
         values = list(range(12))
-        with pytest.raises(SignificanceError, match=f"^resamples must be >= 1, got {resamples}$"):
+        with pytest.raises(SelPrefError, match=f"^resamples must be >= 1, got {resamples}$"):
             significance(values, values, values, resamples=resamples)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -375,8 +371,7 @@ class TestSignificance:
         vectors = [[float(i) for i in range(20)] for _ in range(3)]
         vectors[vector][3] = bad
         for seed in range(50):
-            with pytest.raises(CorrelationError,
-                               match=r"^non-finite value in correlation input$"):
+            with pytest.raises(SelPrefError, match=r"^non-finite value in correlation input$"):
                 significance(*vectors, resamples=1, seed=seed)
 
 
@@ -428,7 +423,7 @@ class TestPseudoDisambiguation:
             nouns=frozenset({"meal"}),
             adjectives=frozenset(),
         )
-        with pytest.raises(ConfounderPoolError):
+        with pytest.raises(LexiconError, match="^no confounder available for dobj head 'eat'"):
             pseudo_disambiguation(
                 LookupModel({}), [SPPair(R, "eat", "meal")], vocab, seed=1
             )

@@ -9,7 +9,6 @@ import pytest
 from selpref.conllu import read_conllu
 from selpref.core import Lexicon, LexiconError, SPPair, SPRelation
 from selpref.extract import (
-    CandidatePoolError,
     CountTable,
     CountTableError,
     _rule_pairs,
@@ -316,7 +315,7 @@ class TestCandidates:
             nouns=frozenset({"n1"}),
             adjectives=frozenset(),
         )
-        with pytest.raises(CandidatePoolError):
+        with pytest.raises(LexiconError, match="^lexicon pool for dobj too small: "):
             generate_candidates(self.table(), small, SPRelation.DOBJ, seed=1)
 
     def test_empty_pool_is_told_from_an_exhausted_one(self):
@@ -328,7 +327,7 @@ class TestCandidates:
         assert cands and {c.source for c in cands} == {"frequent"}
 
     def test_empty_relation_rejected(self):
-        with pytest.raises(CandidatePoolError):
+        with pytest.raises(CountTableError, match="^no counts for relation amod$"):
             generate_candidates(
                 CountTable(), self.lexicon(), SPRelation.AMOD, seed=1
             )

@@ -86,7 +86,6 @@ from selpref.cli import _config, _open_echoed, _open_out, _resolve, build_parser
 from selpref.commonsense import (
     GroupStats,
     MatchKind,
-    OMCSFormatError,
     OMCSIndex,
     OMCSTriplet,
     PlausibilityGroup,
@@ -101,7 +100,6 @@ from selpref.conllu import CorpusFormatError, read_conllu
 from selpref import embeddings
 from selpref.core import (
     BadLemmaError,
-    InputDecodeError,
     Lexicon,
     LexiconError,
     SelPrefError,
@@ -123,10 +121,7 @@ from selpref.embeddings import (
 )
 from selpref.evaluation import (
     GOLD_HEADER,
-    ConfounderPoolError,
     ConstantInputError,
-    CorrelationError,
-    GoldFormatError,
     GoldSet,
     NoTestPairsError,
     _average_ranks,
@@ -146,7 +141,6 @@ from selpref.extract import (
     PASSIVE_SUBJECT_DEPRELS,
     SUBJECT_DEPRELS,
     Candidate,
-    CandidatePoolError,
     CountTable,
     CountTableError,
     _Excluding,
@@ -166,7 +160,6 @@ from selpref.winograd import (
     SUBJECT,
     Mention,
     Outcome,
-    WinogradError,
     WinogradQuestion,
     resolve,
 )
@@ -418,11 +411,16 @@ def random_embeddings(rng, words, dim, with_zero):
 ZERO_NORM = "cosine of a zero-norm vector is undefined"
 
 
+def zero_norm(pair):
+    """The zero-norm error ``ds_score`` raises, which names the pair it scores."""
+    return f"{ZERO_NORM} for {pair.relation} pair {_clip(pair.head)} {_clip(pair.dependent)}"
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
     except EmbeddingError as err:
-        assert str(err) == ZERO_NORM
+        assert str(err) == (ZERO_NORM if fn is scalar_ds_score else zero_norm(args[-1]))
         return EmbeddingError
 
 
@@ -475,7 +473,7 @@ class TestDS:
             SPPair(SPRelation.DOBJ, "eat", "fish"),
             SPPair(SPRelation.DOBJ, "drink", "no-vector"),
         ])
-        with pytest.raises(EmbeddingError, match=f"^{ZERO_NORM}$"):
+        with pytest.raises(EmbeddingError, match=f"^{ZERO_NORM} for dobj pair 'eat' 'zero'$"):
             DSModel(table, emb).score(SPPair(SPRelation.DOBJ, "eat", "zero"))
         assert DSModel(table, emb).score(SPPair(SPRelation.DOBJ, "drink", "zero")) is None
 
@@ -723,18 +721,20 @@ class TestLoadEmbeddings:
                 kind = "ok"
             elif want[0][1].endswith(": empty embedding file"):
                 kind = "empty"
+            elif want[0][0] is SelPrefError:
+                kind = "decode"
             else:
                 kind = want[0][0].__name__
             checked[kind] += 1
             checked[kind, "lines" if line_reads[-1:] == [path] else "numpy"] += 1
             checked["duplicates"] += bool(want[1])
         for kind in [("ok", "numpy"), ("ok", "lines"), ("EmbeddingError", "numpy"),
-                     ("EmbeddingError", "lines"), "empty", "InputDecodeError",
+                     ("EmbeddingError", "lines"), "empty", "decode",
                      "duplicates"]:
             assert checked[kind] >= 10, checked
 
     @pytest.mark.parametrize("fault, error", [
-        (None, InputDecodeError), ("1_0", InputDecodeError), ("x", EmbeddingError),
+        (None, SelPrefError), ("1_0", SelPrefError), ("x", EmbeddingError),
         ("1\x1c", EmbeddingError)], ids=["none", "underscore", "letter", "separator"])
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     def test_a_late_decode_error_comes_after_the_lines_before_it(self, tmp_path, monkeypatch,
@@ -1311,9 +1311,9 @@ def old_triplet(start, relation, end):
     """The checks ``OMCSTriplet`` made on construction, which the row
     reader makes now."""
     if not start or not end:
-        raise OMCSFormatError("triplet phrases must be non-empty")
+        raise SelPrefError("triplet phrases must be non-empty")
     if not relation:
-        raise OMCSFormatError("triplet relation label must be non-empty")
+        raise SelPrefError("triplet relation label must be non-empty")
     return OMCSTriplet(start, relation, end)
 
 
@@ -1326,14 +1326,14 @@ def old_read_omcs(fh, source="<stream>"):
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise OMCSFormatError(
+            raise SelPrefError(
                 f"{source}:{lineno}: expected 3 columns, got {len(fields)}"
             )
         start, rel, end = fields
         try:
             out.append(old_triplet(tuple(start.split()), rel, tuple(end.split())))
-        except OMCSFormatError as err:
-            raise OMCSFormatError(f"{source}:{lineno}: {err}") from None
+        except SelPrefError as err:
+            raise SelPrefError(f"{source}:{lineno}: {err}") from None
     return out
 
 
@@ -1370,14 +1370,14 @@ def random_gold(rng, n):
 def omcs_outcome(text, newline):
     try:
         return old_read_omcs(io.StringIO(text, newline=newline), "o.tsv")
-    except OMCSFormatError as err:
+    except SelPrefError as err:
         return ("error", str(err))
 
 
 def new_omcs_outcome(text, newline):
     try:
         return read_omcs(io.StringIO(text, newline=newline), "o.tsv")
-    except OMCSFormatError as err:
+    except SelPrefError as err:
         return ("error", str(err))
 
 
@@ -1823,9 +1823,9 @@ class OldPrediction:
             or self.subject_score == self.object_score
         )
         if should_abstain != (self.outcome is Outcome.NA):
-            raise WinogradError("outcome is NA iff a score is missing or tied")
+            raise SelPrefError("outcome is NA iff a score is missing or tied")
         if (self.predicted is None) != (self.outcome is Outcome.NA):
-            raise WinogradError("prediction present iff an answer was made")
+            raise SelPrefError("prediction present iff an answer was made")
 
 
 def old_resolve(q, model):
@@ -1940,7 +1940,7 @@ class OldGoldSet:
         for pair, value in entries:
             check_plausibility(value)
             if pair in self._scores:
-                raise GoldFormatError(f"duplicate gold pair: {pair}")
+                raise SelPrefError(f"duplicate gold pair: {pair}")
             self._scores[pair] = value
             self._by_rel[pair.relation].append(pair)
 
@@ -2068,7 +2068,9 @@ class TestGoldSet:
             old, new = gold_outcome(OldGoldSet, entries), gold_outcome(GoldSet, entries)
             if isinstance(old, tuple):
                 assert new == old
-                seen[old[0].__name__] += 1
+                # each fault counts under one key: both are a plain SelPrefError
+                seen["range" if " outside [" in old[1] else
+                     "duplicate" if old[1].startswith("duplicate gold pair: ") else old] += 1
                 continue
             seen["ok"] += 1
             assert new.pairs() == old.pairs()
@@ -2081,7 +2083,7 @@ class TestGoldSet:
                 assert (pair in new.pairs()) == (pair in old)
                 if pair in old:
                     assert new.value(pair) == old.value(pair)
-        assert min(seen.values()) > 20, seen
+        assert seen.keys() == {"ok", "range", "duplicate"} and min(seen.values()) > 20, seen
 
 
 # -- Readers that located their own row faults; writers of their own header --
@@ -2100,7 +2102,7 @@ def old_read_pairs(fh, source="<stream>"):
 
 def old_read_values(fh, source, gold):
     values = {}
-    for lineno, fields in _rows(fh, source, 4, GoldFormatError):
+    for lineno, fields in _rows(fh, source, 4, SelPrefError):
         old_add_value(values, source, lineno, fields, gold)
     return values
 
@@ -2112,10 +2114,10 @@ def old_add_value(values, source, lineno, fields, gold):
         pair = SPPair(parse_relation(rel_name), head, dep)
         value = None if text == "NA" and not gold else _value(text, gold)
     except SelPrefError as err:
-        raise GoldFormatError(f"{source}:{lineno}: {err}") from None
+        raise SelPrefError(f"{source}:{lineno}: {err}") from None
     if pair in values:
-        raise GoldFormatError(f"{source}:{lineno}: duplicate pair {pair.relation} "
-                              f"{_clip(pair.head)} {_clip(pair.dependent)}")
+        raise SelPrefError(f"{source}:{lineno}: duplicate pair {pair.relation} "
+                           f"{_clip(pair.head)} {_clip(pair.dependent)}")
     values[pair] = value
 
 
@@ -2286,7 +2288,7 @@ class TestRowReaders:
                 seen["ok" if not isinstance(outcome_, tuple) else
                      "duplicate" if "duplicate pair" in outcome_[1] else
                      outcome_[0].__name__] += 1
-        assert {"ok", "GoldFormatError", "duplicate"} <= set(seen), seen
+        assert {"ok", "SelPrefError", "duplicate"} <= set(seen), seen
         assert min(seen.values()) > 40, seen
 
     def test_checkpoints_match_reference(self):
@@ -2450,7 +2452,7 @@ def old_average_ranks(values):
     order = np.argsort(arr, kind="stable")
     # argsort puts NaN last, so any NaN or infinity sits at an end of the order
     if len(arr) and not (math.isfinite(arr[order[0]]) and math.isfinite(arr[order[-1]])):
-        raise CorrelationError("non-finite value in correlation input")
+        raise SelPrefError("non-finite value in correlation input")
     ranks = np.empty(len(arr), dtype=np.float64)
     i = 0
     while i < len(arr):
@@ -2535,7 +2537,7 @@ class TestAverageRanks:
         values = [3.0, 1.0, 1.0, -0.0, 2.0]
         values[at] = bad
         want = read_outcome(old_average_ranks, values)
-        assert want == (CorrelationError, "non-finite value in correlation input")
+        assert want == (SelPrefError, "non-finite value in correlation input")
         assert read_outcome(_average_ranks, values) == want
 
     @pytest.mark.parametrize("n, resamples, seed", [
@@ -2603,7 +2605,7 @@ class TestSpearman:
                     want = rho_outcome(old_spearman, xs, ys)
                     assert rho_outcome(spearman, xs, ys) == want, (n, trial, xs, ys)
                     seen[want[0].__name__] += 1
-        assert seen.keys() == {"float", "CorrelationError", "ConstantInputError"}, seen
+        assert seen.keys() == {"float", "SelPrefError", "ConstantInputError"}, seen
 
     @pytest.mark.parametrize("n", [10, 600, 2000])
     @pytest.mark.parametrize("resamples", [1, 17, 301])
@@ -2835,9 +2837,9 @@ def old_generate_candidates(
                         ("frequent_per_head", frequent_per_head),
                         ("random_per_head", random_per_head)):
         if value < 0:
-            raise CandidatePoolError(f"{name} must be >= 0, got {_shown(str(value))}")
+            raise SelPrefError(f"{name} must be >= 0, got {_shown(str(value))}")
     if counts.total(relation) == 0:
-        raise CandidatePoolError(f"no counts for relation {relation.value}")
+        raise CountTableError(f"no counts for relation {relation.value}")
     rng = random.Random(seed)
     ranked_heads = sorted(
         counts.heads(relation),
@@ -2854,7 +2856,7 @@ def old_generate_candidates(
         chosen = set(frequent)
         available = [d for d in pool if d not in chosen]
         if len(available) < random_per_head:
-            raise CandidatePoolError(
+            raise LexiconError(
                 f"lexicon pool for {relation.value} too small: need {random_per_head} "
                 f"unchosen dependents for head {_clip(head)}, have {len(available)}"
             )
@@ -2883,7 +2885,7 @@ def old_pseudo_disambiguation(model, test_pairs, vocab, seed=0):
         rel, head = pair.relation, pair.head
         usable = [d for d in pools[rel] if (rel, head, d) not in positives]
         if not usable:
-            raise ConfounderPoolError(
+            raise LexiconError(
                 f"no confounder available for {rel.value} head "
                 f"{_clip(head)}: pool exhausted by attested pairs"
             )
@@ -2953,10 +2955,12 @@ class TestCandidatesReference:
             case = candidate_case(rng)
             old = read_outcome(old_generate_candidates, *case)
             assert read_outcome(generate_candidates, *case) == old, trial
-            seen["ok" if isinstance(old, list) else old[1].split(" ")[0]] += 1
+            seen["ok" if isinstance(old, list) else (old[0].__name__, *old[1].split(" ")[:2])] += 1
         # drawn lists, no counts, a pool too small for a head, an empty pool
-        assert {"ok", "no", "lexicon"} <= set(seen), seen
-        assert seen["ok"] > 100 and seen["lexicon"] > 20, seen
+        assert seen.keys() == {"ok", ("CountTableError", "no", "counts"),
+                               ("LexiconError", "lexicon", "pool"),
+                               ("LexiconError", "no", "noun")}, seen
+        assert seen["ok"] > 100 and seen["LexiconError", "lexicon", "pool"] > 20, seen
 
     def test_pool_too_small_names_the_same_count(self):
         table = CountTable()
@@ -2964,7 +2968,7 @@ class TestCandidatesReference:
         lexicon = Lexicon(verbs=frozenset({"eat"}), nouns=frozenset("abcd"),
                           adjectives=frozenset())
         args = (table, lexicon, SPRelation.DOBJ, 5, 2, 3, 0)
-        expected = (CandidatePoolError, "lexicon pool for dobj too small: need 3 "
+        expected = (LexiconError, "lexicon pool for dobj too small: need 3 "
                     "unchosen dependents for head 'eat', have 2")
         assert read_outcome(old_generate_candidates, *args) == expected
         assert read_outcome(generate_candidates, *args) == expected
@@ -2997,7 +3001,8 @@ class TestPseudoReference:
             old = read_outcome(old_pseudo_disambiguation, *case)
             got = read_outcome(pseudo_disambiguation, *case)
             assert got == old and type(got) is type(old), trial
-            seen["ok" if isinstance(old, float) else old[0].__name__] += 1
-        assert {"ok", "ConfounderPoolError", "NoTestPairsError", "LexiconError"} <= set(seen), \
-            seen
-        assert seen["ok"] > 100 and seen["ConfounderPoolError"] > 20, seen
+            seen["ok" if isinstance(old, float) else "confounder"
+                 if old[1].startswith("no confounder available") else old[0].__name__] += 1
+        # an exhausted pool is a LexiconError, as an empty one is: key it apart
+        assert {"ok", "confounder", "NoTestPairsError", "LexiconError"} <= set(seen), seen
+        assert seen["ok"] > 100 and seen["confounder"] > 20, seen

@@ -3,7 +3,8 @@
 Each subcommand runs in a child interpreter from a temporary working
 directory on relative paths, so the config echoed into the artifacts is
 the same on every machine; ``OPENBLAS_NUM_THREADS=1`` keeps the NN
-arithmetic on one thread. Every artifact and every stdout is pinned by
+arithmetic on one thread. The commands run under a random str hash seed
+and again under seeds 0 and 4242. Every artifact and every stdout is pinned by
 its sha256 with the ``generated_at`` lines left out. A refactor must keep
 these hashes; a change that alters an output updates them and says why.
 """
@@ -14,6 +15,8 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import selpref
 
@@ -253,9 +256,20 @@ def digest(data: bytes) -> str:
 
 
 def test_every_output_matches_its_pinned_hash(tmp_path):
+    assert output_digests(tmp_path) == GOLDEN
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_every_output_matches_its_pinned_hash_under_a_fixed_hash_seed(tmp_path, hash_seed):
+    """Criterion C12: no output depends on the order str hashing gives a set or dict."""
+    assert output_digests(tmp_path, PYTHONHASHSEED=hash_seed) == GOLDEN
+
+
+def output_digests(tmp_path, **env_extra) -> dict[str, str]:
+    """The digest of every output of the golden commands, run in ``tmp_path``."""
     write_inputs(tmp_path)
     inputs = {p.name for p in tmp_path.iterdir()}
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1", **env_extra}
     got = {}
     for name, argv in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "selpref.cli", *argv],
@@ -265,4 +279,4 @@ def test_every_output_matches_its_pinned_hash(tmp_path):
     for path in sorted(tmp_path.iterdir()):
         if path.name not in inputs:
             got[path.name] = digest(path.read_bytes())
-    assert got == GOLDEN
+    return got

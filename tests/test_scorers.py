@@ -125,7 +125,8 @@ class TestDS:
     def test_zero_vector_is_an_error(self):
         emb = embedding_table({"a": np.zeros(3), "b": np.ones(3)})
         t = table(("eat", "a", 1))
-        with pytest.raises(EmbeddingError, match="^cosine of a zero-norm vector is undefined$"):
+        with pytest.raises(EmbeddingError, match="^cosine of a zero-norm vector is undefined "
+                                                 "for dobj pair 'eat' 'b'$"):
             ds(t, emb, SPPair(R, "eat", "b"))
 
 

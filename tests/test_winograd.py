@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from selpref.core import SPPair, SPRelation
+from selpref.core import SelPrefError, SPPair, SPRelation
 from selpref.scorers import LookupModel
 from selpref.winograd import (
     AccuracySummary,
     Mention,
     Outcome,
-    WinogradError,
     WinogradQuestion,
     bundled_questions,
     load_questions,
@@ -133,16 +132,16 @@ def test_outcome_matches_argmax_property():
 
 
 def test_question_validation():
-    with pytest.raises(WinogradError):
+    with pytest.raises(SelPrefError):
         make_question(gold="neither")
-    with pytest.raises(WinogradError):
+    with pytest.raises(SelPrefError):
         WinogradQuestion(
             id="x", sentence="s", verb="v", adjective="a",
             candidate_subject=Mention("the cat", "cat"),
             candidate_object=Mention("that cat", "cat"),
             gold="subject",
         )
-    with pytest.raises(WinogradError):
+    with pytest.raises(SelPrefError):
         Mention("", "cat")
 
 
@@ -157,7 +156,7 @@ def test_score_accuracy_counts():
 
 
 def test_score_accuracy_rejects_empty():
-    with pytest.raises(WinogradError):
+    with pytest.raises(SelPrefError):
         score_accuracy([])
 
 
@@ -204,7 +203,7 @@ def test_bundled_partial_knowledge_yields_na_not_wrong():
 
 def test_load_questions_rejects_wrong_schema_version():
     doc = {"schema_version": 99, "questions": []}
-    with pytest.raises(WinogradError):
+    with pytest.raises(SelPrefError):
         load_questions(io.StringIO(json.dumps(doc)))
 
 
@@ -216,7 +215,7 @@ def test_load_questions_rejects_duplicate_ids():
         "gold": "subject",
     }
     doc = {"schema_version": 1, "questions": [rec, dict(rec)]}
-    with pytest.raises(WinogradError, match="duplicate"):
+    with pytest.raises(SelPrefError, match="duplicate"):
         load_questions(io.StringIO(json.dumps(doc)))
 
 
@@ -228,7 +227,7 @@ def test_load_questions_rejects_missing_field():
         "gold": "subject",
     }
     doc = {"schema_version": 1, "questions": [rec]}
-    with pytest.raises(WinogradError, match="#0"):
+    with pytest.raises(SelPrefError, match="#0"):
         load_questions(io.StringIO(json.dumps(doc)))
 
 
